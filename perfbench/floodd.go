@@ -18,13 +18,20 @@ import (
 
 // floodd_durable drives an in-process scheduler through its HTTP handler
 // with a closed loop of flooddClients clients, one tenant each: submit a
-// small sweep job with a seed no other job of the run uses, poll it every
+// sweep job with a seed no other job of the run uses, poll it every
 // flooddPoll until it completes, fetch its TSV, submit the next.
 const (
 	flooddWorkers = 2
 	flooddClients = 2
 	flooddPoll    = time.Millisecond
 	flooddMinJobs = 100
+	// A job is 2 points x flooddTrials cells of flooddN agents: a cell
+	// floods for about 2 ms against one journal fsync of about 0.1 ms, and
+	// a job takes about 40 ms against the 1 ms poll. With smaller cells the
+	// fsync latency of a shared disk and the poll tick set the figures,
+	// and runs of the same code moved by a third.
+	flooddN      = 2000
+	flooddTrials = 8
 	// flooddRetain lets the scheduler collect finished jobs (spec record,
 	// journal and open file) shortly after the client has read them, so a
 	// long run neither piles up journals nor runs out of descriptors.
@@ -35,16 +42,15 @@ const (
 	// through CellRunner and RecordDurable.
 	flooddReplayJobs = 100
 	// flooddSetupReps is how many servers a run builds for the set-up
-	// median: one build takes well under a millisecond and swings with the
-	// file system, so a few samples say little.
-	flooddSetupReps = 51
+	// median: one build takes about 0.1 ms, so a few samples say little.
+	flooddSetupReps = 101
 )
 
 // flooddSpec is client c's k-th job of loop phase (the traced run has an
 // untraced and a traced loop); the seed is unique within the run.
 func flooddSpec(runSeed uint64, phase, c, k int) service.JobSpec {
 	return service.JobSpec{
-		Param: "r", Values: []float64{2, 4}, N: 500, V: 0.3, Trials: 4,
+		Param: "r", Values: []float64{2, 4}, N: flooddN, V: 0.3, Trials: flooddTrials,
 		Seed:   runSeed<<32 | uint64(phase)<<28 | uint64(c)<<24 | uint64(k),
 		Source: "center", Tenant: fmt.Sprintf("tenant-%d", c),
 	}
@@ -72,8 +78,18 @@ type flooddServer struct {
 	dir   string
 }
 
+// newFlooddServer builds a scheduler on an empty state directory that
+// already exists, as one provisioned for the daemon would: the timed
+// set-up is the scheduler's construction and its recovery scan, not the
+// file system's mkdir latency, which on a shared disk swings several-fold
+// between runs.
 func (r *run) newFlooddServer(i int) (flooddServer, time.Duration, error) {
 	dir := filepath.Join(r.dir, fmt.Sprintf("state-%d", i))
+	for _, sub := range []string{"jobs", "journals"} {
+		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+			return flooddServer{}, 0, err
+		}
+	}
 	t0 := time.Now()
 	sched, err := service.New(service.Config{Workers: flooddWorkers, StateDir: dir,
 		StallTimeout: flooddStallTimeout, Retain: flooddRetain})

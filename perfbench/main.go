@@ -142,7 +142,10 @@ func mainErr() int {
 		r.tr = newTracer(time.Now())
 		body = wl.traced
 	}
-	if err := body(r); err != nil {
+	rss := startRSS()
+	err = body(r)
+	rssMB := rss.finish()
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "perfbench: %s: %v\n", r.workload, err)
 		return 1
 	}
@@ -154,7 +157,8 @@ func mainErr() int {
 		}
 		r.note("spans\t%s (%d spans)", filepath.Join(scratchRoot, "spans", file), len(r.tr.spans))
 	} else {
-		r.set("rss_peak_mb", rssPeakMB(), "MB")
+		r.set("rss_peak_mb", quantile(rssMB, rssPeakQuantile), "MB")
+		r.note("rss_hwm_mb\t%.6g\tMB\t(VmHWM; %d VmRSS samples, every %s)", procStatusMB("VmHWM:"), len(rssMB), rssInterval)
 	}
 	if r.attempted < 1 {
 		r.fail("nothing was attempted")
@@ -218,14 +222,58 @@ func provenance(seed uint64) string {
 		cpu, runtime.NumCPU(), runtime.GOMAXPROCS(0), kernel.Path(), runtime.Version(), seed)
 }
 
-// rssPeakMB reads the process's peak resident set (VmHWM) in MiB.
-func rssPeakMB() float64 {
+// rssInterval is how often a run samples its resident set. The peak it
+// reports is a high quantile of the samples, not VmHWM: on the workloads
+// whose Go heap is a few MB, the high-water mark is set by whichever
+// garbage-collection cycle happens to peak highest, and moves by a third
+// between runs of the same code.
+const (
+	rssInterval     = 10 * time.Millisecond
+	rssPeakQuantile = 0.9
+)
+
+// rssSampler samples VmRSS, in MiB, every rssInterval until finished.
+type rssSampler struct {
+	stop chan struct{}
+	done chan []float64
+}
+
+func startRSS() *rssSampler {
+	s := &rssSampler{stop: make(chan struct{}), done: make(chan []float64)}
+	go func() {
+		tick := time.NewTicker(rssInterval)
+		defer tick.Stop()
+		var mb []float64
+		for {
+			if v := procStatusMB("VmRSS:"); v > 0 {
+				mb = append(mb, v)
+			}
+			select {
+			case <-s.stop:
+				s.done <- mb
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+	return s
+}
+
+// finish stops the sampler, waits for it to end and returns its samples.
+func (s *rssSampler) finish() []float64 {
+	close(s.stop)
+	return <-s.done
+}
+
+// procStatusMB reads one kB field of /proc/self/status (VmRSS:, VmHWM:)
+// in MiB, or 0 if it cannot.
+func procStatusMB(field string) float64 {
 	data, err := os.ReadFile("/proc/self/status")
 	if err != nil {
 		return 0
 	}
 	for _, line := range strings.Split(string(data), "\n") {
-		if rest, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+		if rest, ok := strings.CutPrefix(line, field); ok {
 			kb, err := strconv.ParseFloat(strings.TrimSuffix(strings.TrimSpace(rest), " kB"), 64)
 			if err == nil {
 				return kb / 1024

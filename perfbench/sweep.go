@@ -108,7 +108,7 @@ func (r *run) sweepSetups(spec experiments.SweepSpec, reps int) ([]time.Duration
 // Workers: 1 and must give a byte-identical TSV; at the default seed it
 // must also match the committed hash.
 func sweepMC(r *run) error {
-	setups, err := r.sweepSetups(sweepSpec(r.seed, 0), 15)
+	setups, err := r.sweepSetups(sweepSpec(r.seed, 0), 41)
 	if err != nil {
 		return err
 	}
