@@ -951,6 +951,16 @@ func runAllocGate(w io.Writer) int {
 			}
 			return world.Step, world.Step, nil
 		}},
+		// The tiled delta path the 100k sparse-flood workload runs: at
+		// V/R = 0.025 the world syncs through UpdateCells, sharded over
+		// two workers (world_step_10k_t4 at V/R = 0.075 takes the rebuild).
+		{name: "world_step_10k_t4_delta", warmups: 30, setup: func() (func(), func(), error) {
+			world, err := sim.NewWorld(sim.Params{N: 10000, L: 100, R: 4, V: 0.1, Seed: 1, Tiles: 4, Workers: 2}, nil)
+			if err != nil {
+				return nil, nil, err
+			}
+			return world.Step, world.Step, nil
+		}},
 		{name: "flood_step_4k", warmups: 40, setup: func() (func(), func(), error) {
 			return newAllocFlood(4000, false, 0)
 		}},

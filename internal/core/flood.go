@@ -83,7 +83,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 
 	"manhattanflood/internal/cells"
 	"manhattanflood/internal/geom"
@@ -125,10 +124,10 @@ type Flooding struct {
 	tileShards [][]int32
 	tileRowOff [][]int32
 
-	// Per-sweep inputs for sweepOneTile/tileNoTransmitter. Methods plus
-	// scratch fields instead of per-call closures: a closure referenced by
-	// the parallel branch's goroutine escapes and costs an allocation per
-	// step even on the sequential path.
+	// Per-pass inputs for the sharded bodies (sweepShard, sweepOneTile,
+	// tileNoTransmitter, chainShard). Methods plus scratch fields instead
+	// of per-call closures: a closure handed to a worker goroutine escapes
+	// and costs an allocation per step.
 	swIx   *spatialindex.Index
 	swTl   *spatialindex.Tiling
 	swCols int
@@ -142,14 +141,19 @@ type Flooding struct {
 	sweepSkip []bool
 	skipSeed  []bool // scratch: change marks + fresh-informed buckets, then the dilated mask
 
-	// catch forwards panics out of the sharded sweep/chaining workers onto
-	// the stepping goroutine, where the trial runner's recover can turn
-	// them into structured per-trial errors instead of a process crash. A
-	// field (not a per-call local) so the parallel paths stay
+	// fan runs the sharded sweep/chaining workers and forwards their
+	// panics onto the stepping goroutine, where the trial runner's recover
+	// can turn them into structured per-trial errors instead of a process
+	// crash. A field, with its pass bodies built once in NewFlooding and
+	// their per-call inputs in swIx/chainLevel, so the parallel paths stay
 	// allocation-free in the steady state.
-	catch    panicsafe.Catcher
-	skipTmp  []bool // scratch: horizontal dilation pass
-	lastTime int
+	fan        panicsafe.Fanout
+	sweepFn    func(shard, lo, hi int)
+	tilesFn    func(shard, lo, hi int)
+	chainFn    func(shard, lo, hi int)
+	chainLevel []int32
+	skipTmp    []bool // scratch: horizontal dilation pass
+	lastTime   int
 
 	// observer, when set (WithStepObserver), is invoked by Run/RunContext
 	// after every completed flooding step with the ids informed during
@@ -214,6 +218,9 @@ func NewFlooding(w *sim.World, source int, opts ...FloodOption) (*Flooding, erro
 		uninformed: make([]int32, 0, w.N()-1),
 		fresh:      make([]int32, 0, w.N()),
 	}
+	f.sweepFn = f.sweepShard
+	f.tilesFn = f.sweepTileRange
+	f.chainFn = f.chainShard
 	for _, o := range opts {
 		o(f)
 	}
@@ -662,30 +669,21 @@ func (f *Flooding) ensureShards(workers int) {
 // buffers are concatenated in shard order — bucket-major order — so the
 // merged result is bit-identical to the sequential sweep.
 func (f *Flooding) sweepParallel(ix *spatialindex.Index, workers int) {
-	m := ix.NumCells()
-	chunk := (m + workers - 1) / workers
 	f.ensureShards(workers)
-	var wg sync.WaitGroup
-	nsh := 0
-	for start := 0; start < m; start += chunk {
-		end := start + chunk
-		if end > m {
-			end = m
-		}
-		sh := nsh
-		nsh++
-		wg.Add(1)
-		go func(sh, lo, hi int) {
-			defer wg.Done()
-			defer f.catch.Recover(sh)
-			f.shards[sh] = f.sweep(ix, lo, hi, f.shards[sh][:0])
-		}(sh, start, end)
+	for s := 0; s < workers; s++ {
+		f.shards[s] = f.shards[s][:0]
 	}
-	wg.Wait()
-	f.catch.Rethrow()
-	for s := 0; s < nsh; s++ {
+	f.swIx = ix
+	f.fan.Run(workers, ix.NumCells(), f.sweepFn)
+	f.swIx = nil
+	for s := 0; s < workers; s++ {
 		f.newlyInformed = append(f.newlyInformed, f.shards[s]...)
 	}
+}
+
+// sweepShard is sweepParallel's body for buckets [lo, hi).
+func (f *Flooding) sweepShard(sh, lo, hi int) {
+	f.shards[sh] = f.sweep(f.swIx, lo, hi, f.shards[sh])
 }
 
 // sweepTiled runs the transmission round tile by tile on a tiled world.
@@ -710,41 +708,18 @@ func (f *Flooding) sweepTiled(ix *spatialindex.Index, tl *spatialindex.Tiling) {
 		f.tileRowOff = append(f.tileRowOff, make([][]int32, nt-len(f.tileRowOff))...)
 	}
 	f.swIx, f.swTl, f.swCols = ix, tl, cols
-	workers := tl.Workers()
-	if workers > nt {
-		workers = nt
-	}
-	if workers > 1 {
-		chunk := (nt + workers - 1) / workers
-		var wg sync.WaitGroup
-		nsh := 0
-		for start := 0; start < nt; start += chunk {
-			end := start + chunk
-			if end > nt {
-				end = nt
-			}
-			sh := nsh
-			nsh++
-			wg.Add(1)
-			go func(sh, lo, hi int) {
-				defer wg.Done()
-				defer f.catch.Recover(sh)
-				for t := lo; t < hi; t++ {
-					f.sweepOneTile(t)
-				}
-			}(sh, start, end)
-		}
-		wg.Wait()
-		f.catch.Rethrow()
-	} else {
-		for t := 0; t < nt; t++ {
-			f.sweepOneTile(t)
-		}
-	}
+	f.fan.Run(tl.Workers(), nt, f.tilesFn)
 	f.swIx, f.swTl = nil, nil
 	// Bucket-major merge: for every global bucket row, append each tile
 	// column's fragment of that row, left to right.
 	f.mergeTileRows(tl, cols, k)
+}
+
+// sweepTileRange sweeps tiles [lo, hi) for sweepTiled.
+func (f *Flooding) sweepTileRange(_, lo, hi int) {
+	for t := lo; t < hi; t++ {
+		f.sweepOneTile(t)
+	}
 }
 
 // tileNoTransmitter reports whether tile t's 9-tile neighborhood holds no
@@ -917,6 +892,11 @@ func (f *Flooding) chainScan(ix *spatialindex.Index, level []int32, dst []int32)
 	return dst
 }
 
+// chainShard is chainClosureParallel's body for level entries [lo, hi).
+func (f *Flooding) chainShard(sh, lo, hi int) {
+	f.shards[sh] = f.chainScan(f.swIx, f.chainLevel[lo:hi], f.shards[sh])
+}
+
 // chainClosureParallel advances the chaining BFS in frontier-synchronized
 // levels: the current level is sharded over the workers, which only read
 // the informed set and the uninformed bitmap and emit hit positions; the
@@ -945,26 +925,13 @@ func (f *Flooding) chainClosureParallel(ix *spatialindex.Index, workers int) int
 	for len(level) > 0 {
 		next = next[:0]
 		if len(level) >= 2*workers {
-			chunk := (len(level) + workers - 1) / workers
-			var wg sync.WaitGroup
-			nsh := 0
-			for start := 0; start < len(level); start += chunk {
-				end := start + chunk
-				if end > len(level) {
-					end = len(level)
-				}
-				sh := nsh
-				nsh++
-				wg.Add(1)
-				go func(sh, lo, hi int) {
-					defer wg.Done()
-					defer f.catch.Recover(sh)
-					f.shards[sh] = f.chainScan(ix, level[lo:hi], f.shards[sh][:0])
-				}(sh, start, end)
+			for s := 0; s < workers; s++ {
+				f.shards[s] = f.shards[s][:0]
 			}
-			wg.Wait()
-			f.catch.Rethrow()
-			for s := 0; s < nsh; s++ {
+			f.swIx, f.chainLevel = ix, level
+			f.fan.Run(workers, len(level), f.chainFn)
+			f.swIx, f.chainLevel = nil, nil
+			for s := 0; s < workers; s++ {
 				for _, k := range f.shards[s] {
 					mark(k)
 				}

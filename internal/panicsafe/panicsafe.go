@@ -4,7 +4,9 @@
 // process down before any caller-side recover could see it. Catcher
 // converts such a panic into a ShardPanic value captured with its original
 // stack and rethrows it on the coordinating goroutine, where the trial
-// runner's recover turns it into a structured per-trial error.
+// runner's recover turns it into a structured per-trial error. Fanout
+// packages that protocol as the allocation-free range fan-out the
+// sharded stepping, index and sweep passes share.
 //
 // The package also defines InvariantError, the payload of the repo's
 // programmer-error panics (slice-length disagreements and similar
@@ -97,6 +99,61 @@ func (c *Catcher) Rethrow() {
 	if sp != nil {
 		panic(sp)
 	}
+}
+
+// Fanout runs one pass over contiguous chunks of [0, n) on a group of
+// worker goroutines with the Catcher protocol built in: each worker
+// defers Recover, and Run rethrows the first worker panic on the calling
+// goroutine. Unlike a go statement with a fresh closure per call, Run
+// allocates nothing once warm — the per-shard goroutine bodies are built
+// on first use and the pass's inputs travel through the Fanout's fields
+// — so a per-step fan-out keeps the steady-state hot loops zero-alloc.
+// The zero value is ready to use. A Fanout runs one pass at a time and
+// must not be copied after first use.
+type Fanout struct {
+	catch  Catcher
+	wg     sync.WaitGroup
+	fn     func(shard, lo, hi int)
+	n      int
+	chunk  int
+	bodies []func()
+}
+
+// Run invokes fn(shard, lo, hi) for up to workers contiguous chunks of
+// [0, n), concurrently when workers > 1 (shard s covers
+// [s*chunk, min((s+1)*chunk, n)) with chunk = ceil(n/workers)). With
+// workers <= 1 or n == 0 it calls fn(0, 0, n) on the calling goroutine.
+// fn must write only shard-disjoint state.
+func (f *Fanout) Run(workers, n int, fn func(shard, lo, hi int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		fn(0, 0, n)
+		return
+	}
+	chunk := (n + workers - 1) / workers
+	shards := (n + chunk - 1) / chunk
+	for len(f.bodies) < shards {
+		s := len(f.bodies)
+		f.bodies = append(f.bodies, func() { f.shard(s) })
+	}
+	f.fn, f.n, f.chunk = fn, n, chunk
+	f.wg.Add(shards)
+	for s := 0; s < shards; s++ {
+		go f.bodies[s]()
+	}
+	f.wg.Wait()
+	f.fn = nil
+	f.catch.Rethrow()
+}
+
+// shard is the body of worker s of the current Run.
+func (f *Fanout) shard(s int) {
+	defer f.wg.Done()
+	defer f.catch.Recover(s)
+	lo := s * f.chunk
+	f.fn(s, lo, min(lo+f.chunk, f.n))
 }
 
 // InvariantError is the payload of a programmer-error panic: an internal

@@ -112,3 +112,67 @@ func TestNestedShardPanicKeepsInnermost(t *testing.T) {
 		t.Errorf("nested rethrow rewrapped the panic: got shard %d", got.Shard)
 	}
 }
+
+// Fanout covers [0, n) exactly once with contiguous shards, for worker
+// counts below, at and above n.
+func TestFanoutCoversRange(t *testing.T) {
+	var f Fanout
+	for _, n := range []int{0, 1, 5, 100} {
+		for _, workers := range []int{0, 1, 2, 3, 8} {
+			hits := make([]int, n)
+			calls := 0
+			var mu sync.Mutex
+			f.Run(workers, n, func(shard, lo, hi int) {
+				mu.Lock()
+				defer mu.Unlock()
+				calls++
+				for i := lo; i < hi; i++ {
+					hits[i]++
+				}
+			})
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("n=%d workers=%d: index %d visited %d times", n, workers, i, h)
+				}
+			}
+			if want := max(min(workers, n), 1); calls > want {
+				t.Fatalf("n=%d workers=%d: %d shards, want at most %d", n, workers, calls, want)
+			}
+		}
+	}
+}
+
+// A worker panic reaches the caller as a ShardPanic, and the Fanout stays
+// usable afterwards.
+func TestFanoutForwardsPanic(t *testing.T) {
+	var f Fanout
+	func() {
+		defer func() {
+			sp, ok := recover().(*ShardPanic)
+			if !ok || sp.Shard != 1 || sp.Value != "boom" {
+				t.Fatalf("recovered %#v, want shard 1 panic \"boom\"", sp)
+			}
+		}()
+		f.Run(2, 10, func(shard, lo, hi int) {
+			if shard == 1 {
+				panic("boom")
+			}
+		})
+	}()
+	f.Run(2, 10, func(shard, lo, hi int) {}) // must not re-panic
+}
+
+// Once warm, a parallel Run allocates nothing.
+func TestFanoutZeroAlloc(t *testing.T) {
+	var f Fanout
+	out := make([]int, 64)
+	fn := func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i]++
+		}
+	}
+	f.Run(4, len(out), fn)
+	if avg := testing.AllocsPerRun(50, func() { f.Run(4, len(out), fn) }); avg > 0 {
+		t.Errorf("Fanout.Run allocates %v times per call, want 0", avg)
+	}
+}

@@ -50,7 +50,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sync"
 
 	"manhattanflood/internal/faultinject"
 	"manhattanflood/internal/geom"
@@ -159,12 +158,14 @@ const seedStride = 0x9e3779b97f4a7c15
 // fraction below which Step maintains the neighbor index incrementally
 // (spatialindex.Index.Update) instead of re-running the counting sort. An
 // agent moves at most V per step against a bucket side of R, so the mover
-// fraction of the moving population is about V/R; the delta patch and the
-// full rebuild were measured to cross near 5% movers on the reference
-// machine (see BENCH_3.json: index_update_10k vs index_rebuild_10k and
-// the Update10k{Slow,Mid,Hot} benchmarks in internal/spatialindex).
-// Either path yields bit-identical index state; this constant only picks
-// the cheaper one.
+// fraction of the moving population is about V/R; the prediction is
+// taken before the step's sync, from V/R and (for resting models) the
+// dirty bitmap. 5% sits in the measured crossover band of the two paths
+// (see the Update10k{None,Slow,Mid,Hot} benchmarks in
+// internal/spatialindex). spatialindex.UpdateFallbackFraction is the
+// separate per-step guard on the movers Update actually observes. Either
+// path yields bit-identical index state; this constant only picks the
+// cheaper one.
 const deltaUpdateMaxMoverFraction = 0.05
 
 // World is a population of agents stepped in lockstep.
@@ -182,11 +183,14 @@ type World struct {
 	neverRests bool      // model guarantees every agent moves every step
 	index      *spatialindex.Index
 	step       int
-	// catch forwards panics out of the parallel stepping workers onto the
-	// goroutine that called Step, so a poisoned agent fails its trial with
-	// a diagnosable report instead of crashing the process. A field so the
-	// parallel step stays allocation-free.
-	catch panicsafe.Catcher
+	// fan runs the parallel stepping workers and forwards their panics
+	// onto the goroutine that called Step, so a poisoned agent fails its
+	// trial with a diagnosable report instead of crashing the process. A
+	// field, with its pass bodies built once, so the parallel step stays
+	// allocation-free.
+	fan          panicsafe.Fanout
+	stepPopFn    func(shard, lo, hi int)
+	stepAgentsFn func(shard, lo, hi int)
 	// stepHook, when set (SetStepHook), runs at the very end of Step, after
 	// the index sync and the step-counter increment: the X/Y slices and the
 	// neighbor index are consistent for the step just completed. It is the
@@ -233,6 +237,8 @@ func NewWorld(p Params, factory ModelFactory) (*World, error) {
 		bound:      true,
 		neverRests: model.NeverRests(),
 	}
+	w.stepPopFn = w.stepPopRange
+	w.stepAgentsFn = w.stepAgentsRange
 	if !w.neverRests {
 		// A model that can rest needs the per-agent dirty bitmap so resting
 		// agents are skipped by the index's delta update. When every agent
@@ -358,19 +364,9 @@ func (w *World) Step() {
 	case w.pop != nil:
 		w.stepPop()
 	case w.params.Workers > 1 && len(w.agents) >= 2*w.params.Workers:
-		w.stepParallel()
-	case w.bound:
-		// Slot-bound agents publish their own position; one interface
-		// call per agent.
-		for _, a := range w.agents {
-			a.Step()
-		}
+		w.fan.Run(w.params.Workers, len(w.agents), w.stepAgentsFn)
 	default:
-		for i, a := range w.agents {
-			a.Step()
-			p := a.Pos()
-			w.x[i], w.y[i] = p.X, p.Y
-		}
+		w.stepAgentsRange(0, 0, len(w.agents))
 	}
 	w.syncIndex()
 	w.step++
@@ -404,56 +400,28 @@ const fuseChunk = 1024
 // its syncIndex keeps the dirty-bitmap delta path instead.
 func (w *World) stepPop() {
 	n := len(w.x)
-	fuse := w.neverRests
 	if w.params.Workers > 1 && n >= 2*w.params.Workers {
-		w.stepPopParallel(fuse)
+		w.fan.Run(w.params.Workers, n, w.stepPopFn)
 		return
 	}
-	for lo := 0; lo < n; lo += fuseChunk {
-		hi := lo + fuseChunk
-		if hi > n {
-			hi = n
-		}
-		w.pop.StepRange(lo, hi)
-		if fuse {
-			w.index.ClassifyInto(w.cells[lo:hi], w.x[lo:hi], w.y[lo:hi])
-		}
-	}
+	w.stepPopRange(0, 0, n)
 }
 
-func (w *World) stepPopParallel(fuse bool) {
-	workers := w.params.Workers
-	n := len(w.x)
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	shard := 0
-	for start := 0; start < n; start += chunk {
-		end := start + chunk
-		if end > n {
-			end = n
+// stepPopRange is stepPop's fused advance/classify over agents [lo, hi),
+// one shard of the parallel step.
+func (w *World) stepPopRange(_, lo, hi int) {
+	for clo := lo; clo < hi; clo += fuseChunk {
+		chi := clo + fuseChunk
+		if chi > hi {
+			chi = hi
 		}
-		sh := shard
-		shard++
-		wg.Add(1)
-		go func(sh, lo, hi int) {
-			defer wg.Done()
-			defer w.catch.Recover(sh)
-			for clo := lo; clo < hi; clo += fuseChunk {
-				chi := clo + fuseChunk
-				if chi > hi {
-					chi = hi
-				}
-				w.pop.StepRange(clo, chi)
-				if fuse {
-					// Shards own disjoint index ranges, so the classify
-					// writes race-free into the shared cells buffer.
-					w.index.ClassifyInto(w.cells[clo:chi], w.x[clo:chi], w.y[clo:chi])
-				}
-			}
-		}(sh, start, end)
+		w.pop.StepRange(clo, chi)
+		if w.neverRests {
+			// Shards own disjoint index ranges, so the classify
+			// writes race-free into the shared cells buffer.
+			w.index.ClassifyInto(w.cells[clo:chi], w.x[clo:chi], w.y[clo:chi])
+		}
 	}
-	wg.Wait()
-	w.catch.Rethrow()
 }
 
 // syncIndex re-synchronizes the neighbor index with the stepped positions,
@@ -521,38 +489,22 @@ func (w *World) syncIndex() {
 	}
 }
 
-func (w *World) stepParallel() {
-	workers := w.params.Workers
-	n := len(w.agents)
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	shard := 0
-	for start := 0; start < n; start += chunk {
-		end := start + chunk
-		if end > n {
-			end = n
+// stepAgentsRange steps AoS agents [lo, hi), one shard of the parallel
+// step.
+func (w *World) stepAgentsRange(_, lo, hi int) {
+	if w.bound {
+		// Slot-bound agents publish their own position; one interface
+		// call per agent.
+		for i := lo; i < hi; i++ {
+			w.agents[i].Step()
 		}
-		sh := shard
-		shard++
-		wg.Add(1)
-		go func(sh, lo, hi int) {
-			defer wg.Done()
-			defer w.catch.Recover(sh)
-			if w.bound {
-				for i := lo; i < hi; i++ {
-					w.agents[i].Step()
-				}
-				return
-			}
-			for i := lo; i < hi; i++ {
-				w.agents[i].Step()
-				p := w.agents[i].Pos()
-				w.x[i], w.y[i] = p.X, p.Y
-			}
-		}(sh, start, end)
+		return
 	}
-	wg.Wait()
-	w.catch.Rethrow()
+	for i := lo; i < hi; i++ {
+		w.agents[i].Step()
+		p := w.agents[i].Pos()
+		w.x[i], w.y[i] = p.X, p.Y
+	}
 }
 
 // Position returns agent i's current position.

@@ -43,10 +43,12 @@
 // counting sort re-derives mostly unchanged structure. Update (update.go)
 // is the incremental path: it classifies each point as moved-in-place
 // (coordinates refreshed, CSR position untouched) or mover (bucket
-// changed), patches starts from the per-bucket occupancy deltas, and
-// merges the movers into the ids and cx/cy arrays in one sequential
-// sweep. Unlike Rebuild it also retains the caller's coordinate slices as
-// the id-indexed view instead of copying them. The post-state is
+// changed), patches starts from the per-bucket departure and arrival
+// counts, patches the ids array — one copy per run of buckets without
+// movers, a merge only in the buckets a mover left or entered — and
+// refreshes cx/cy with one flat coordinate gather. Unlike Rebuild it also
+// retains the caller's coordinate slices as the id-indexed view instead
+// of copying them. The post-state is
 // bit-identical to a full RebuildXY, and the index falls back to the
 // counting sort automatically when the moved fraction crosses
 // UpdateFallbackFraction. sim.World.Step drives this path, feeding it
@@ -87,14 +89,14 @@ type Index struct {
 	cx, cy       []float64 // bucket-major coordinates, parallel to ids
 
 	// Delta-update scratch (see Update in update.go).
-	idsAlt       []int32 // emit-sweep target, ping-ponged with ids
+	idsAlt       []int32 // ids-patch target, ping-ponged with ids
 	startsAlt    []int32 // new offsets, ping-ponged with starts
-	slab         []int32 // one-memclr backing for delta/ocount/mstarts
+	slab         []int32 // one-memclr backing for ocount/mstarts
 	mstarts      []int32 // movers-per-destination-bucket offsets
 	ocount       []int32 // per-bucket departure counts this update
-	delta        []int32 // per-bucket occupancy change this update
 	movers       []int32 // ids whose bucket changed, ascending
 	moversByCell []int32 // movers grouped by destination, ascending ids
+	events       []int32 // buckets with a departure or arrival, ascending
 	moved        []bool  // id -> bucket changed this update (reset per update)
 	cellScratch  []int32 // batched-classify target for nil-dirty updates
 
@@ -104,9 +106,10 @@ type Index struct {
 	changed     []bool
 	changeExact bool
 
-	// tiling, when non-nil, reroutes the counting sort and the delta emit
-	// through tile-parallel passes (see EnableTiling in tiling.go). The
-	// resulting index state is bit-identical either way.
+	// tiling, when non-nil, reroutes the counting sort through
+	// tile-parallel passes and shards the delta path over its workers
+	// (see EnableTiling in tiling.go).
+	// The resulting index state is bit-identical either way.
 	tiling *Tiling
 }
 
@@ -289,7 +292,6 @@ func (ix *Index) rebuildOwned() {
 // cellOf and the per-bucket counts in starts[1:]: prefix-sum, stable id
 // scatter, and the sequential CSR coordinate fill.
 func (ix *Index) finishRebuild() {
-	xs, ys := ix.xs, ix.ys
 	starts := ix.starts
 	m := ix.cols * ix.cols
 	for c := 0; c < m; c++ {
@@ -302,18 +304,11 @@ func (ix *Index) finishRebuild() {
 	// coordinate copies are then filled by a sequential pass, which keeps the
 	// write streams linear and turns the coordinate movement into overlapping
 	// 8-byte gathers.
-	for i := range xs {
-		c := ix.cellOf[i]
+	for i, c := range ix.cellOf {
 		ix.ids[cursor[c]] = int32(i)
 		cursor[c]++
 	}
-	ids := ix.ids
-	cx := ix.cx[:len(ids)]
-	cy := ix.cy[:len(ids)]
-	for k, id := range ids {
-		cx[k] = xs[id]
-		cy[k] = ys[id]
-	}
+	ix.gatherCSR()
 }
 
 // Point returns the indexed position of point id (valid until the next

@@ -2,7 +2,6 @@ package spatialindex
 
 import (
 	"fmt"
-	"sync"
 
 	"manhattanflood/internal/panicsafe"
 )
@@ -28,9 +27,10 @@ import (
 // only its own members through only its own buckets' cursors (~NumCells/K^2
 // entries, a few KiB) into its own CSR spans (~n/K^2 ids). The per-tile
 // working set is cache-resident again, and tiles are independent, so the
-// sort also parallelizes across the worker pool. The delta path keeps its
-// sequential classify-compare scan (two streaming reads) but shards it
-// over workers and emits the patched CSR tile-parallel.
+// sort also parallelizes across the worker pool. The delta path shares
+// the flat index's code and only shards it: the classify-compare scan
+// (two streaming reads) over id ranges, and the ids patch plus
+// coordinate gather over bucket ranges.
 //
 // # Ownership handoff and ghost spans
 //
@@ -77,16 +77,16 @@ type Tiling struct {
 	// allocation per world step — the steady state must stay zero-alloc
 	// like the flat path's.
 	pcells    []int32
+	pcellOf   []int32
 	pxs, pys  []float64
-	pmby      []int32
 	countFn   func(shard, lo, hi int)
 	scatterFn func(shard, lo, hi int)
 	tilesFn   func(shard, lo, hi int)
 	compareFn func(shard, lo, hi int)
-	emitFn    func(shard, lo, hi int)
-	refillFn  func(shard, lo, hi int)
+	gatherFn  func(shard, lo, hi int)
+	patchFn   func(shard, lo, hi int)
 
-	catch panicsafe.Catcher
+	fan panicsafe.Fanout
 }
 
 // tileRec is one partitioned agent: its position, id, and bucket, packed
@@ -98,8 +98,9 @@ type tileRec struct {
 }
 
 // EnableTiling attaches a K x K tiling to the index: from the next
-// rebuild or update on, the counting sort and the delta emit run as
-// tile-parallel passes on up to `workers` goroutines (workers <= 1 keeps
+// rebuild or update on, the counting sort runs as tile-parallel passes
+// and the delta update's compare scan, ids patch and coordinate gather
+// run sharded, on up to `workers` goroutines (workers <= 1 keeps
 // every pass on the calling goroutine — the cache-locality win of the
 // two-level sort applies regardless). K is clamped to the bucket grid
 // side, so K = 1 is always legal and degenerates to the flat algorithm's
@@ -140,8 +141,8 @@ func (ix *Index) EnableTiling(k, workers int) (*Tiling, error) {
 	tl.scatterFn = tl.scatterRange
 	tl.tilesFn = tl.tileRange
 	tl.compareFn = tl.compareRange
-	tl.emitFn = tl.emitRange
-	tl.refillFn = tl.refillRange
+	tl.gatherFn = tl.gatherRange
+	tl.patchFn = tl.patchRange
 	ix.tiling = tl
 	return tl, nil
 }
@@ -175,33 +176,7 @@ func (tl *Tiling) TileOfBucket(c int) int { return int(tl.tileOfBucket[c]) }
 // shard-disjoint state, so the schedule cannot affect the result; panics
 // are forwarded to the caller.
 func (tl *Tiling) parallelRanges(n int, fn func(shard, lo, hi int)) {
-	workers := tl.workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n == 0 {
-		fn(0, 0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	shard := 0
-	for start := 0; start < n; start += chunk {
-		end := start + chunk
-		if end > n {
-			end = n
-		}
-		sh := shard
-		shard++
-		wg.Add(1)
-		go func(sh, lo, hi int) {
-			defer wg.Done()
-			defer tl.catch.Recover(sh)
-			fn(sh, lo, hi)
-		}(sh, start, end)
-	}
-	wg.Wait()
-	tl.catch.Rethrow()
+	tl.fan.Run(tl.workers, n, fn)
 }
 
 // nshards returns how many partition shards a pass over n items uses.
@@ -387,9 +362,9 @@ func (tl *Tiling) compareScan(cells, cellOf, dst []int32) []int32 {
 	for s := 0; s < nsh; s++ {
 		tl.shardMovers[s] = tl.shardMovers[s][:0]
 	}
-	tl.pcells, tl.pmby = cells, cellOf
+	tl.pcells, tl.pcellOf = cells, cellOf
 	tl.parallelRanges(n, tl.compareFn)
-	tl.pcells, tl.pmby = nil, nil
+	tl.pcells, tl.pcellOf = nil, nil
 	for s := 0; s < nsh; s++ {
 		dst = append(dst, tl.shardMovers[s]...)
 	}
@@ -397,9 +372,9 @@ func (tl *Tiling) compareScan(cells, cellOf, dst []int32) []int32 {
 }
 
 // compareRange is compareScan's classify-compare over one shard
-// (pcells = fresh classification, pmby = stored classification).
+// (pcells = fresh classification, pcellOf = stored classification).
 func (tl *Tiling) compareRange(shard, lo, hi int) {
-	cells, cellOf := tl.pcells, tl.pmby
+	cells, cellOf := tl.pcells, tl.pcellOf
 	out := tl.shardMovers[shard]
 	for i := lo; i < hi; i++ {
 		if cells[i] != cellOf[i] {
@@ -409,47 +384,8 @@ func (tl *Tiling) compareRange(shard, lo, hi int) {
 	tl.shardMovers[shard] = out
 }
 
-// emitTiled runs the delta update's emit sweep tile-parallel: each tile
-// emits its buckets' patched spans (ids plus coordinates) into the new
-// CSR arrays at offsets fixed by the already-computed newStarts, one
-// contiguous run per bucket row. Writes are tile-disjoint, so the result
-// is bit-identical to the sequential bucket sweep.
-func (tl *Tiling) emitTiled(xs, ys []float64, mby []int32) {
-	tl.pxs, tl.pys, tl.pmby = xs, ys, mby
-	tl.parallelRanges(tl.NumTiles(), tl.emitFn)
-	tl.pxs, tl.pys, tl.pmby = nil, nil, nil
-}
+// gatherRange is gatherCSR's per-worker body over CSR range [lo, hi).
+func (tl *Tiling) gatherRange(_, lo, hi int) { tl.ix.gatherRange(lo, hi) }
 
-// emitRange emits the patched spans of tiles [lo, hi) for emitTiled.
-func (tl *Tiling) emitRange(_, lo, hi int) {
-	ix := tl.ix
-	cols := ix.cols
-	xs, ys, mby := tl.pxs, tl.pys, tl.pmby
-	for t := lo; t < hi; t++ {
-		x0, x1, y0, y1 := tl.TileBounds(t)
-		for by := y0; by <= y1; by++ {
-			base := by * cols
-			ix.emitBuckets(base+x0, base+x1+1, xs, ys, mby)
-		}
-	}
-}
-
-// refillTiled is the tiled twin of refillCSR (no movers: refresh only the
-// bucket-major coordinate streams), sharded over CSR ranges.
-func (tl *Tiling) refillTiled() {
-	tl.parallelRanges(len(tl.ix.ids), tl.refillFn)
-}
-
-// refillRange refreshes the coordinate streams for CSR range [lo, hi).
-func (tl *Tiling) refillRange(_, lo, hi int) {
-	ix := tl.ix
-	xs, ys := ix.xs, ix.ys
-	ids := ix.ids
-	cx := ix.cx[:len(ids)]
-	cy := ix.cy[:len(ids)]
-	for k := lo; k < hi; k++ {
-		id := ids[k]
-		cx[k] = xs[id]
-		cy[k] = ys[id]
-	}
-}
+// patchRange is the delta update's per-worker patch over buckets [lo, hi).
+func (tl *Tiling) patchRange(_, lo, hi int) { tl.ix.patchRange(lo, hi) }

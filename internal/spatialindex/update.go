@@ -1,21 +1,25 @@
 package spatialindex
 
 import (
+	"slices"
+
 	"manhattanflood/internal/kernel"
 	"manhattanflood/internal/panicsafe"
 )
 
-// UpdateFallbackFraction is the mover fraction above which Update abandons
-// the delta patch and falls back to the full counting-sort rebuild. Movers
-// are points whose grid bucket changed since the last (re)build; at the
-// paper's operating points they are a small minority (an agent moves at
-// most V per step against a bucket side of R, so roughly a V/R fraction
-// crosses a boundary per step). As the fraction grows, the per-mover
-// bookkeeping erodes the win — the measured crossover on the reference
-// machine sits around half the population (compare index_update_10k in
-// BENCH_3.json with the Update10kMid/Hot benchmarks in this package) —
-// and the constant is set below it so the fallback never costs more than
-// the rebuild it replaces.
+// UpdateFallbackFraction is the observed mover fraction above which one
+// Update abandons the delta patch and falls back to the full
+// counting-sort rebuild. Movers are points whose grid bucket changed
+// since the last (re)build; an agent moves at most V per step against a
+// bucket side of R, so roughly a V/R fraction of the moving agents
+// crosses a boundary per step. This constant is a per-step safety net,
+// not the delta/rebuild crossover: callers pick the path from the
+// predicted mover fraction beforehand (sim's deltaUpdateMaxMoverFraction,
+// 0.05, which sits at the crossover), and the bail only catches a step
+// that observes far more movers than predicted, bounding what such a
+// step can cost. Source for the crossover: the Update10k{None,Slow,Mid,
+// Hot} benchmarks in this package (about 0%, 2.5%, 7.5% and 50% movers;
+// Hot bails, so it prices the rebuild on moving data).
 const UpdateFallbackFraction = 0.35
 
 // ensureUpdate sizes the delta-update scratch buffers. The two cells-sized
@@ -36,11 +40,11 @@ func (ix *Index) ensureUpdate(n int) {
 	// within capacity cannot expose stale flags.
 	ix.moved = ix.moved[:n]
 	if ix.slab == nil {
-		ix.slab = make([]int32, 3*m+1)
-		ix.delta = ix.slab[0:m]
-		ix.ocount = ix.slab[m : 2*m]
-		ix.mstarts = ix.slab[2*m : 3*m+1]
+		ix.slab = make([]int32, 2*m+1)
+		ix.ocount = ix.slab[0:m]
+		ix.mstarts = ix.slab[m : 2*m+1]
 		ix.startsAlt = make([]int32, m+1)
+		ix.events = make([]int32, 0, m)
 	}
 	if len(ix.changed) != m {
 		ix.changed = make([]bool, m)
@@ -70,28 +74,34 @@ func (ix *Index) ensureUpdate(n int) {
 // the mobility layer, where a resting way-point agent publishes unchanged
 // coordinates). A nil dirty treats every point as potentially moved.
 //
-// The patch is two passes:
+// The patch is three passes:
 //
 //  1. Classify, in id order (pure streaming): each dirty point is
 //     re-bucketed and compared against its stored bucket. Movers get a
 //     moved flag plus an entry in the (id-ascending) mover list, and
-//     per-bucket occupancy deltas and mover-in counts accumulate on the
-//     side. The pass bails straight into the counting sort if the mover
-//     count crosses UpdateFallbackFraction. If nothing changed bucket,
-//     only the bucket-major coordinate streams need refreshing (one tight
-//     gather pass) and the patch is done.
+//     per-bucket departure and arrival counts accumulate on the side.
+//     The pass bails straight into the counting sort if the mover count
+//     crosses UpdateFallbackFraction. If nothing changed bucket, ids and
+//     starts are already exact and only the coordinate gather (pass 3)
+//     runs.
 //
-//  2. Emit, in bucket order: one sweep walks the old CSR spans and writes
-//     each surviving id AND its fresh coordinates directly to their final
-//     positions (ids ping-pong into an alternate array; coordinates
-//     stream into cx/cy exactly once — there is no separate refill).
-//     Mover-outs are dropped by a moved-flag test (a byte load from a
-//     cache-resident array, not a position search); movers-in, grouped per
-//     destination bucket by a stable counting sort, merge in ascending id
-//     order. The inner loop is specialized by the bucket's event type —
-//     no events (the overwhelmingly common case), departures only,
-//     arrivals only, or both — so the common paths carry no dead branches
-//     and the coordinate gathers pipeline.
+//  2. Patch the ids, in bucket order. A fused prefix pass computes the
+//     new starts, groups the movers by destination bucket, and lists the
+//     event buckets (a departure or an arrival). Between two event
+//     buckets every bucket keeps its exact id run, shifted by one
+//     constant offset, so each such gap moves with a single copy between
+//     the ping-ponged ids arrays. Only event buckets run the
+//     merge: departures drop on a moved-flag test (a byte load from a
+//     cache-resident array, not a position search) and arrivals
+//     interleave in ascending id order.
+//
+//  3. Gather the coordinates: one branch-free pass over the new ids
+//     refills the bucket-major cx/cy streams from xs/ys.
+//
+// Passes 2 and 3 run together per contiguous bucket range (patchRange):
+// every bucket's output span is fixed by the new starts, so the ranges
+// are independent, and with a tiling attached they are sharded over its
+// workers, each gathering the coordinates of the ids it just wrote.
 //
 // A population-size change (len(xs) != Len()) degrades to a full rebuild
 // of the given slices (still retained).
@@ -145,8 +155,7 @@ func (ix *Index) updateImpl(xs, ys []float64, dirty []bool, cells []int32) {
 	m := ix.cols * ix.cols
 	maxMovers := int(UpdateFallbackFraction * float64(n))
 	movers := ix.movers[:0]
-	clear(ix.slab) // delta, ocount, mstarts
-	delta := ix.delta
+	clear(ix.slab) // ocount, mstarts
 	ocount := ix.ocount
 	mstarts := ix.mstarts
 	moved := ix.moved
@@ -189,8 +198,6 @@ func (ix *Index) updateImpl(xs, ys []float64, dirty []bool, cells []int32) {
 				old := cellOf[id]
 				cellOf[id] = c
 				moved[id] = true
-				delta[old]--
-				delta[c]++
 				ocount[old]++
 				mstarts[c+1]++
 			}
@@ -199,8 +206,6 @@ func (ix *Index) updateImpl(xs, ys []float64, dirty []bool, cells []int32) {
 				if old := cellOf[i]; old != c {
 					cellOf[i] = c
 					moved[i] = true
-					delta[old]--
-					delta[c]++
 					ocount[old]++
 					mstarts[c+1]++
 					movers = append(movers, int32(i))
@@ -236,8 +241,6 @@ func (ix *Index) updateImpl(xs, ys []float64, dirty []bool, cells []int32) {
 				chg[c] = true
 				cellOf[i] = c
 				moved[i] = true
-				delta[old]--
-				delta[c]++
 				ocount[old]++
 				mstarts[c+1]++
 				movers = append(movers, int32(i))
@@ -260,24 +263,32 @@ func (ix *Index) updateImpl(xs, ys []float64, dirty []bool, cells []int32) {
 	if len(movers) == 0 {
 		// Nobody changed bucket: ids and starts are already exact; only the
 		// CSR coordinate streams must be refreshed from the new positions.
-		if tl := ix.tiling; tl != nil {
-			tl.refillTiled()
-		} else {
-			ix.refillCSR()
-		}
+		ix.gatherCSR()
 		return
 	}
 
-	// Group movers by destination bucket: fused prefix pass (mover-in
-	// offsets + new starts), then a stable scatter — movers are already
-	// ascending by id, so each destination group stays ascending.
+	// Fused prefix pass: mover-in offsets, the new starts, and the
+	// ascending list of event buckets (a departure or an arrival). Before
+	// its prefix step, mstarts[c+1] still holds bucket c's arrival count.
 	oldStarts := ix.starts
 	newStarts := ix.startsAlt
+	events := ix.events[:0]
 	newStarts[0] = 0
+	var mpos, npos int32
 	for c := 0; c < m; c++ {
-		mstarts[c+1] += mstarts[c]
-		newStarts[c+1] = newStarts[c] + (oldStarts[c+1] - oldStarts[c]) + delta[c]
+		in := mstarts[c+1]
+		if in|ocount[c] != 0 {
+			events = append(events, int32(c))
+		}
+		mpos += in
+		mstarts[c+1] = mpos
+		npos += oldStarts[c+1] - oldStarts[c] + in - ocount[c]
+		newStarts[c+1] = npos
 	}
+	ix.events = events
+	// Group movers by destination bucket with a stable scatter — movers
+	// are already ascending by id, so each destination group stays
+	// ascending.
 	k := len(movers)
 	if cap(ix.moversByCell) < k {
 		ix.moversByCell = make([]int32, k)
@@ -291,121 +302,62 @@ func (ix *Index) updateImpl(xs, ys []float64, dirty []bool, cells []int32) {
 		cursor[c]++
 	}
 
-	// Pass 2: emit ids and coordinates to their final positions in one
-	// bucket sweep (emitBuckets), or tile-parallel when a tiling is
-	// attached — every bucket's output range is fixed by newStarts, so any
-	// partition of the bucket range into disjoint emit calls produces the
-	// same arrays.
+	// Passes 2 and 3 over bucket ranges. Ping-pong first, so the patch
+	// reads the old CSR from the alternates and writes the live arrays.
+	ix.ids, ix.idsAlt = ix.idsAlt, ix.ids
+	ix.starts, ix.startsAlt = ix.startsAlt, ix.starts
 	if tl := ix.tiling; tl != nil {
-		tl.emitTiled(xs, ys, mby)
+		tl.parallelRanges(m, tl.patchFn)
 	} else {
-		ix.emitBuckets(0, m, xs, ys, mby)
+		ix.patchRange(0, m)
 	}
 	for _, id := range movers {
 		moved[id] = false // surgical reset; no O(n) clear per step
 	}
-	ix.ids, ix.idsAlt = ix.idsAlt, ix.ids
-	ix.starts, ix.startsAlt = ix.startsAlt, ix.starts
 }
 
-// emitBuckets runs the delta update's emit sweep over buckets [c0, c1):
-// each surviving id and its fresh coordinates are written directly to
-// their final positions (ids into the ping-pong target idsAlt, offsets
-// from startsAlt). The write cursor starts at startsAlt[c0] and every
-// bucket writes exactly its new occupancy, so disjoint bucket ranges can
-// be emitted independently and in any order. The loop body is specialized
-// per bucket event type — most buckets saw no event at all (tight fill
-// loop, no flag loads), and most of the rest saw only departures or only
-// arrivals — so the common paths carry no dead branches and the
-// coordinate gathers pipeline.
-func (ix *Index) emitBuckets(c0, c1 int, xs, ys []float64, mby []int32) {
-	oldStarts := ix.starts
-	mstarts := ix.mstarts
-	ocount := ix.ocount
-	moved := ix.moved
-	oldIds := ix.ids
-	newIds := ix.idsAlt
-	cx := ix.cx
-	cy := ix.cy
-	w := ix.startsAlt[c0]
-	for c := c0; c < c1; c++ {
-		si, sHi := oldStarts[c], oldStarts[c+1]
-		mi, mHi := mstarts[c], mstarts[c+1]
-		switch {
-		case ocount[c] == 0 && mi == mHi:
-			// No events: straight re-emit of the old span.
-			for ; si < sHi; si++ {
-				id := oldIds[si]
-				newIds[w] = id
-				cx[w] = xs[id]
-				cy[w] = ys[id]
-				w++
-			}
-		case mi == mHi:
-			// Departures only: drop flagged ids.
-			for ; si < sHi; si++ {
-				id := oldIds[si]
-				if moved[id] {
-					continue
-				}
-				newIds[w] = id
-				cx[w] = xs[id]
-				cy[w] = ys[id]
-				w++
-			}
-		case ocount[c] == 0:
-			// Arrivals only: merge movers-in by id, no flag loads.
-			for ; si < sHi; si++ {
-				id := oldIds[si]
-				for mi < mHi && mby[mi] < id {
-					in := mby[mi]
-					newIds[w] = in
-					cx[w] = xs[in]
-					cy[w] = ys[in]
-					mi++
-					w++
-				}
-				newIds[w] = id
-				cx[w] = xs[id]
-				cy[w] = ys[id]
-				w++
-			}
-			for ; mi < mHi; mi++ {
-				in := mby[mi]
-				newIds[w] = in
-				cx[w] = xs[in]
-				cy[w] = ys[in]
-				w++
-			}
-		default:
-			// Both departures and arrivals (rare): full merge.
-			for ; si < sHi; si++ {
-				id := oldIds[si]
-				if moved[id] {
-					continue
-				}
-				for mi < mHi && mby[mi] < id {
-					in := mby[mi]
-					newIds[w] = in
-					cx[w] = xs[in]
-					cy[w] = ys[in]
-					mi++
-					w++
-				}
-				newIds[w] = id
-				cx[w] = xs[id]
-				cy[w] = ys[id]
-				w++
-			}
-			for ; mi < mHi; mi++ {
-				in := mby[mi]
-				newIds[w] = in
-				cx[w] = xs[in]
-				cy[w] = ys[in]
-				w++
-			}
+// patchRange runs the delta update's ids patch and coordinate gather over
+// buckets [lo, hi), reading the pre-update CSR from idsAlt/startsAlt.
+// The buckets between two event buckets kept their exact id runs, and the
+// whole gap maps from its old span to its new span at one constant
+// offset, so it moves with a single copy. Only event buckets run the
+// merge: drop flagged departures, interleave the arrivals in ascending id
+// order. Then one branch-free gather refills the range's coordinates.
+func (ix *Index) patchRange(lo, hi int) {
+	oldStarts, newStarts := ix.startsAlt, ix.starts
+	oldIds, newIds := ix.idsAlt, ix.ids
+	mstarts, mby, moved := ix.mstarts, ix.moversByCell, ix.moved
+	events := ix.events
+	first, _ := slices.BinarySearch(events, int32(lo))
+	next := lo // first bucket not yet written
+	for _, e32 := range events[first:] {
+		e := int(e32)
+		if e >= hi {
+			break
 		}
+		copy(newIds[newStarts[next]:newStarts[e]], oldIds[oldStarts[next]:oldStarts[e]])
+		w := newStarts[e]
+		mi, mHi := mstarts[e], mstarts[e+1]
+		for _, id := range oldIds[oldStarts[e]:oldStarts[e+1]] {
+			if moved[id] {
+				continue
+			}
+			for mi < mHi && mby[mi] < id {
+				newIds[w] = mby[mi]
+				mi++
+				w++
+			}
+			newIds[w] = id
+			w++
+		}
+		for ; mi < mHi; mi++ {
+			newIds[w] = mby[mi]
+			w++
+		}
+		next = e + 1
 	}
+	copy(newIds[newStarts[next]:newStarts[hi]], oldIds[oldStarts[next]:oldStarts[hi]])
+	ix.gatherRange(int(newStarts[lo]), int(newStarts[hi]))
 }
 
 // adopt installs xs and ys as the index's id-indexed coordinate view
@@ -426,16 +378,28 @@ func (ix *Index) adopt(xs, ys []float64) {
 	ix.cy = ix.cy[:n]
 }
 
-// refillCSR refreshes the bucket-major coordinate copies from the
-// id-indexed view without touching ids or starts — the Update fast path
-// when every move stayed inside its bucket. One sequential id stream
-// drives two gathers per point; there are no data-dependent branches, so
-// the loads pipeline.
-func (ix *Index) refillCSR() {
+// gatherCSR runs gatherRange over the whole CSR, sharded over contiguous
+// ranges on the tiling's workers when one is attached.
+func (ix *Index) gatherCSR() {
+	if tl := ix.tiling; tl != nil {
+		tl.parallelRanges(len(ix.ids), tl.gatherFn)
+		return
+	}
+	ix.gatherRange(0, len(ix.ids))
+}
+
+// gatherRange refreshes the bucket-major coordinates of CSR range
+// [lo, hi) from the id-indexed view: cx[k] = xs[ids[k]], cy[k] =
+// ys[ids[k]]. It is the one coordinate pass of every re-synchronization
+// that keeps or patches ids — the flat counting sort and both
+// delta-update outcomes; only the tiled rebuild scatters coordinates
+// alongside its ids instead. One sequential id stream drives two gathers
+// per point with no data-dependent branches, so the loads pipeline.
+func (ix *Index) gatherRange(lo, hi int) {
 	xs, ys := ix.xs, ix.ys
-	ids := ix.ids
-	cx := ix.cx[:len(ids)]
-	cy := ix.cy[:len(ids)]
+	ids := ix.ids[lo:hi]
+	cx := ix.cx[lo:hi]
+	cy := ix.cy[lo:hi]
 	for k, id := range ids {
 		cx[k] = xs[id]
 		cy[k] = ys[id]

@@ -1,6 +1,7 @@
 package spatialindex
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 )
@@ -197,31 +198,163 @@ func TestUpdateRetainsRebuildCopies(t *testing.T) {
 	}
 }
 
-// The steady-state delta update must not allocate.
+// The steady-state delta update must not allocate — flat through Update,
+// and tiled on two workers through UpdateCells (the world's fused path,
+// whose ids patch and sharded coordinate gather run every step).
 func TestUpdateSteadyStateAllocs(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 17))
-	const side, radius = 50.0, 4.0
-	const n = 2000
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	for i := range xs {
-		xs[i] = rng.Float64() * side
-		ys[i] = rng.Float64() * side
+	for _, tiled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("tiled=%v", tiled), func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(3, 17))
+			const side, radius = 50.0, 4.0
+			const n = 2000
+			xs := make([]float64, n)
+			ys := make([]float64, n)
+			cells := make([]int32, n)
+			for i := range xs {
+				xs[i] = rng.Float64() * side
+				ys[i] = rng.Float64() * side
+			}
+			ix, err := New(side, radius)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tiled {
+				if _, err := ix.EnableTiling(4, 2); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ix.RebuildXY(xs, ys)
+			step := func() {
+				perturb(rng, xs, ys, side, 0.4)
+				if tiled {
+					ix.ClassifyInto(cells, xs, ys)
+					ix.UpdateCells(xs, ys, cells, nil)
+				} else {
+					ix.Update(xs, ys, nil)
+				}
+			}
+			for warm := 0; warm < 10; warm++ { // warm the delta scratch capacities
+				step()
+			}
+			if avg := testing.AllocsPerRun(20, step); avg > 0 {
+				t.Errorf("delta update allocates %v times per call in steady state, want 0", avg)
+			}
+		})
 	}
-	ix, err := New(side, radius)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestUpdatePatchBoundaries drives the run-copy ids patch through its edge
+// cases with hand-placed points on a 5x5 bucket grid: events in the first
+// and the last bucket (empty leading and trailing gap copies), in
+// adjacent buckets (zero-length gap copies), a bucket emptied by
+// departures, buckets filled from empty, a bucket that both loses and
+// gains a point, arrivals that interleave with stayers by id, a single
+// mover and zero movers. Every step also shifts the points that stay put
+// inside their buckets, so the coordinate gather is checked on every
+// step. Each scenario runs flat and tiled, through Update (with and
+// without a dirty bitmap) and UpdateCells, against a fresh RebuildXY.
+func TestUpdatePatchBoundaries(t *testing.T) {
+	const side, radius = 20.0, 4.0
+	const cols = 5
+	// home[i] is point i's initial bucket. Buckets 2, 8, 12, 14, ... start
+	// empty; bucket 7 holds three points, 0 and 24 two each.
+	home := []int{0, 0, 1, 3, 4, 5, 6, 7, 7, 7, 9, 11, 13, 16, 18, 20, 22, 23, 24, 24}
+	type move struct{ id, to int }
+	steps := []struct {
+		name  string
+		moves []move
+	}{
+		{"zero movers", nil},
+		{"single mover, first to last bucket", []move{{0, 24}}},
+		{"single mover, last to first bucket", []move{{18, 0}}},
+		{"adjacent buckets swap a point", []move{{5, 6}, {6, 5}}},
+		{"bucket emptied, buckets filled from empty", []move{{7, 12}, {8, 2}, {9, 8}}},
+		{"arrivals interleave by id in the last bucket", []move{{10, 24}, {1, 24}}},
+		{"mover into the first bucket", []move{{2, 0}}},
+		{"zero movers after events", nil},
 	}
-	ix.RebuildXY(xs, ys)
-	for warm := 0; warm < 10; warm++ { // warm the delta scratch capacities
-		perturb(rng, xs, ys, side, 0.4)
-		ix.Update(xs, ys, nil)
+	// place returns a point's coordinates inside bucket c; phase varies the
+	// offset so in-bucket moves change the coordinates.
+	place := func(i, c, phase int) (x, y float64) {
+		fx := 0.15 + 0.07*float64((i*7+phase*3)%10)
+		fy := 0.15 + 0.07*float64((i*3+phase*5)%10)
+		return (float64(c%cols) + fx) * radius, (float64(c/cols) + fy) * radius
 	}
-	avg := testing.AllocsPerRun(20, func() {
-		perturb(rng, xs, ys, side, 0.4)
-		ix.Update(xs, ys, nil)
-	})
-	if avg > 0 {
-		t.Errorf("Update allocates %v times per call in steady state, want 0", avg)
+	const (
+		viaUpdate      = "Update"
+		viaUpdateDirty = "UpdateDirty"
+		viaUpdateCells = "UpdateCells"
+	)
+	configs := []struct{ k, workers int }{{0, 1}, {1, 1}, {1, 2}, {4, 1}, {4, 2}}
+	for _, cfg := range configs {
+		for _, md := range []string{viaUpdate, viaUpdateDirty, viaUpdateCells} {
+			t.Run(fmt.Sprintf("k=%d/workers=%d/%s", cfg.k, cfg.workers, md), func(t *testing.T) {
+				n := len(home)
+				cur := append([]int(nil), home...)
+				xs := make([]float64, n)
+				ys := make([]float64, n)
+				dirty := make([]bool, n)
+				cells := make([]int32, n)
+				for i, c := range cur {
+					xs[i], ys[i] = place(i, c, 0)
+				}
+				upd, err := New(side, radius)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if upd.NumCells() != cols*cols {
+					t.Fatalf("grid has %d buckets, want %d", upd.NumCells(), cols*cols)
+				}
+				if cfg.k > 0 {
+					if _, err := upd.EnableTiling(cfg.k, cfg.workers); err != nil {
+						t.Fatal(err)
+					}
+				}
+				ref, err := New(side, radius)
+				if err != nil {
+					t.Fatal(err)
+				}
+				upd.RebuildXY(xs, ys)
+				for s, st := range steps {
+					phase := s + 1
+					clear(dirty)
+					for _, mv := range st.moves {
+						cur[mv.id] = mv.to
+						dirty[mv.id] = true
+					}
+					// Stayers shift inside their buckets: all of them, or
+					// half of them when a dirty bitmap tells the index which.
+					for i := range dirty {
+						if md != viaUpdateDirty || (i+s)%2 == 0 {
+							dirty[i] = true
+						}
+					}
+					for i, c := range cur {
+						if dirty[i] {
+							xs[i], ys[i] = place(i, c, phase)
+						}
+					}
+					switch md {
+					case viaUpdate:
+						upd.Update(xs, ys, nil)
+					case viaUpdateDirty:
+						upd.Update(xs, ys, dirty)
+					case viaUpdateCells:
+						ref.ClassifyInto(cells, xs, ys)
+						upd.UpdateCells(xs, ys, cells, nil)
+					}
+					if len(upd.movers) != len(st.moves) {
+						t.Fatalf("step %d (%s): %d movers, want %d", s, st.name, len(upd.movers), len(st.moves))
+					}
+					ref.RebuildXY(xs, ys)
+					requireIdentical(t, s, upd, ref)
+					for i, c := range cur {
+						if upd.Cell(i) != c {
+							t.Fatalf("step %d (%s): point %d in bucket %d, want %d", s, st.name, i, upd.Cell(i), c)
+						}
+					}
+				}
+			})
+		}
 	}
 }

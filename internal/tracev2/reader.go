@@ -75,10 +75,35 @@ func NewReader(r io.ReadSeeker) (*Reader, error) {
 	return rd, nil
 }
 
+// maxPayload bounds the payload of any frame a Writer emits for n agents:
+// the flags byte, two position columns of at most one maximal varint per
+// entry (a keyframe's raw 8-byte floats are shorter), a keyframe's
+// informed bitmap, and a newly-informed list of at most n varint ids plus
+// its count.
+func maxPayload(n int) int64 {
+	const v = binary.MaxVarintLen64
+	if n > math.MaxInt32 {
+		return math.MaxInt64 // no frame that large fits in a u32 length anyway
+	}
+	return 1 + 2*int64(n)*v + 8*int64((n+63)/64) + (int64(n)+1)*v
+}
+
 // scan walks the frame sequence from offset, verifying CRCs and frame
 // structure. It stops silently at a torn tail (short header or payload)
-// and errors on corruption in fully present frames.
+// and errors on corruption in fully present frames. A frame's payload
+// length is checked before anything is allocated for it: a length past
+// the end of the stream is a torn tail, and a length no frame of N agents
+// can have is corruption, so a damaged header cannot demand a 4 GiB
+// buffer.
 func (rd *Reader) scan(offset int64) error {
+	size, err := rd.r.Seek(0, io.SeekEnd)
+	if err != nil {
+		return fmt.Errorf("tracev2: %w", err)
+	}
+	if _, err := rd.r.Seek(offset, io.SeekStart); err != nil {
+		return fmt.Errorf("tracev2: %w", err)
+	}
+	maxLen := maxPayload(rd.info.N)
 	var hdr [frameHdrSize]byte
 	buf := make([]byte, 0, 1<<16)
 	for {
@@ -96,6 +121,12 @@ func (rd *Reader) scan(offset int64) error {
 			plen:   binary.LittleEndian.Uint32(hdr[5:]),
 			crc:    binary.LittleEndian.Uint32(hdr[9:]),
 			offset: offset + frameHdrSize,
+		}
+		if int64(m.plen) > size-m.offset {
+			return nil // torn payload: uncommitted tail
+		}
+		if int64(m.plen) > maxLen {
+			return fmt.Errorf("tracev2: frame at offset %d: payload length %d exceeds the %d-byte maximum for N = %d", offset, m.plen, maxLen, rd.info.N)
 		}
 		if cap(buf) < int(m.plen) {
 			buf = make([]byte, m.plen)

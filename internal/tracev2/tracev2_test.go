@@ -2,9 +2,12 @@ package tracev2
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
 	"math/rand/v2"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -312,5 +315,54 @@ func TestWriterZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("writer steady state allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// appendFrameHeader appends a raw frame header (kind, step, payload
+// length, CRC) to a trace image.
+func appendFrameHeader(b []byte, kind byte, step, plen, crc uint32) []byte {
+	b = append(b, kind)
+	b = binary.LittleEndian.AppendUint32(b, step)
+	b = binary.LittleEndian.AppendUint32(b, plen)
+	return binary.LittleEndian.AppendUint32(b, crc)
+}
+
+// A frame header claiming a payload far past the end of the stream is a
+// torn tail: NewReader drops it without allocating a buffer of the
+// claimed size.
+func TestHugePayloadLengthIsTornTail(t *testing.T) {
+	const n = 16
+	data := writeRun(t, makeRun(t, n, 5, true, 23), n, 8)
+	clean, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("NewReader(clean): %v", err)
+	}
+	last := clean.frames[len(clean.frames)-1].step
+	data = appendFrameHeader(data, kindDelta, last+1, 0xFFFFFFFF, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rd, err := NewReader(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("NewReader: %v", err)
+	}
+	if rd.Frames() != clean.Frames() {
+		t.Fatalf("Frames() = %d, want %d (the bogus frame dropped)", rd.Frames(), clean.Frames())
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("NewReader allocated %d bytes for a bogus frame header, want at most 1 MiB", got)
+	}
+}
+
+// A fully present payload longer than any frame of N agents can be is
+// corruption, not a torn tail.
+func TestOversizedPayloadIsCorruption(t *testing.T) {
+	const n = 4
+	data := writeRun(t, makeRun(t, n, 3, false, 24), n, 8)
+	const plen = 4096
+	data = appendFrameHeader(data, kindKey, 3, plen, 0)
+	data = append(data, make([]byte, plen)...)
+	if _, err := NewReader(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "payload length") {
+		t.Fatalf("NewReader = %v, want a payload length error", err)
 	}
 }
