@@ -25,11 +25,11 @@ ci-purego:
 	$(MAKE) check GOTAGS=purego
 
 # check is the hardware-independent gate CI runs on every push for every
-# build variant: formatting, static checks, build, tests (including the
-# kernel property/fuzz seed corpus that pins the AVX2 and pure-Go paths
-# bit-identical), the race-detector pass over the parallel-merge
-# packages, the zero-allocation gate over the hot loops, and the docs
-# gate.
+# build variant: formatting, static checks (the nested perfbench module
+# included), build, tests (including the kernel property/fuzz seed
+# corpus that pins the AVX2 and pure-Go paths bit-identical), the
+# race-detector pass over the parallel-merge packages, the
+# zero-allocation gate over the hot loops, and the docs gate.
 check: fmt vet build test test-race cover bench-allocs docs
 
 fmt:
@@ -38,8 +38,13 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# vet also covers the benchmark module: `./...` stops at perfbench's own
+# go.mod, so an internal API change that breaks the benchmark would
+# otherwise pass. It runs offline — the module only replaces ../ and has
+# no other dependencies.
 vet:
 	$(GO) vet $(TAGFLAG) ./...
+	$(GO) -C perfbench vet $(TAGFLAG) ./...
 
 build:
 	$(GO) build $(TAGFLAG) ./...
@@ -49,8 +54,8 @@ test:
 
 # test-race runs the race detector over the packages whose property tests
 # exercise the parallel shard merges (flood sweep, chaining BFS levels,
-# parallel agent stepping, parallel population stepping with the fused
-# classify writing the shared cells buffer) — exactly where an
+# parallel population stepping with the fused classify writing the
+# shared cells buffer) — exactly where an
 # unsynchronized read would hide behind deterministic output.
 test-race:
 	$(GO) test $(TAGFLAG) -race ./internal/core ./internal/sim ./internal/mobility/... ./internal/spatialindex
@@ -75,10 +80,11 @@ test-trace:
 	$(GO) test $(TAGFLAG) -count=1 -run 'TestRecord|TestObserver|TestSourceExplicit' .
 
 # cover enforces the coverage floor on the mobility layer: the SoA
-# populations duplicate every model's stepping logic, so untested lines
-# there are exactly where AoS/SoA divergence would hide. The profile
-# merges package mobility's own tests with the soatest differential
-# harness (-coverpkg crosses the package boundary).
+# populations the simulator steps port every reference agent's stepping
+# logic, so untested lines there are exactly where a divergence from the
+# AoS reference would hide. The profile merges package mobility's own
+# tests with the soatest differential harness (-coverpkg crosses the
+# package boundary).
 MOBILITY_COVER_FLOOR = 80.0
 cover:
 	@$(GO) test $(TAGFLAG) -coverpkg=./internal/mobility -coverprofile=/tmp/mobility_cover.out ./internal/mobility/... > /dev/null

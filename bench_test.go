@@ -181,54 +181,12 @@ func BenchmarkE18SnapshotDependence(b *testing.B) {
 // --- micro-benchmarks of the simulator's hot loops ---
 
 // BenchmarkWorldStep10k measures one lockstep move + index sync for
-// 10000 MRWP agents on the default engine — since the SoA mobility layer
-// landed, that is the population step with the fused advance→classify
-// pass feeding the index's precomputed-cells paths.
+// 10000 MRWP agents: the population step with the fused
+// advance→classify pass feeding the index's precomputed-cells paths.
 func BenchmarkWorldStep10k(b *testing.B) {
 	w, err := sim.NewWorld(sim.Params{N: 10000, L: 100, R: 4, V: 0.3, Seed: 1}, nil)
 	if err != nil {
 		b.Fatal(err)
-	}
-	if w.Population() == nil {
-		b.Fatal("default world should step a population")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Step()
-	}
-}
-
-// BenchmarkWorldStep10kSoA is the explicit name for the SoA population
-// path. Since the SoA layer became the default engine it measures the
-// same loop as BenchmarkWorldStep10k; it exists so the SoA/AoS pair
-// reads directly off one `-bench 'WorldStep10k(SoA|AoS)'` run.
-func BenchmarkWorldStep10kSoA(b *testing.B) { BenchmarkWorldStep10k(b) }
-
-// hideBulkModel strips the population capability, forcing a world onto
-// the AoS fallback (per-agent interface calls, classify inside the
-// index) — the ablation twin of the SoA benchmarks.
-type hideBulkModel struct{ mobility.Model }
-
-func aosWorldFactory(cfg mobility.Config) (mobility.Model, error) {
-	m, err := mobility.NewMRWP(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return hideBulkModel{m}, nil
-}
-
-// BenchmarkWorldStep10kAoS is the array-of-structs ablation of
-// BenchmarkWorldStep10k: identical trajectories, but one interface call
-// per agent and a separate classify sweep inside the index. The gap to
-// BenchmarkWorldStep10k is the SoA + fused-classify win.
-func BenchmarkWorldStep10kAoS(b *testing.B) {
-	w, err := sim.NewWorld(sim.Params{N: 10000, L: 100, R: 4, V: 0.3, Seed: 1}, aosWorldFactory)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if w.Population() != nil {
-		b.Fatal("ablation world must not step a population")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -21,13 +21,11 @@
 // dirty-driven-flooding one, BENCH_5.json the vectorized
 // distance-kernel one, BENCH_6.json the SoA mobility-state trajectory
 // with the fused advance→classify pass, and BENCH_7.json — the tiled-
-// world trajectory — is what the gate compares against by default. The
-// world_step_10k_soa / world_step_10k_aos pair records the same world
-// stepped with and without the population capability, so the SoA win
-// stays measurable after the baseline advances; mobility_advance_10k
-// isolates the raw Population.StepRange kinematics without any index
-// work; classify_100k isolates the batched position→bucket kernel
-// (vectorized float→int32 conversion) that feeds the fused pass.
+// world trajectory — is what the gate compares against by default.
+// mobility_advance_10k isolates the raw Population.StepRange kinematics
+// without any index work; classify_100k isolates the batched
+// position→bucket kernel (vectorized float→int32 conversion) that feeds
+// the fused pass.
 //
 // # Scale series (-scale)
 //
@@ -183,8 +181,6 @@ func main() {
 		fn   func(b *testing.B)
 	}{
 		{"world_step_10k", benchWorldStep(10000)},
-		{"world_step_10k_soa", benchWorldStepSoA(10000)},
-		{"world_step_10k_aos", benchWorldStepAoS(10000)},
 		{"mobility_advance_10k", benchMobilityAdvance(10000)},
 		{"flood_step_4k", benchFloodStep(4000, false)},
 		{"flood_step_4k_chained", benchFloodStep(4000, true)},
@@ -397,58 +393,6 @@ func benchWorldStep(n int) func(b *testing.B) {
 		w, err := sim.NewWorld(sim.Params{N: n, L: 100, R: 4, V: 0.3, Seed: 1}, nil)
 		if err != nil {
 			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			w.Step()
-		}
-	}
-}
-
-// benchWorldStepSoA is world_step_10k with the population path asserted:
-// since the SoA mobility layer became the default engine the two entries
-// measure the same loop, but this one fails loudly if the default world
-// ever silently falls back to AoS stepping.
-func benchWorldStepSoA(n int) func(b *testing.B) {
-	return func(b *testing.B) {
-		w, err := sim.NewWorld(sim.Params{N: n, L: 100, R: 4, V: 0.3, Seed: 1}, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if w.Population() == nil {
-			b.Fatal("default world should step a population")
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			w.Step()
-		}
-	}
-}
-
-// hideBulk strips a model down to the bare Model interface (embedded
-// interfaces promote only the interface's own methods), hiding
-// NewPopulation so the world takes the AoS fallback: per-agent interface
-// calls and a separate classify sweep inside the index.
-type hideBulk struct{ mobility.Model }
-
-// benchWorldStepAoS is the array-of-structs ablation of world_step_10k:
-// identical trajectories, old data layout. The gap to world_step_10k_soa
-// is the SoA + fused-classify win on the current code.
-func benchWorldStepAoS(n int) func(b *testing.B) {
-	return func(b *testing.B) {
-		factory := func(cfg mobility.Config) (mobility.Model, error) {
-			m, err := mobility.NewMRWP(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return hideBulk{m}, nil
-		}
-		w, err := sim.NewWorld(sim.Params{N: n, L: 100, R: 4, V: 0.3, Seed: 1}, factory)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if w.Population() != nil {
-			b.Fatal("ablation world must not step a population")
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -21,18 +21,18 @@
 //
 // Every model exposes its agents in two equivalent forms:
 //
+//   - Model.NewPopulation (the embedded BulkStepper): one Population per
+//     world (structure-of-arrays). All mutable kinematic state — trip
+//     progress, current-leg cache, unit directions, pause clocks — lives
+//     in flat per-model parallel slices, and StepRange advances a whole
+//     index range in one batched loop: no interface dispatch, no pointer
+//     chase per agent, and state that the step actually touches packed
+//     densely in cache. This is the only form sim.World steps.
 //   - Model.NewAgent: one Agent value per node (array-of-structs). This is
 //     the reference implementation — small, obviously faithful to the
 //     paper's process definitions, and the oracle the differential tests
-//     (internal/mobility/soatest) hold the fast path to.
-//   - BulkStepper.NewPopulation: one Population per world
-//     (structure-of-arrays). All mutable kinematic state — trip progress,
-//     current-leg cache, unit directions, pause clocks — lives in flat
-//     per-model parallel slices, and StepRange advances a whole index
-//     range in one batched loop: no interface dispatch, no pointer chase
-//     per agent, and state that the step actually touches packed densely
-//     in cache. sim.World steps populations exclusively when the model
-//     offers one.
+//     (internal/mobility/soatest) hold the populations to. No production
+//     path steps it.
 //
 // The two forms are BIT-IDENTICAL by contract, not approximately equal:
 // a population performs exactly the floating-point operation sequence and
@@ -47,8 +47,6 @@
 // The simulator owns the position arrays; mobility publishes into them
 // through a View:
 //
-//   - AoS agents bind one slot each (SlotWriter.BindSlot) and scatter
-//     their position into it at the end of every Step.
 //   - A Population binds the whole View once (Population.Bind) BEFORE any
 //     InitAgent or StepRange call, and its agents' positions live
 //     canonically in View.X/Y — the population keeps no private position
@@ -56,6 +54,9 @@
 //     step discipline: Bind first, InitAgent per slot (publishing the
 //     initial position), then StepRange over disjoint ranges (safe to run
 //     concurrently — every agent writes only its own slots).
+//   - Reference AoS agents bind one slot each (SlotWriter.BindSlot) and
+//     scatter their position into it at the end of every Step, so the
+//     differential tests compare both forms through identical views.
 //
 // View.Dirty, when non-nil, collects per-agent "position changed" bits
 // for the spatial index's delta update: every publish sets the bit, and
@@ -85,12 +86,12 @@ type Agent interface {
 }
 
 // View is the simulator's structure-of-arrays position sink: slot i of the
-// X and Y slices holds agent i's current coordinates. Agents bound to a
-// view (see SlotWriter) scatter their position into their slot at the end
-// of every Step, so the simulator's hot loops read flat float64 slices and
-// never pay a second interface call (Pos) per agent per step. Agent
-// stepping itself is untouched — the view only routes the final write — so
-// trajectories are bit-identical to the unbound path.
+// X and Y slices holds agent i's current coordinates. A bound Population
+// keeps its agents' positions there canonically, and reference agents
+// bound to a view (see SlotWriter) scatter their position into their slot
+// at the end of every Step. Agent stepping itself is untouched — the view
+// only routes the final write — so trajectories are bit-identical to the
+// unbound path.
 //
 // Dirty, when non-nil, is the per-agent dirty bitmap the simulator hands
 // to the spatial index's delta-update path: every publish sets
@@ -110,9 +111,9 @@ type View struct {
 }
 
 // SlotWriter is implemented by agents that can scatter their position
-// directly into a bound View slot on every Step. All models in this
-// package implement it; the simulator falls back to copying Pos() for
-// third-party agents that do not.
+// directly into a bound View slot on every Step. Every reference agent in
+// this package implements it, which lets the differential tests hold the
+// AoS form's publishes, dirty bits included, to the population's.
 type SlotWriter interface {
 	Agent
 	// BindSlot attaches the view slot the agent writes through and
@@ -121,9 +122,8 @@ type SlotWriter interface {
 }
 
 // slotSink is the embeddable write-through half of SlotWriter: the bound
-// view slot an agent scatters its position into. Concrete agents embed it,
-// call publish at the end of every position change, and preserve it across
-// in-place reinitialization.
+// view slot an agent scatters its position into. Concrete agents embed it
+// and call publish at the end of every position change.
 type slotSink struct {
 	out  View
 	slot int
@@ -146,45 +146,12 @@ func (s *slotSink) publish(x, y float64) {
 	s.out.Y[s.slot] = y
 }
 
-// ReinitModel is implemented by models that can re-draw an existing agent
-// in place from a fresh RNG stream, exactly as NewAgent would — the
-// world-pooling fast path for Monte-Carlo trial sweeps (no per-trial agent
-// or RNG allocations). ReinitAgent reports false when a did not come from
-// this model's NewAgent, in which case the caller falls back to NewAgent.
-// A bound view slot survives reinitialization.
-type ReinitModel interface {
-	Model
-	ReinitAgent(a Agent, rng *rand.Rand) bool
-}
-
-// Directed is implemented by agents with a well-defined axis-parallel or
-// free direction of motion. For Manhattan-style models the heading is one
-// of the four axis directions.
-type Directed interface {
-	Agent
-	Heading() geom.Heading
-}
-
-// TurnCounter is implemented by agents that track the paper's "turns"
-// (direction changes, Lemma 13) and completed waypoints.
-type TurnCounter interface {
-	Agent
-	// Turns returns the cumulative number of direction changes performed.
-	Turns() int64
-	// Waypoints returns the cumulative number of destinations reached.
-	Waypoints() int64
-}
-
-// Destined is implemented by way-point agents that expose their current
-// destination.
-type Destined interface {
-	Agent
-	Destination() geom.Point
-}
-
-// Model creates agents of one mobility kind. NewAgent draws an independent
-// agent using the provided RNG (which the agent keeps for its own moves).
+// Model creates agents of one mobility kind, in both forms: NewAgent
+// draws one AoS reference agent using the provided RNG (which the agent
+// keeps for its own moves), and the embedded BulkStepper builds the
+// population the simulator steps.
 type Model interface {
+	BulkStepper
 	// Name identifies the model in tables and traces.
 	Name() string
 	// NewAgent creates one agent in the model's initial distribution.
@@ -222,15 +189,12 @@ type Population interface {
 	StepRange(lo, hi int)
 }
 
-// BulkStepper is an optional Model capability: a model that can represent
-// its agents as a Population and step them in one batched loop — no
-// interface dispatch, no per-agent pointer chase, state packed in flat
-// slices. NewPopulation must produce trajectories bit-identical to n
-// NewAgent agents fed the same per-agent RNG streams; sim.World steps a
-// population exclusively when the model offers one, falling back to AoS
-// agents otherwise.
+// BulkStepper is the population half of Model: it represents a model's
+// agents as a Population stepped in one batched loop — no interface
+// dispatch, no per-agent pointer chase, state packed in flat slices.
+// NewPopulation must produce trajectories bit-identical to n NewAgent
+// agents fed the same per-agent RNG streams.
 type BulkStepper interface {
-	Model
 	// NewPopulation creates an empty population of n agents, ready for
 	// Bind and per-agent InitAgent.
 	NewPopulation(n int) Population

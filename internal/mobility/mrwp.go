@@ -19,10 +19,7 @@ type MRWP struct {
 	spat dist.Spatial
 }
 
-var (
-	_ Model       = (*MRWP)(nil)
-	_ BulkStepper = (*MRWP)(nil)
-)
+var _ Model = (*MRWP)(nil)
 
 // MRWPOption customizes the model.
 type MRWPOption func(*MRWP)
@@ -66,34 +63,16 @@ func (m *MRWP) Config() Config { return m.cfg }
 
 // NewAgent implements Model.
 func (m *MRWP) NewAgent(rng *rand.Rand) Agent {
-	a := &MRWPAgent{}
-	m.initAgent(a, rng)
-	return a
-}
-
-// ReinitAgent implements ReinitModel: it re-draws an existing *MRWPAgent
-// in place, exactly as NewAgent would, preserving its view binding.
-func (m *MRWP) ReinitAgent(ag Agent, rng *rand.Rand) bool {
-	a, ok := ag.(*MRWPAgent)
-	if !ok {
-		return false
-	}
-	m.initAgent(a, rng)
-	return true
-}
-
-func (m *MRWP) initAgent(a *MRWPAgent, rng *rand.Rand) {
-	sink := a.slotSink
-	*a = MRWPAgent{cfg: m.cfg, rng: rng, slotSink: sink}
+	a := &MRWPAgent{cfg: m.cfg, rng: rng}
 	a.path, a.travelled = m.drawInit(rng)
 	a.syncLeg()
 	a.pos = a.path.At(a.travelled)
-	a.publish(a.pos.X, a.pos.Y)
+	return a
 }
 
 // drawInit draws one agent's initial trip state (compiled path + progress
 // along it) according to the model's InitMode. It is the single source of
-// the initialization RNG draw sequence: the AoS initAgent and the SoA
+// the initialization RNG draw sequence: the AoS NewAgent and the SoA
 // Population.InitAgent both call it, which is what makes their trajectories
 // bit-identical from step 0.
 func (m *MRWP) drawInit(rng *rand.Rand) (geom.CompiledPath, float64) {
@@ -182,12 +161,7 @@ func (a *MRWPAgent) BindSlot(v View, slot int) {
 	a.publish(a.pos.X, a.pos.Y)
 }
 
-var (
-	_ Directed    = (*MRWPAgent)(nil)
-	_ TurnCounter = (*MRWPAgent)(nil)
-	_ Destined    = (*MRWPAgent)(nil)
-	_ SlotWriter  = (*MRWPAgent)(nil)
-)
+var _ SlotWriter = (*MRWPAgent)(nil)
 
 // drawTheorems draws an initial trip state from the closed-form laws:
 // position ~ Theorem 1; destination ~ Theorem 2; for a quadrant destination
@@ -228,16 +202,17 @@ func (a *MRWPAgent) Pos() geom.Point { return a.pos }
 // Speed implements Agent.
 func (a *MRWPAgent) Speed() float64 { return a.cfg.V }
 
-// Destination implements Destined.
+// Destination returns the current trip's destination.
 func (a *MRWPAgent) Destination() geom.Point { return a.path.Dst }
 
-// Heading implements Directed.
+// Heading returns the current axis direction of motion.
 func (a *MRWPAgent) Heading() geom.Heading { return a.path.HeadingAt(a.travelled) }
 
-// Turns implements TurnCounter.
+// Turns returns the cumulative number of direction changes performed
+// (the paper's "turns", Lemma 13).
 func (a *MRWPAgent) Turns() int64 { return a.turns }
 
-// Waypoints implements TurnCounter.
+// Waypoints returns the cumulative number of destinations reached.
 func (a *MRWPAgent) Waypoints() int64 { return a.waypoints }
 
 // Path returns the current L-path (for tests and trace tooling).

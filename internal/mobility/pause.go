@@ -33,10 +33,7 @@ type PausedMRWP struct {
 	trip     dist.TripSampler
 }
 
-var (
-	_ Model       = (*PausedMRWP)(nil)
-	_ BulkStepper = (*PausedMRWP)(nil)
-)
+var _ Model = (*PausedMRWP)(nil)
 
 // NewPausedMRWP creates the paused variant; maxPause is in time units and
 // must be positive (use plain NewMRWP for zero pause).
@@ -84,27 +81,10 @@ func (m *PausedMRWP) StationaryDensity(x, y float64) float64 {
 
 // NewAgent implements Model with exact stationary initialization.
 func (m *PausedMRWP) NewAgent(rng *rand.Rand) Agent {
-	a := &PausedAgent{}
-	m.initAgent(a, rng)
-	return a
-}
-
-// ReinitAgent implements ReinitModel.
-func (m *PausedMRWP) ReinitAgent(ag Agent, rng *rand.Rand) bool {
-	a, ok := ag.(*PausedAgent)
-	if !ok {
-		return false
-	}
-	m.initAgent(a, rng)
-	return true
-}
-
-func (m *PausedMRWP) initAgent(a *PausedAgent, rng *rand.Rand) {
-	sink := a.slotSink
-	*a = PausedAgent{cfg: m.cfg, maxPause: m.maxPause, rng: rng, slotSink: sink}
+	a := &PausedAgent{cfg: m.cfg, maxPause: m.maxPause, rng: rng}
 	a.path, a.travelled, a.pauseLeft = m.drawInit(rng)
 	a.pos = a.path.At(a.travelled)
-	a.publish(a.pos.X, a.pos.Y)
+	return a
 }
 
 // drawInit draws one agent's initial phase, trip and pause clock; the

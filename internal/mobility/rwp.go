@@ -18,10 +18,7 @@ type RWP struct {
 	init InitMode
 }
 
-var (
-	_ Model       = (*RWP)(nil)
-	_ BulkStepper = (*RWP)(nil)
-)
+var _ Model = (*RWP)(nil)
 
 // RWPOption customizes the model.
 type RWPOption func(*RWP)
@@ -58,26 +55,10 @@ func (m *RWP) NewPopulation(n int) Population { return newRWPPop(m, n) }
 
 // NewAgent implements Model.
 func (m *RWP) NewAgent(rng *rand.Rand) Agent {
-	a := &RWPAgent{}
-	m.initAgent(a, rng)
-	return a
-}
-
-// ReinitAgent implements ReinitModel.
-func (m *RWP) ReinitAgent(ag Agent, rng *rand.Rand) bool {
-	a, ok := ag.(*RWPAgent)
-	if !ok {
-		return false
-	}
-	m.initAgent(a, rng)
-	return true
-}
-
-func (m *RWP) initAgent(a *RWPAgent, rng *rand.Rand) {
-	sink := a.slotSink
-	*a = RWPAgent{cfg: m.cfg, rng: rng, slotSink: sink}
+	a := &RWPAgent{cfg: m.cfg, rng: rng}
 	a.src, a.dst, a.travelled = m.drawInit(rng)
 	a.updatePos()
+	return a
 }
 
 // drawInit draws one agent's initial segment and progress; the single
@@ -119,10 +100,7 @@ type RWPAgent struct {
 	waypoints int64
 }
 
-var (
-	_ Destined   = (*RWPAgent)(nil)
-	_ SlotWriter = (*RWPAgent)(nil)
-)
+var _ SlotWriter = (*RWPAgent)(nil)
 
 // BindSlot implements SlotWriter.
 func (a *RWPAgent) BindSlot(v View, slot int) {
@@ -136,7 +114,7 @@ func (a *RWPAgent) Pos() geom.Point { return a.pos }
 // Speed implements Agent.
 func (a *RWPAgent) Speed() float64 { return a.cfg.V }
 
-// Destination implements Destined.
+// Destination returns the current trip's destination.
 func (a *RWPAgent) Destination() geom.Point { return a.dst }
 
 // Waypoints returns the number of destinations reached.

@@ -11,7 +11,7 @@ package mobility
 // by the soatest differential harness, which checks exactly that).
 //
 // Initialization draws are not duplicated at all: InitAgent calls the
-// model's drawInit helper, the same function the AoS initAgent consumes.
+// model's drawInit helper, the same function the AoS NewAgent consumes.
 
 import (
 	"math"

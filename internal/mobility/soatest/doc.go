@@ -9,11 +9,13 @@
 // mobility.Probe (trip progress, leg caches, unit directions, pause
 // clocks, turn/way-point counters) — across a randomized matrix of
 // models, initialization modes, speeds, pause bounds and seeds, and
-// under arbitrary StepRange decompositions. A second layer runs whole
-// sim.Worlds against capability-hidden twins (the population stripped
-// away, forcing the AoS fallback) across worker counts, mid-run Reset
-// and both index-maintenance regimes, comparing trajectories and the
-// neighbor index's full CSR state.
+// under arbitrary StepRange decompositions. A second layer holds whole
+// sim.Worlds to a test-local oracle — the AoS agents seeded from the
+// world's per-agent PCG streams, stepped one by one, with a from-scratch
+// neighbor-index rebuild after every step — across worker counts, tiled
+// worlds, mid-run Reset and both index-maintenance regimes, comparing
+// trajectories and the index's full CSR state. Committed golden
+// trajectory fixtures pin both forms to fixed bytes.
 //
 // The package itself exports nothing; it exists so the differential
 // tests have a home outside package mobility's own unit tests and can

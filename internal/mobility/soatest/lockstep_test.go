@@ -169,9 +169,9 @@ func TestLockstepBitIdentical(t *testing.T) {
 	}
 }
 
-// TestLockstepReinit pins the pooled-reuse contract: re-drawing both
-// forms in place from a fresh seed (ReinitAgent / InitAgent) leaves them
-// bit-identical again, with counters reset.
+// TestLockstepReinit pins the pooled-reuse contract: re-drawing a used
+// population in place from a fresh seed (InitAgent) leaves it
+// bit-identical to freshly drawn AoS agents, with counters reset.
 func TestLockstepReinit(t *testing.T) {
 	for _, mc := range modelMatrix() {
 		t.Run(mc.name, func(t *testing.T) {
@@ -184,13 +184,11 @@ func TestLockstepReinit(t *testing.T) {
 			for s := 0; s < 20; s++ {
 				ls.step(nil)
 			}
-			rm := model.(mobility.ReinitModel)
 			for i := 0; i < n; i++ {
 				ra := rand.New(rand.NewPCG(99, uint64(i)))
 				rp := rand.New(rand.NewPCG(99, uint64(i)))
-				if !rm.ReinitAgent(ls.agents[i], ra) {
-					t.Fatalf("ReinitAgent rejected its own agent %d", i)
-				}
+				ls.agents[i] = model.NewAgent(ra)
+				ls.agents[i].(mobility.SlotWriter).BindSlot(ls.av, i)
 				ls.pop.InitAgent(i, rp)
 			}
 			ls.compare(t, "reinit")

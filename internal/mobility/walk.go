@@ -18,10 +18,7 @@ type RandomWalk struct {
 	cfg Config
 }
 
-var (
-	_ Model       = (*RandomWalk)(nil)
-	_ BulkStepper = (*RandomWalk)(nil)
-)
+var _ Model = (*RandomWalk)(nil)
 
 // NewRandomWalk creates the random-walk model.
 func NewRandomWalk(cfg Config) (*RandomWalk, error) {
@@ -43,30 +40,11 @@ func (m *RandomWalk) NewPopulation(n int) Population { return newWalkPop(m, n) }
 // NewAgent implements Model. Agents start uniform, which is already the
 // stationary law of this model.
 func (m *RandomWalk) NewAgent(rng *rand.Rand) Agent {
-	a := &WalkAgent{}
-	m.initAgent(a, rng)
-	return a
-}
-
-// ReinitAgent implements ReinitModel.
-func (m *RandomWalk) ReinitAgent(ag Agent, rng *rand.Rand) bool {
-	a, ok := ag.(*WalkAgent)
-	if !ok {
-		return false
+	return &WalkAgent{
+		cfg: m.cfg,
+		rng: rng,
+		pos: geom.Pt(rng.Float64()*m.cfg.L, rng.Float64()*m.cfg.L),
 	}
-	m.initAgent(a, rng)
-	return true
-}
-
-func (m *RandomWalk) initAgent(a *WalkAgent, rng *rand.Rand) {
-	sink := a.slotSink
-	*a = WalkAgent{
-		cfg:      m.cfg,
-		rng:      rng,
-		pos:      geom.Pt(rng.Float64()*m.cfg.L, rng.Float64()*m.cfg.L),
-		slotSink: sink,
-	}
-	a.publish(a.pos.X, a.pos.Y)
 }
 
 // WalkAgent is one random-walk agent.
@@ -109,10 +87,7 @@ type RandomDirection struct {
 	cfg Config
 }
 
-var (
-	_ Model       = (*RandomDirection)(nil)
-	_ BulkStepper = (*RandomDirection)(nil)
-)
+var _ Model = (*RandomDirection)(nil)
 
 // NewRandomDirection creates the random-direction model.
 func NewRandomDirection(cfg Config) (*RandomDirection, error) {
@@ -133,33 +108,15 @@ func (m *RandomDirection) NewPopulation(n int) Population { return newDirectionP
 
 // NewAgent implements Model.
 func (m *RandomDirection) NewAgent(rng *rand.Rand) Agent {
-	a := &DirectionAgent{}
-	m.initAgent(a, rng)
-	return a
-}
-
-// ReinitAgent implements ReinitModel.
-func (m *RandomDirection) ReinitAgent(ag Agent, rng *rand.Rand) bool {
-	a, ok := ag.(*DirectionAgent)
-	if !ok {
-		return false
-	}
-	m.initAgent(a, rng)
-	return true
-}
-
-func (m *RandomDirection) initAgent(a *DirectionAgent, rng *rand.Rand) {
-	sink := a.slotSink
-	*a = DirectionAgent{
-		cfg:      m.cfg,
-		rng:      rng,
-		pos:      geom.Pt(rng.Float64()*m.cfg.L, rng.Float64()*m.cfg.L),
-		slotSink: sink,
+	a := &DirectionAgent{
+		cfg: m.cfg,
+		rng: rng,
+		pos: geom.Pt(rng.Float64()*m.cfg.L, rng.Float64()*m.cfg.L),
 	}
 	a.redraw()
 	// Start mid-epoch so agents are desynchronized from time 0.
 	a.remaining *= rng.Float64()
-	a.publish(a.pos.X, a.pos.Y)
+	return a
 }
 
 // DirectionAgent is one random-direction agent.

@@ -2,13 +2,16 @@ package sim
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"manhattanflood/internal/mobility"
 )
 
 // restingWrapper hides a model's NeverRests guarantee, forcing the world
-// onto the dirty-bitmap bookkeeping path it would otherwise skip.
+// onto the dirty-bitmap bookkeeping path it would otherwise skip. It
+// forwards everything else, NewPopulation included, so the wrapped world
+// steps the same population form.
 type restingWrapper struct{ mobility.Model }
 
 func (restingWrapper) NeverRests() bool { return false }
@@ -23,14 +26,14 @@ func restingFactory(inner ModelFactory) ModelFactory {
 	}
 }
 
-// The NeverRests fast path (no dirty bitmap: no clear, no per-agent bit
-// store, index path picked on V/R alone) must be bit-identical to the
-// bitmap path — same trajectories, same index state — since for a
-// pause-free model every dirty bit would be set anyway. The wrapper world
-// runs the exact same mobility model but reports NeverRests false, so the
-// two worlds differ only in the bookkeeping under test. Covered across
-// the delta-update regime (V/R <= 0.05), the rebuild regime, parallel
-// stepping, and mid-run Reset.
+// The NeverRests fast path (fused advance→classify, no dirty bitmap: no
+// clear, no per-agent bit store, index path picked on V/R alone) must be
+// bit-identical to the population+bitmap path — same trajectories, same
+// index state — since for a pause-free model every dirty bit would be set
+// anyway. The wrapper world steps the exact same population but reports
+// NeverRests false, so the two worlds differ only in the bookkeeping under
+// test. Covered across the delta-update regime (V/R <= 0.05), the rebuild
+// regime, parallel stepping, and mid-run Reset.
 func TestNeverRestsBitIdentical(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -63,6 +66,9 @@ func TestNeverRestsBitIdentical(t *testing.T) {
 			}
 			if slow.neverRests || slow.dirty == nil {
 				t.Fatal("precondition: wrapped world must keep the dirty bitmap")
+			}
+			if reflect.TypeOf(slow.pop) != reflect.TypeOf(fast.pop) {
+				t.Fatalf("precondition: wrapped world steps %T, plain world %T", slow.pop, fast.pop)
 			}
 			check := func(step int) {
 				t.Helper()

@@ -12,24 +12,23 @@
 // coordinate) rather than a []geom.Point: the Monte-Carlo sweeps that
 // dominate the simulator's runtime stream X before (or instead of) Y in
 // their distance tests, and the split layout halves the memory traffic of
-// those loops. When the model offers a mobility.Population
-// (mobility.BulkStepper), ALL mutable agent state — not just positions —
-// lives in flat per-model slices: the world binds the population to its
-// X/Y view and steps it in batched range loops with no per-agent
-// interface call at all, then classifies the fresh positions into grid
-// buckets chunk-by-chunk while they are still cache-hot (the fused
-// advance→classify pass, internal/kernel.Buckets) and feeds the
-// precomputed bucket ids straight to the neighbor index
+// those loops. ALL mutable agent state — not just positions — lives in
+// the model's mobility.Population, in flat per-model slices: the world
+// binds the population to its X/Y view and steps it in batched range
+// loops with no per-agent interface call at all, then classifies the
+// fresh positions into grid buckets chunk-by-chunk while they are still
+// cache-hot (the fused advance→classify pass, internal/kernel.Buckets)
+// and feeds the precomputed bucket ids straight to the neighbor index
 // (spatialindex.Index.UpdateCells / RebuildXYCells) — no second
-// per-agent sweep. Models without the capability fall back to per-agent
-// values bound to their slice slot (mobility.SlotWriter), one interface
-// call per agent per step; both forms produce bit-identical trajectories
-// (see internal/mobility/soatest). X and Y expose the live slices (valid
-// snapshots only until the next Step/Reset); Positions allocates a point
-// snapshot for cold paths (traces, examples) that remains valid forever.
+// per-agent sweep. The population is the only stepping path; the AoS
+// reference agents (mobility.Model.NewAgent) serve as the oracle of
+// internal/mobility/soatest, which holds whole worlds to them bit for
+// bit. X and Y expose the live slices (valid snapshots only until the
+// next Step/Reset); Positions allocates a point snapshot for cold paths
+// (traces, examples) that remains valid forever.
 //
-// The slot writes double as dirty-bit collection: an agent whose publish
-// leaves its coordinates unchanged (a paused way-point agent) keeps its
+// Models that can rest (way-point pauses) also collect per-agent dirty
+// bits: an agent whose step leaves its coordinates unchanged keeps its
 // dirty bit clear, and Step hands the bitmap to the neighbor index's
 // delta-update path (spatialindex.Index.Update), which skips clean agents
 // and patches only the buckets that actually changed — falling back to the
@@ -39,11 +38,11 @@
 // # Reset and world pooling
 //
 // Reset re-draws every agent from a fresh seed in place — reusing the
-// model, the per-agent RNGs, the position slices, and the neighbor index —
-// and is bit-identical to constructing a new World with the same
-// parameters. Trial sweeps (internal/experiments) pool one World (plus one
-// flooding process) per worker and Reset it between trials, which removes
-// every per-trial allocation; see experiments.floodTrials.
+// model, the population, the per-agent RNGs, the position slices, and the
+// neighbor index — and is bit-identical to constructing a new World with
+// the same parameters. Trial sweeps (internal/experiments) pool one World
+// (plus one flooding process) per worker and Reset it between trials,
+// which removes every per-trial allocation; see experiments.floodTrials.
 package sim
 
 import (
@@ -172,25 +171,22 @@ const deltaUpdateMaxMoverFraction = 0.05
 type World struct {
 	params     Params
 	model      mobility.Model
-	agents     []mobility.Agent    // AoS agent values (nil when stepping a population)
-	pop        mobility.Population // SoA population (nil when stepping AoS agents)
-	cells      []int32             // fused classify output: per-agent bucket ids (population mode)
+	pop        mobility.Population // all mutable agent state, SoA
+	cells      []int32             // fused classify output: per-agent bucket ids
 	rngs       []*rand.Rand
 	pcgs       []*rand.PCG
 	x, y       []float64 // SoA positions, indexed by agent id
 	dirty      []bool    // agents whose position changed this step (resting models only)
-	bound      bool      // every agent writes its slot itself (population or SlotWriter)
 	neverRests bool      // model guarantees every agent moves every step
 	index      *spatialindex.Index
 	step       int
 	// fan runs the parallel stepping workers and forwards their panics
 	// onto the goroutine that called Step, so a poisoned agent fails its
 	// trial with a diagnosable report instead of crashing the process. A
-	// field, with its pass bodies built once, so the parallel step stays
+	// field, with its pass body built once, so the parallel step stays
 	// allocation-free.
-	fan          panicsafe.Fanout
-	stepPopFn    func(shard, lo, hi int)
-	stepAgentsFn func(shard, lo, hi int)
+	fan       panicsafe.Fanout
+	stepPopFn func(shard, lo, hi int)
 	// stepHook, when set (SetStepHook), runs at the very end of Step, after
 	// the index sync and the step-counter increment: the X/Y slices and the
 	// neighbor index are consistent for the step just completed. It is the
@@ -229,16 +225,16 @@ func NewWorld(p Params, factory ModelFactory) (*World, error) {
 	w := &World{
 		params:     p,
 		model:      model,
+		pop:        model.NewPopulation(p.N),
+		cells:      make([]int32, p.N),
 		rngs:       make([]*rand.Rand, p.N),
 		pcgs:       make([]*rand.PCG, p.N),
 		x:          make([]float64, p.N),
 		y:          make([]float64, p.N),
 		index:      ix,
-		bound:      true,
 		neverRests: model.NeverRests(),
 	}
 	w.stepPopFn = w.stepPopRange
-	w.stepAgentsFn = w.stepAgentsRange
 	if !w.neverRests {
 		// A model that can rest needs the per-agent dirty bitmap so resting
 		// agents are skipped by the index's delta update. When every agent
@@ -247,85 +243,34 @@ func NewWorld(p Params, factory ModelFactory) (*World, error) {
 		// store, and the sampling scan in syncIndex) from the step entirely.
 		w.dirty = make([]bool, p.N)
 	}
-	view := mobility.View{X: w.x, Y: w.y, Dirty: w.dirty}
-	if bs, ok := model.(mobility.BulkStepper); ok {
-		// Population (SoA) mode: all agent state lives in flat slices,
-		// positions canonically in the view; no per-agent values exist.
-		// The cells buffer receives the fused advance→classify pass.
-		w.pop = bs.NewPopulation(p.N)
-		w.pop.Bind(view)
-		w.cells = make([]int32, p.N)
-		for i := range w.rngs {
-			// Independent per-agent PCG streams split from the world seed.
-			w.pcgs[i] = rand.NewPCG(p.Seed, uint64(i)+seedStride)
-			w.rngs[i] = rand.New(w.pcgs[i])
-			w.pop.InitAgent(i, w.rngs[i]) // publishes the initial position
-		}
-		w.index.RebuildXY(w.x, w.y)
-		return w, nil
-	}
-	w.agents = make([]mobility.Agent, p.N)
-	for i := range w.agents {
+	// All agent state lives in the population's flat slices, positions
+	// canonically in the view; the cells buffer receives the fused
+	// advance→classify pass.
+	w.pop.Bind(mobility.View{X: w.x, Y: w.y, Dirty: w.dirty})
+	for i := range w.rngs {
 		// Independent per-agent PCG streams split from the world seed.
 		w.pcgs[i] = rand.NewPCG(p.Seed, uint64(i)+seedStride)
 		w.rngs[i] = rand.New(w.pcgs[i])
-		a := model.NewAgent(w.rngs[i])
-		w.agents[i] = a
-		if sw, ok := a.(mobility.SlotWriter); ok {
-			sw.BindSlot(view, i) // publishes the initial position
-		} else {
-			w.bound = false
-			p := a.Pos()
-			w.x[i], w.y[i] = p.X, p.Y
-		}
+		w.pop.InitAgent(i, w.rngs[i]) // publishes the initial position
 	}
 	w.index.RebuildXY(w.x, w.y)
 	return w, nil
 }
 
 // Reset re-draws every agent from the given seed in place, reusing the
-// model, the per-agent RNGs, the position slices and the neighbor index.
-// After Reset the world is bit-identical to a fresh NewWorld with the same
-// parameters and that seed: Reset(s) followed by any step sequence yields
-// exactly the trajectories of a new world seeded s. Time restarts at 0.
-// Previously returned Positions snapshots are unaffected; the live X/Y
-// slices and the Index are rebuilt in place.
+// model, the population, the per-agent RNGs, the position slices and the
+// neighbor index. After Reset the world is bit-identical to a fresh
+// NewWorld with the same parameters and that seed: Reset(s) followed by
+// any step sequence yields exactly the trajectories of a new world seeded
+// s. Time restarts at 0. Previously returned Positions snapshots are
+// unaffected; the live X/Y slices and the Index are rebuilt in place.
 func (w *World) Reset(seed uint64) {
 	w.params.Seed = seed
-	if w.pop != nil {
-		// Population mode: InitAgent re-draws slot i in place from the
-		// reseeded stream, consuming exactly the draws NewAgent would.
-		for i := range w.rngs {
-			w.pcgs[i].Seed(seed, uint64(i)+seedStride)
-			w.pop.InitAgent(i, w.rngs[i])
-		}
-		w.step = 0
-		w.index.RebuildXY(w.x, w.y)
-		return
-	}
-	rm, _ := w.model.(mobility.ReinitModel)
-	view := mobility.View{X: w.x, Y: w.y, Dirty: w.dirty}
-	for i := range w.agents {
+	// InitAgent re-draws slot i in place from the reseeded stream,
+	// consuming exactly the draws of a fresh world's initialization.
+	for i := range w.rngs {
 		w.pcgs[i].Seed(seed, uint64(i)+seedStride)
-		if rm != nil && rm.ReinitAgent(w.agents[i], w.rngs[i]) {
-			// Slot binding survives in-place reinit; agents without one
-			// (only possible when the world holds non-SlotWriter agents)
-			// need their SoA slot refreshed by hand.
-			if !w.bound {
-				p := w.agents[i].Pos()
-				w.x[i], w.y[i] = p.X, p.Y
-			}
-			continue
-		}
-		a := w.model.NewAgent(w.rngs[i])
-		w.agents[i] = a
-		if sw, ok := a.(mobility.SlotWriter); ok {
-			sw.BindSlot(view, i)
-		} else {
-			w.bound = false
-			p := a.Pos()
-			w.x[i], w.y[i] = p.X, p.Y
-		}
+		w.pop.InitAgent(i, w.rngs[i])
 	}
 	w.step = 0
 	w.index.RebuildXY(w.x, w.y)
@@ -357,16 +302,14 @@ func (w *World) Time() int { return w.step }
 // result is bit-identical to sequential stepping because agents are fully
 // independent and each writes only its own position slot and dirty bit.
 func (w *World) Step() {
-	if w.bound && !w.neverRests {
+	if !w.neverRests {
 		clear(w.dirty)
 	}
-	switch {
-	case w.pop != nil:
-		w.stepPop()
-	case w.params.Workers > 1 && len(w.agents) >= 2*w.params.Workers:
-		w.fan.Run(w.params.Workers, len(w.agents), w.stepAgentsFn)
-	default:
-		w.stepAgentsRange(0, 0, len(w.agents))
+	n := len(w.x)
+	if w.params.Workers > 1 && n >= 2*w.params.Workers {
+		w.fan.Run(w.params.Workers, n, w.stepPopFn)
+	} else {
+		w.stepPopRange(0, 0, n)
 	}
 	w.syncIndex()
 	w.step++
@@ -392,23 +335,13 @@ func (w *World) SetStepHook(h func()) { w.stepHook = h }
 // through memory between the advance and the classify.
 const fuseChunk = 1024
 
-// stepPop advances the population and runs the fused classify pass.
-// Fusing applies exactly when every agent republishes every step
-// (NeverRests): then the whole cells buffer is fresh and syncIndex feeds
-// it to the index's precomputed-cells paths. A resting model leaves most
-// positions untouched, so classifying everyone would be wasted work —
-// its syncIndex keeps the dirty-bitmap delta path instead.
-func (w *World) stepPop() {
-	n := len(w.x)
-	if w.params.Workers > 1 && n >= 2*w.params.Workers {
-		w.fan.Run(w.params.Workers, n, w.stepPopFn)
-		return
-	}
-	w.stepPopRange(0, 0, n)
-}
-
-// stepPopRange is stepPop's fused advance/classify over agents [lo, hi),
-// one shard of the parallel step.
+// stepPopRange advances agents [lo, hi), one shard of the parallel step,
+// and runs the fused classify pass. Fusing applies exactly when every
+// agent republishes every step (NeverRests): then the whole cells buffer
+// is fresh and syncIndex feeds it to the index's precomputed-cells paths.
+// A resting model leaves most positions untouched, so classifying
+// everyone would be wasted work — its syncIndex keeps the dirty-bitmap
+// delta path instead.
 func (w *World) stepPopRange(_, lo, hi int) {
 	for clo := lo; clo < hi; clo += fuseChunk {
 		chi := clo + fuseChunk
@@ -437,11 +370,11 @@ func (w *World) syncIndex() {
 		return
 	}
 	vOverR := w.params.V / w.params.R
-	if w.pop != nil && w.neverRests {
+	if w.neverRests {
 		// Fused population step: every bucket id is already in cells,
 		// computed chunk-by-chunk while the coordinates were cache-hot.
 		// Both consumers are bit-identical to their classify-inside
-		// twins; V/R alone picks the cheaper one, as in the plain paths.
+		// twins; with every agent moving, V/R alone picks the cheaper one.
 		if vOverR <= deltaUpdateMaxMoverFraction {
 			w.index.UpdateCells(w.x, w.y, w.cells, nil)
 		} else {
@@ -449,21 +382,11 @@ func (w *World) syncIndex() {
 		}
 		return
 	}
-	if !w.bound || w.neverRests {
-		// Third-party agents bypass the view, and never-resting models set
-		// every bit: either way there are no dirty bits worth exploiting,
-		// so pick the path on V/R alone.
-		if vOverR <= deltaUpdateMaxMoverFraction {
-			w.index.Update(w.x, w.y, nil)
-		} else {
-			w.index.RebuildXY(w.x, w.y)
-		}
-		return
-	}
 	if vOverR <= deltaUpdateMaxMoverFraction {
 		// Slow agents: the delta patch wins even if everyone moved. The
-		// dirty bitmap (exact, since every position write flowed through a
-		// bound slot) lets the index skip resting agents entirely.
+		// dirty bitmap (exact, since every position write flows through
+		// the population's view) lets the index skip resting agents
+		// entirely.
 		w.index.Update(w.x, w.y, w.dirty)
 		return
 	}
@@ -489,24 +412,6 @@ func (w *World) syncIndex() {
 	}
 }
 
-// stepAgentsRange steps AoS agents [lo, hi), one shard of the parallel
-// step.
-func (w *World) stepAgentsRange(_, lo, hi int) {
-	if w.bound {
-		// Slot-bound agents publish their own position; one interface
-		// call per agent.
-		for i := lo; i < hi; i++ {
-			w.agents[i].Step()
-		}
-		return
-	}
-	for i := lo; i < hi; i++ {
-		w.agents[i].Step()
-		p := w.agents[i].Pos()
-		w.x[i], w.y[i] = p.X, p.Y
-	}
-}
-
 // Position returns agent i's current position.
 func (w *World) Position(i int) geom.Point { return geom.Point{X: w.x[i], Y: w.y[i]} }
 
@@ -529,21 +434,6 @@ func (w *World) Positions() []geom.Point {
 	}
 	return out
 }
-
-// Agent returns agent i (for model-specific introspection such as turn
-// counters). Population-stepped worlds hold no per-agent values — the
-// state lives in the population's flat slices — so Agent returns nil for
-// them.
-func (w *World) Agent(i int) mobility.Agent {
-	if w.agents == nil {
-		return nil
-	}
-	return w.agents[i]
-}
-
-// Population returns the world's SoA population, or nil when the world
-// steps AoS agent values (for probe-based introspection and tests).
-func (w *World) Population() mobility.Population { return w.pop }
 
 // Index returns the neighbor index for the current step. It is valid until
 // the next Step call.

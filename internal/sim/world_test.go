@@ -197,22 +197,7 @@ func TestNearestAgent(t *testing.T) {
 			t.Fatalf("agent %d closer than reported nearest", i)
 		}
 	}
-	if w.Agent(best) != nil {
-		t.Error("population-stepped world should hold no AoS agent values")
-	}
-	if w.Population() == nil {
-		t.Error("Population accessor returned nil for a population-stepped world")
-	}
 	if w.Params().N != 100 {
 		t.Error("Params accessor wrong")
-	}
-	// A model without the BulkStepper capability falls back to AoS agent
-	// values, which the Agent accessor then exposes.
-	aos, _ := NewWorld(Params{N: 10, L: 10, R: 1, V: 0.1, Seed: 17}, restingFactory(MRWPFactory()))
-	if aos.Agent(0) == nil {
-		t.Error("Agent accessor returned nil for an AoS world")
-	}
-	if aos.Population() != nil {
-		t.Error("Population accessor non-nil for an AoS world")
 	}
 }

@@ -94,7 +94,10 @@ func maxPayload(n int) int64 {
 // length is checked before anything is allocated for it: a length past
 // the end of the stream is a torn tail, and a length no frame of N agents
 // can have is corruption, so a damaged header cannot demand a 4 GiB
-// buffer.
+// buffer. A keyframe shorter than its two raw N-entry columns is
+// corruption too, so every committed keyframe is backed by at least 16
+// stream bytes per agent — the bound that lets the replayer size its
+// columns by the header's N.
 func (rd *Reader) scan(offset int64) error {
 	size, err := rd.r.Seek(0, io.SeekEnd)
 	if err != nil {
@@ -146,6 +149,9 @@ func (rd *Reader) scan(offset int64) error {
 		if m.kind != kindKey && m.kind != kindDelta {
 			return fmt.Errorf("tracev2: frame at offset %d: unknown kind %d", offset, m.kind)
 		}
+		if m.kind == kindKey && int64(rd.info.N) > (int64(m.plen)-1)/16 {
+			return fmt.Errorf("tracev2: keyframe at offset %d: payload length %d too short for N = %d", offset, m.plen, rd.info.N)
+		}
 		if m.kind == kindDelta {
 			if len(rd.frames) == 0 {
 				return fmt.Errorf("tracev2: delta frame at offset %d with no preceding keyframe", offset)
@@ -190,16 +196,11 @@ type Replayer struct {
 }
 
 // Replayer returns a fresh replayer positioned before the first frame;
-// call Next (or Seek) to decode state.
+// call Next (or Seek) to decode state. The state columns are allocated
+// by the first keyframe decode, which scan has checked is backed by the
+// stream; a header alone sizes nothing.
 func (rd *Reader) Replayer() *Replayer {
-	n := rd.info.N
-	return &Replayer{
-		rd:   rd,
-		step: -1,
-		x:    make([]float64, n),
-		y:    make([]float64, n),
-		inf:  make([]bool, n),
-	}
+	return &Replayer{rd: rd, step: -1}
 }
 
 // Next decodes the next frame, returning io.EOF after the last.
@@ -274,6 +275,11 @@ func (rp *Replayer) decode(i int) error {
 	n := rp.rd.info.N
 	var err error
 	if m.kind == kindKey {
+		if rp.x == nil {
+			rp.x = make([]float64, n)
+			rp.y = make([]float64, n)
+			rp.inf = make([]bool, n)
+		}
 		if p, err = decodeRawColumn(p, rp.x); err != nil {
 			return fmt.Errorf("tracev2: frame for step %d: x column: %w", m.step, err)
 		}

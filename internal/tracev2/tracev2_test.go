@@ -3,6 +3,8 @@ package tracev2
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"math/rand/v2"
@@ -364,5 +366,51 @@ func TestOversizedPayloadIsCorruption(t *testing.T) {
 	data = append(data, make([]byte, plen)...)
 	if _, err := NewReader(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "payload length") {
 		t.Fatalf("NewReader = %v, want a payload length error", err)
+	}
+}
+
+// headerOnly returns a trace image holding just the magic and a header
+// that declares n agents.
+func headerOnly(n int64) []byte {
+	hdr := fmt.Sprintf(`{"schema":%q,"n":%d}`, Schema, n)
+	b := append([]byte(magic), binary.LittleEndian.AppendUint32(nil, uint32(len(hdr)))...)
+	return append(b, hdr...)
+}
+
+// A header's N sizes nothing on its own: a header-only trace declaring
+// 2^40 agents opens and replays zero frames without allocating anything
+// near N.
+func TestHeaderNSizesNothing(t *testing.T) {
+	data := headerOnly(1 << 40)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rd, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("NewReader: %v", err)
+	}
+	rp := rd.Replayer()
+	err = rp.Next()
+	runtime.ReadMemStats(&after)
+	if err != io.EOF {
+		t.Fatalf("Next = %v, want io.EOF", err)
+	}
+	if rd.Frames() != 0 {
+		t.Fatalf("Frames() = %d, want 0", rd.Frames())
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("opening and replaying a header-only trace allocated %d bytes, want at most 1 MiB", got)
+	}
+}
+
+// A keyframe shorter than its two raw N-entry columns is corruption: a
+// header declaring 2^30 agents cannot be backed by a small CRC-valid
+// keyframe.
+func TestShortKeyframeIsCorruption(t *testing.T) {
+	data := headerOnly(1 << 30)
+	payload := make([]byte, 1+16*4)
+	data = appendFrameHeader(data, kindKey, 0, uint32(len(payload)), crc32.Checksum(payload, castagnoli))
+	data = append(data, payload...)
+	if _, err := NewReader(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "too short") {
+		t.Fatalf("NewReader = %v, want a short keyframe error", err)
 	}
 }
