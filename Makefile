@@ -53,9 +53,9 @@ test:
 	$(GO) test $(TAGFLAG) ./...
 
 # test-race runs the race detector over the packages whose property tests
-# exercise the parallel shard merges (flood sweep, chaining BFS levels,
-# parallel population stepping with the fused classify writing the
-# shared cells buffer) — exactly where an
+# exercise the parallel shard merges (tiled flood sweep, tiled index
+# passes, parallel population stepping with the fused classify writing
+# the shared cells buffer) — exactly where an
 # unsynchronized read would hide behind deterministic output.
 test-race:
 	$(GO) test $(TAGFLAG) -race ./internal/core ./internal/sim ./internal/mobility/... ./internal/spatialindex

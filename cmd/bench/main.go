@@ -55,11 +55,11 @@
 // # Allocation gate (-allocs)
 //
 // -allocs runs the hardware-independent allocation gate instead of the
-// timing benchmarks: the steady-state hot loops — world step, plain and
-// chained flood step, KGossip step, and the spatial index's delta update
-// — must perform zero allocations per operation. Unlike the ns/op gate
-// this holds on any machine, so it is the leg of the benchmark suite
-// that CI runs on every push.
+// timing benchmarks: the steady-state hot loops — world step, plain,
+// chained, tiled and paused flood step, KGossip step, and the spatial
+// index's delta update — must perform zero allocations per operation.
+// Unlike the ns/op gate this holds on any machine, so it is the leg of
+// the benchmark suite that CI runs on every push.
 package main
 
 import (
@@ -914,6 +914,11 @@ func runAllocGate(w io.Writer) int {
 		{name: "flood_step_4k_t4", warmups: 40, setup: func() (func(), func(), error) {
 			return newAllocFlood(4000, false, 4)
 		}},
+		// A world that can rest: PausedMRWP at V/R = 0.025, so every step
+		// syncs the index through the dirty-bitmap Update and then sweeps.
+		{name: "flood_step_4k_paused", warmups: 40, setup: func() (func(), func(), error) {
+			return newAllocFloodWith(sim.Params{N: 4000, R: 4, V: 0.1, Seed: 1}, sim.PausedMRWPFactory(20), false)
+		}},
 		{name: "kgossip_step_4k", warmups: 40, setup: func() (func(), func(), error) {
 			l := math.Sqrt(4000.0)
 			world, err := sim.NewWorld(sim.Params{N: 4000, L: l, R: 4, V: 0.3, Seed: 1}, nil)
@@ -995,8 +1000,16 @@ func runAllocGate(w io.Writer) int {
 
 // newAllocFlood builds a steady-state flood step op for the alloc gate.
 func newAllocFlood(n int, chained bool, tiles int) (func(), func(), error) {
-	l := math.Sqrt(float64(n))
-	world, err := sim.NewWorld(sim.Params{N: n, L: l, R: 4, V: 0.3, Seed: 1, Tiles: tiles}, nil)
+	return newAllocFloodWith(sim.Params{N: n, R: 4, V: 0.3, Seed: 1, Tiles: tiles}, nil, chained)
+}
+
+// newAllocFloodWith builds a flood step op over p (L set to sqrt(N), unit
+// density) from the central source. A completed flood restarts from the
+// reset world and the same source, so every measured op runs a real step
+// however few steps the flood takes.
+func newAllocFloodWith(p sim.Params, factory sim.ModelFactory, chained bool) (func(), func(), error) {
+	p.L = math.Sqrt(float64(p.N))
+	world, err := sim.NewWorld(p, factory)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1004,14 +1017,19 @@ func newAllocFlood(n int, chained bool, tiles int) (func(), func(), error) {
 	if chained {
 		opts = append(opts, core.WithinStepChaining(true))
 	}
-	f, err := core.NewFlooding(world, world.NearestAgent(geom.Pt(l/2, l/2)), opts...)
+	src := world.NearestAgent(geom.Pt(p.L/2, p.L/2))
+	f, err := core.NewFlooding(world, src, opts...)
 	if err != nil {
 		return nil, nil, err
 	}
 	op := func() {
-		if !f.Done() {
-			f.Step()
+		if f.Done() {
+			world.Reset(p.Seed)
+			if err := f.Reset(src); err != nil {
+				panic(err)
+			}
 		}
+		f.Step()
 	}
 	return op, op, nil
 }

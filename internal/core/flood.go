@@ -29,29 +29,15 @@
 // second phase (Theorem 3's Suburb phase, when almost every agent is
 // informed) a step costs O(cells + #uninformed * blocksize), not O(n).
 //
-// The sweep is additionally dirty-driven when the world can prove what
-// moved: spatialindex.Index.Update publishes an exact per-bucket change
-// summary whenever it ran from a per-agent dirty bitmap (pause-heavy
-// worlds on the delta path), and prepareSweepSkip dilates those marks —
-// plus the buckets holding agents informed in the previous round — into a
-// 3x3-block mask. A bucket whose whole block is unchanged and
-// transmitter-free-of-news is skipped without touching its rows: its
-// candidates heard nothing last round, and nothing that could change that
-// has moved or learned anything since. The mask is dropped (full scan)
-// whenever the summary is inexact, so correctness never depends on it.
-//
 // The ids that hear a transmitter are collected in bucket-major order —
 // deterministic, though not ascending; all downstream state (informed
 // flags, counts, series, zone tracking) is order-independent.
 //
-// With Params.Workers > 1 the sweep is sharded over contiguous bucket
-// ranges onto that many goroutines. Workers only read shared state and
-// append hits to per-worker buffers; the buffers are concatenated in shard
-// order, which is exactly the sequential bucket order, so the result is
-// bit-identical to the sequential sweep.
-//
-// On a tiled world (sim.Params.Tiles, spatialindex.Tiling) the sweep
-// shards by tile instead: each tile sweeps its own bucket rectangle —
+// The world's shape picks how the sweep runs. A flat world sweeps every
+// bucket in one pass on the stepping goroutine; there, sim.Params.Workers
+// parallelizes agent stepping only. On a tiled world (sim.Params.Tiles,
+// spatialindex.Tiling) the sweep shards by tile over the tiling's
+// workers: each tile sweeps its own bucket rectangle —
 // reading its neighbors' border rows (the "ghost spans") straight out of
 // the shared CSR, which tile handoff keeps bit-identical to the flat
 // index — and a per-tile uninformed-occupancy counter skips fully
@@ -70,12 +56,7 @@
 // fronts fall back to per-set-bit scalar tests, and dense fronts pay one
 // vector mask folded word-by-word against the bitmap. The
 // fixed point is the same epidemic closure the naive iteration computes,
-// with each agent processed once. With Workers > 1 the BFS advances in
-// frontier-synchronized levels: each level is sharded over the workers,
-// per-worker hit buffers are merged in shard order and deduplicated as
-// agents are marked, and the next level is the merged frontier — the same
-// fixed point (and therefore bit-identical results), with the block scans
-// of one level running concurrently.
+// with each agent processed once.
 package core
 
 import (
@@ -105,12 +86,10 @@ type Flooding struct {
 	series       []int
 	recordSeries bool
 
-	newlyInformed []int32   // scratch: ids informed by this step's round, bucket-major (deterministic, not sorted)
-	bucketUninf   []int32   // scratch: per-bucket uninformed occupancy
-	queue         []int32   // scratch: chaining BFS queue / current level
-	level         []int32   // scratch: next chaining BFS level (parallel mode)
-	shards        [][]int32 // scratch: per-worker hit buffers (chaining: CSR positions)
-	uninfBits     []uint64  // scratch: uninformed-by-CSR-position bitmap (chaining closure)
+	newlyInformed []int32  // scratch: ids informed by this step's round, bucket-major (deterministic, not sorted)
+	bucketUninf   []int32  // scratch: per-bucket uninformed occupancy
+	queue         []int32  // scratch: chaining BFS queue
+	uninfBits     []uint64 // scratch: uninformed-by-CSR-position bitmap (chaining closure)
 
 	// Tiled sweep state (sweepTiled; worlds with sim.Params.Tiles): the
 	// per-tile uninformed and informed occupancies drive the two
@@ -124,36 +103,27 @@ type Flooding struct {
 	tileShards [][]int32
 	tileRowOff [][]int32
 
-	// Per-pass inputs for the sharded bodies (sweepShard, sweepOneTile,
-	// tileNoTransmitter, chainShard). Methods plus scratch fields instead
-	// of per-call closures: a closure handed to a worker goroutine escapes
-	// and costs an allocation per step.
+	// Per-pass inputs for the per-tile bodies (sweepOneTile,
+	// tileNoTransmitter). Methods plus scratch fields instead of per-call
+	// closures: a closure handed to a worker goroutine escapes and costs an
+	// allocation per step.
 	swIx   *spatialindex.Index
 	swTl   *spatialindex.Tiling
 	swCols int
 
-	// Dirty-driven sweep state (see prepareSweepSkip): fresh holds the ids
-	// informed during the previous Step (sweep hits plus chained-in agents;
-	// the source after a reset), lastTime the world time that Step ended
-	// at, and sweepSkip the per-bucket mask for the current sweep — nil
-	// when every bucket must be scanned.
-	fresh     []int32
-	sweepSkip []bool
-	skipSeed  []bool // scratch: change marks + fresh-informed buckets, then the dilated mask
+	// fresh holds the ids informed during the previous Step (sweep hits
+	// plus chained-in agents; the source after a reset): what
+	// LastStepNewlyInformed and the step observer report.
+	fresh []int32
 
-	// fan runs the sharded sweep/chaining workers and forwards their
-	// panics onto the stepping goroutine, where the trial runner's recover
-	// can turn them into structured per-trial errors instead of a process
-	// crash. A field, with its pass bodies built once in NewFlooding and
-	// their per-call inputs in swIx/chainLevel, so the parallel paths stay
-	// allocation-free in the steady state.
-	fan        panicsafe.Fanout
-	sweepFn    func(shard, lo, hi int)
-	tilesFn    func(shard, lo, hi int)
-	chainFn    func(shard, lo, hi int)
-	chainLevel []int32
-	skipTmp    []bool // scratch: horizontal dilation pass
-	lastTime   int
+	// fan runs the tiled sweep's workers and forwards their panics onto
+	// the stepping goroutine, where the trial runner's recover can turn
+	// them into structured per-trial errors instead of a process crash. A
+	// field, with its pass body built once in NewFlooding and its per-call
+	// inputs in swIx/swTl/swCols, so the tiled path stays allocation-free
+	// in the steady state.
+	fan     panicsafe.Fanout
+	tilesFn func(shard, lo, hi int)
 
 	// observer, when set (WithStepObserver), is invoked by Run/RunContext
 	// after every completed flooding step with the ids informed during
@@ -218,9 +188,7 @@ func NewFlooding(w *sim.World, source int, opts ...FloodOption) (*Flooding, erro
 		uninformed: make([]int32, 0, w.N()-1),
 		fresh:      make([]int32, 0, w.N()),
 	}
-	f.sweepFn = f.sweepShard
 	f.tilesFn = f.sweepTileRange
-	f.chainFn = f.chainShard
 	for _, o := range opts {
 		o(f)
 	}
@@ -262,12 +230,7 @@ func (f *Flooding) reset(source int) {
 	if f.recordSeries {
 		f.series = append(f.series, 1)
 	}
-	// Re-arm the dirty-driven sweep: the source is the only agent whose
-	// informed state differs from "nobody knows anything", and the world
-	// has not been observed stepping yet.
 	f.fresh = append(f.fresh[:0], int32(source))
-	f.sweepSkip = nil
-	f.lastTime = f.w.Time()
 	f.obsStarted = false
 	f.updateCZ()
 }
@@ -313,62 +276,20 @@ func (f *Flooding) Step() int {
 	ix := f.w.Index()
 
 	// Per-bucket uninformed occupancy: a bucket row whose population is
-	// entirely uninformed cannot contain a transmitter. On a tiled world
-	// the same pass also accumulates the per-tile totals that let the
-	// tiled sweep skip fully informed tiles wholesale.
+	// entirely uninformed cannot contain a transmitter.
 	if len(f.bucketUninf) != ix.NumCells() {
 		f.bucketUninf = make([]int32, ix.NumCells())
 	} else {
 		clear(f.bucketUninf)
 	}
-	tiling := ix.Tiling()
-	if tiling != nil {
-		nt := tiling.NumTiles()
-		if len(f.tileUninf) != nt {
-			f.tileUninf = make([]int32, nt)
-			f.tileInf = make([]int32, nt)
-		}
-		for _, i := range f.uninformed {
-			f.bucketUninf[ix.Cell(int(i))]++
-		}
-		// Per-tile uninformed occupancy summed from the bucket counters
-		// (O(buckets) sequential adds — cheaper than a TileOfBucket lookup
-		// per uninformed agent, which is O(n) while the flood is young) and
-		// informed occupancy = CSR row-span occupancy - uninformed
-		// (O(K*cols), not O(n)). The sweep uses them for the whole-tile
-		// skips.
-		for t := 0; t < nt; t++ {
-			x0, x1, y0, y1 := tiling.TileBounds(t)
-			occ, uninf := int32(0), int32(0)
-			for by := y0; by <= y1; by++ {
-				lo, hi := ix.RowSpanBounds(by, x0, x1)
-				occ += hi - lo
-				row := f.bucketUninf[by*ix.Cols()+x0 : by*ix.Cols()+x1+1]
-				for _, u := range row {
-					uninf += u
-				}
-			}
-			f.tileUninf[t] = uninf
-			f.tileInf[t] = occ - uninf
-		}
-	} else {
-		for _, i := range f.uninformed {
-			f.bucketUninf[ix.Cell(int(i))]++
-		}
+	for _, i := range f.uninformed {
+		f.bucketUninf[ix.Cell(int(i))]++
 	}
 
-	// Consumes the previous step's fresh list, so it must run before the
-	// list is rebuilt for this step.
-	f.prepareSweepSkip(ix)
-
 	f.newlyInformed = f.newlyInformed[:0]
-	workers := f.w.Params().Workers
-	switch {
-	case tiling != nil:
+	if tiling := ix.Tiling(); tiling != nil {
 		f.sweepTiled(ix, tiling)
-	case workers > 1 && len(f.uninformed) >= 2*workers:
-		f.sweepParallel(ix, workers)
-	default:
+	} else {
 		f.newlyInformed = f.sweep(ix, 0, ix.NumCells(), f.newlyInformed)
 	}
 	f.fresh = append(f.fresh[:0], f.newlyInformed...)
@@ -389,87 +310,9 @@ func (f *Flooding) Step() int {
 		f.series = append(f.series, f.count)
 	}
 	f.updateCZ()
-	f.lastTime = f.w.Time()
 	return newly
 }
 
-// prepareSweepSkip builds the per-bucket skip mask for this step's
-// transmission sweep from the index's change summary. A bucket may be
-// skipped when no bucket of its 3x3 block changed during the world step
-// (occupancy or published coordinates) and none holds an agent informed
-// during the previous round: its candidates heard no transmitter last
-// round, every agent of the block sits exactly where it sat then, and no
-// new transmitter appeared — so the candidates hear nothing this round
-// either, without touching a single row. The mask is nil (scan every
-// bucket) when the summary is inexact — full rebuilds, worlds without
-// dirty bits — or when the flooding did not observe the previous world
-// step, which would leave unsummarized movement in between.
-func (f *Flooding) prepareSweepSkip(ix *spatialindex.Index) {
-	marks, exact := ix.ChangedBuckets()
-	if !exact || f.w.Time() != f.lastTime+1 {
-		f.sweepSkip = nil
-		return
-	}
-	m := ix.NumCells()
-	cols := ix.Cols()
-	if len(f.skipSeed) != m {
-		f.skipSeed = make([]bool, m)
-		f.skipTmp = make([]bool, m)
-	}
-	seed := f.skipSeed
-	copy(seed, marks)
-	for _, id := range f.fresh {
-		seed[ix.Cell(int(id))] = true
-	}
-	// Separable 3x3 dilation, horizontal then vertical: afterwards
-	// seed[c] is set iff any bucket of c's 3x3 block was seeded.
-	tmp := f.skipTmp
-	for y := 0; y < cols; y++ {
-		in := seed[y*cols : (y+1)*cols]
-		out := tmp[y*cols : (y+1)*cols]
-		for x := range in {
-			v := in[x]
-			if x > 0 {
-				v = v || in[x-1]
-			}
-			if x+1 < cols {
-				v = v || in[x+1]
-			}
-			out[x] = v
-		}
-	}
-	for y := 0; y < cols; y++ {
-		out := seed[y*cols : (y+1)*cols]
-		mid := tmp[y*cols : (y+1)*cols]
-		for x := range out {
-			v := mid[x]
-			if y > 0 {
-				v = v || tmp[(y-1)*cols+x]
-			}
-			if y+1 < cols {
-				v = v || tmp[(y+1)*cols+x]
-			}
-			out[x] = v
-		}
-	}
-	f.sweepSkip = seed
-}
-
-// sweep runs one transmission round over the uninformed occupants of
-// buckets [c0, c1), appending the ids that hear a transmitter to dst in
-// CSR (bucket-major) order. It only reads shared state, so shards may run
-// it concurrently over disjoint bucket ranges.
-//
-// Iterating candidates bucket by bucket instead of down the uninformed id
-// list is what makes the sweep cheap: every candidate in a bucket shares
-// the same 3x3 block, so the block bounds, the three row spans and the
-// per-row occupancy skip are computed once per bucket instead of once per
-// candidate, candidate coordinates stream out of the CSR slices
-// sequentially, and a bucket with no uninformed occupant is skipped with a
-// single counter load. When the dirty-driven mask is available
-// (prepareSweepSkip), a bucket whose whole 3x3 block is unchanged since
-// the previous round is skipped with one more load, before any row span is
-// touched.
 // transMajorFactor selects the sweep's per-bucket evaluation strategy:
 // transmitter-major coverage when the block holds at most this many
 // transmitters per candidate (each transmitter then costs one MaskWord
@@ -492,6 +335,18 @@ const rowWindowWords = 4
 // 64-lane chunk.
 const sparseWndPop = 8
 
+// sweep runs one transmission round over the uninformed occupants of
+// buckets [c0, c1), appending the ids that hear a transmitter to dst in
+// CSR (bucket-major) order. It only reads shared state, so tiles may run
+// it concurrently over disjoint bucket ranges.
+//
+// Iterating candidates bucket by bucket instead of down the uninformed id
+// list is what makes the sweep cheap: every candidate in a bucket shares
+// the same 3x3 block, so the block bounds, the three row spans and the
+// per-row occupancy skip are computed once per bucket instead of once per
+// candidate, candidate coordinates stream out of the CSR slices
+// sequentially, and a bucket with no uninformed occupant is skipped with a
+// single counter load.
 func (f *Flooding) sweep(ix *spatialindex.Index, c0, c1 int, dst []int32) []int32 {
 	r := ix.Radius()
 	r2 := r * r
@@ -499,15 +354,11 @@ func (f *Flooding) sweep(ix *spatialindex.Index, c0, c1 int, dst []int32) []int3
 	ids, cxs, cys := ix.CSR()
 	informed := f.informed
 	bucketUninf := f.bucketUninf
-	skip := f.sweepSkip
 	var rowLo, rowHi [3]int32
 	var twnd [3][rowWindowWords]uint64
 	for c := c0; c < c1; c++ {
 		nu := bucketUninf[c]
 		if nu == 0 {
-			continue
-		}
-		if skip != nil && !skip[c] {
 			continue
 		}
 		lo, hi := ix.CellSpanBounds(c)
@@ -658,34 +509,6 @@ func (f *Flooding) sweep(ix *spatialindex.Index, c0, c1 int, dst []int32) []int3
 	return dst
 }
 
-// ensureShards sizes the per-worker hit buffers.
-func (f *Flooding) ensureShards(workers int) {
-	if len(f.shards) < workers {
-		f.shards = append(f.shards, make([][]int32, workers-len(f.shards))...)
-	}
-}
-
-// sweepParallel shards the sweep over contiguous bucket ranges. The shard
-// buffers are concatenated in shard order — bucket-major order — so the
-// merged result is bit-identical to the sequential sweep.
-func (f *Flooding) sweepParallel(ix *spatialindex.Index, workers int) {
-	f.ensureShards(workers)
-	for s := 0; s < workers; s++ {
-		f.shards[s] = f.shards[s][:0]
-	}
-	f.swIx = ix
-	f.fan.Run(workers, ix.NumCells(), f.sweepFn)
-	f.swIx = nil
-	for s := 0; s < workers; s++ {
-		f.newlyInformed = append(f.newlyInformed, f.shards[s]...)
-	}
-}
-
-// sweepShard is sweepParallel's body for buckets [lo, hi).
-func (f *Flooding) sweepShard(sh, lo, hi int) {
-	f.shards[sh] = f.sweep(f.swIx, lo, hi, f.shards[sh])
-}
-
 // sweepTiled runs the transmission round tile by tile on a tiled world.
 // Each tile sweeps the bucket rows of its own rectangle with the shared
 // per-bucket sweep — candidates near a tile edge read their neighbors'
@@ -703,6 +526,28 @@ func (f *Flooding) sweepTiled(ix *spatialindex.Index, tl *spatialindex.Tiling) {
 	nt := tl.NumTiles()
 	k := tl.K()
 	cols := ix.Cols()
+	if len(f.tileUninf) != nt {
+		f.tileUninf = make([]int32, nt)
+		f.tileInf = make([]int32, nt)
+	}
+	// Per-tile uninformed occupancy summed from the bucket counters
+	// (O(buckets) sequential adds — cheaper than a TileOfBucket lookup per
+	// uninformed agent, which is O(n) while the flood is young) and
+	// informed occupancy = CSR row-span occupancy - uninformed (O(K*cols),
+	// not O(n)). They drive the whole-tile skips in sweepOneTile.
+	for t := 0; t < nt; t++ {
+		x0, x1, y0, y1 := tl.TileBounds(t)
+		occ, uninf := int32(0), int32(0)
+		for by := y0; by <= y1; by++ {
+			lo, hi := ix.RowSpanBounds(by, x0, x1)
+			occ += hi - lo
+			for _, u := range f.bucketUninf[by*cols+x0 : by*cols+x1+1] {
+				uninf += u
+			}
+		}
+		f.tileUninf[t] = uninf
+		f.tileInf[t] = occ - uninf
+	}
 	if len(f.tileShards) < nt {
 		f.tileShards = append(f.tileShards, make([][]int32, nt-len(f.tileShards))...)
 		f.tileRowOff = append(f.tileRowOff, make([][]int32, nt-len(f.tileRowOff))...)
@@ -820,10 +665,9 @@ func (f *Flooding) buildUninfBits(ids []int32) []uint64 {
 // cost no floating-point work at all, sparse windows fall back to the
 // per-set-bit scalar test, and the mixed wave front pays one vector mask
 // folded word-by-word against the bitmap. visit may clear bits of
-// positions it has been called for (the sequential closure does; the
-// parallel scan, which must not write shared state, does not) — the
-// kernel snapshots filter windows before iterating, so the scan never
-// observes its own clears. visit must return true to continue.
+// positions it has been called for (the closure does) — the kernel
+// snapshots filter windows before iterating, so the scan never observes
+// its own clears. visit must return true to continue.
 func chainBlockScan(ix *spatialindex.Index, words []uint64,
 	cxs, cys []float64, px, py, r2 float64, visit func(k int) bool) {
 	x0, x1, y0, y1 := ix.BlockBoundsXY(px, py)
@@ -838,15 +682,8 @@ func chainBlockScan(ix *spatialindex.Index, words []uint64,
 
 // chainClosure computes the within-step epidemic closure from the step's
 // newly informed frontier, returning how many agents were chained in. The
-// fixed point equals the naive repeat-until-no-change closure. With
-// Workers > 1 (and a large enough frontier) it runs as a
-// frontier-synchronized parallel BFS; both modes reach the same closure,
-// so results are bit-identical.
+// fixed point equals the naive repeat-until-no-change closure.
 func (f *Flooding) chainClosure(ix *spatialindex.Index) int {
-	workers := f.w.Params().Workers
-	if workers > 1 && len(f.newlyInformed) >= 2*workers {
-		return f.chainClosureParallel(ix, workers)
-	}
 	r := ix.Radius()
 	r2 := r * r
 	xs, ys := ix.XS(), ix.YS()
@@ -868,83 +705,6 @@ func (f *Flooding) chainClosure(ix *spatialindex.Index) int {
 	chained := len(queue) - frontier
 	f.fresh = append(f.fresh, queue[frontier:]...)
 	f.queue = queue
-	f.count += chained
-	return chained
-}
-
-// chainScan appends to dst the CSR positions of every uninformed agent
-// within radius of a transmitter in level. It only reads shared state —
-// the bitmap in particular is not written, so duplicate positions may be
-// emitted across (and within) shards; the serial merge deduplicates — and
-// level shards therefore run concurrently.
-func (f *Flooding) chainScan(ix *spatialindex.Index, level []int32, dst []int32) []int32 {
-	r := ix.Radius()
-	r2 := r * r
-	xs, ys := ix.XS(), ix.YS()
-	_, cxs, cys := ix.CSR()
-	words := f.uninfBits
-	for _, j := range level {
-		chainBlockScan(ix, words, cxs, cys, xs[j], ys[j], r2, func(k int) bool {
-			dst = append(dst, int32(k))
-			return true
-		})
-	}
-	return dst
-}
-
-// chainShard is chainClosureParallel's body for level entries [lo, hi).
-func (f *Flooding) chainShard(sh, lo, hi int) {
-	f.shards[sh] = f.chainScan(f.swIx, f.chainLevel[lo:hi], f.shards[sh])
-}
-
-// chainClosureParallel advances the chaining BFS in frontier-synchronized
-// levels: the current level is sharded over the workers, which only read
-// the informed set and the uninformed bitmap and emit hit positions; the
-// merged positions are then marked serially (in shard order, deduplicating
-// on the informed bit, clearing the bitmap bit) and become the next level.
-// Each level is a barrier, so no goroutine ever observes a half-written
-// informed set or bitmap, and the fixed point — hence the final informed
-// set and count — is identical to the sequential BFS.
-func (f *Flooding) chainClosureParallel(ix *spatialindex.Index, workers int) int {
-	f.ensureShards(workers)
-	ids, _, _ := ix.CSR()
-	words := f.buildUninfBits(ids)
-	level := append(f.queue[:0], f.newlyInformed...)
-	next := f.level[:0]
-	chained := 0
-	mark := func(k int32) {
-		id := ids[k]
-		if !f.informed[id] {
-			f.informed[id] = true
-			words[k>>6] &^= 1 << (uint(k) & 63)
-			f.fresh = append(f.fresh, id)
-			next = append(next, id)
-			chained++
-		}
-	}
-	for len(level) > 0 {
-		next = next[:0]
-		if len(level) >= 2*workers {
-			for s := 0; s < workers; s++ {
-				f.shards[s] = f.shards[s][:0]
-			}
-			f.swIx, f.chainLevel = ix, level
-			f.fan.Run(workers, len(level), f.chainFn)
-			f.swIx, f.chainLevel = nil, nil
-			for s := 0; s < workers; s++ {
-				for _, k := range f.shards[s] {
-					mark(k)
-				}
-			}
-		} else {
-			f.shards[0] = f.chainScan(ix, level, f.shards[0][:0])
-			for _, k := range f.shards[0] {
-				mark(k)
-			}
-		}
-		level, next = next, level
-	}
-	f.queue, f.level = level, next
 	f.count += chained
 	return chained
 }

@@ -58,7 +58,7 @@ func TestTiledFloodBitIdentical(t *testing.T) {
 		// Chained protocol: the closure consumes the merged hit order.
 		{"chained", sim.Params{N: 1200, L: 30, R: 3, V: 0.2, Seed: 7}, nil,
 			[]FloodOption{WithinStepChaining(true)}},
-		// Pause-heavy world: dirty-driven sweep mask plus tiled sweep.
+		// Pause-heavy world: dirty-bitmap index update plus tiled sweep.
 		{"paused", sim.Params{N: 1000, L: 30, R: 3, V: 0.1, Seed: 8},
 			sim.PausedMRWPFactory(5), []FloodOption{WithSeries(true)}},
 	}

@@ -29,7 +29,7 @@ type PanicError struct {
 	// Shard is the trial-runner worker goroutine that executed the trial.
 	Shard int
 	// Value is the original panic value. Panics forwarded from inside the
-	// sharded sweep/chaining/stepping paths arrive as
+	// tiled sweep, tiled index and parallel stepping workers arrive as
 	// *panicsafe.ShardPanic, preserving the originating shard and stack.
 	Value any
 	// Stack is the panicking goroutine's stack trace.

@@ -52,9 +52,9 @@ const (
 //     Once canceled, in-flight trials finish and are recorded; pending
 //     ones are abandoned and the point returns the context's error.
 //   - Panic isolation: a panic inside a trial (including panics forwarded
-//     from the sharded sweep/chaining/stepping workers by panicsafe) is
-//     recovered into a *PanicError carrying experiment/point/trial/seed/
-//     shard; the point fails with that diagnosable report, the process
+//     by panicsafe from the tiled sweep, tiled index and stepping workers)
+//     is recovered into a *PanicError carrying experiment/point/trial/
+//     seed/shard; the point fails with that diagnosable report, the process
 //     survives, and sibling trials complete normally.
 //   - Checkpoint/resume: with cfg.Journal set, completed trials are
 //     recorded and already-recorded trials are replayed instead of re-run.

@@ -64,9 +64,12 @@ func sweepSource(name string) (sourceKind, error) {
 	}
 }
 
-// Validate reports whether the spec describes a runnable sweep. RunSweep,
-// the cell runner, and the sweep service all enforce it, so a malformed
-// spec is rejected identically at every entry point.
+// Validate reports whether the spec describes a runnable sweep: a known
+// shape, a non-negative step budget, and world parameters at every point
+// that sim accepts (an "n" sweep's values must also be whole numbers).
+// RunSweep, the cell runner, and the sweep service all enforce it, so a
+// malformed spec is rejected identically at every entry point, before any
+// cell runs.
 func (s SweepSpec) Validate() error {
 	if _, err := sweepSource(s.Source); err != nil {
 		return err
@@ -81,6 +84,17 @@ func (s SweepSpec) Validate() error {
 	}
 	if s.Trials <= 0 {
 		return errors.New("sweep needs at least one trial per point")
+	}
+	if s.MaxSteps < 0 {
+		return fmt.Errorf("max steps must be non-negative, got %d", s.MaxSteps)
+	}
+	for i, v := range s.Values {
+		if s.Param == "n" && (math.IsInf(v, 0) || v != math.Trunc(v)) {
+			return fmt.Errorf("point %d: n must be a whole number, got %v", i, v)
+		}
+		if err := s.pointParams(i).Validate(); err != nil {
+			return fmt.Errorf("point %d: %w", i, err)
+		}
 	}
 	return nil
 }

@@ -1,12 +1,12 @@
 // Package panicsafe keeps panics diagnosable across the simulator's
 // goroutine boundaries. Go panics do not cross goroutines: a panic inside
-// one of the sharded sweep/chaining/stepping workers would tear the whole
-// process down before any caller-side recover could see it. Catcher
+// one of the tiled sweep, tiled index or stepping workers would tear the
+// whole process down before any caller-side recover could see it. Catcher
 // converts such a panic into a ShardPanic value captured with its original
 // stack and rethrows it on the coordinating goroutine, where the trial
 // runner's recover turns it into a structured per-trial error. Fanout
 // packages that protocol as the allocation-free range fan-out the
-// sharded stepping, index and sweep passes share.
+// parallel stepping and the tiled index and sweep passes share.
 //
 // The package also defines InvariantError, the payload of the repo's
 // programmer-error panics (slice-length disagreements and similar

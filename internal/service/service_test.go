@@ -466,6 +466,50 @@ func TestConcurrentLoad(t *testing.T) {
 
 // TestHTTPAPI drives the full HTTP surface end to end against a real
 // scheduler: submit, poll, result in both formats, cancel, error paths.
+// TestSubmitRejectsUnrunnablePoints: a spec whose every cell would fail
+// (a point sim cannot build, a fractional agent count, a negative step
+// budget) is a bad spec, answered 400 at submission — no job is admitted
+// and nothing is written to the state directory.
+func TestSubmitRejectsUnrunnablePoints(t *testing.T) {
+	dir := t.TempDir()
+	sched := newScheduler(t, Config{Workers: 1, StateDir: dir})
+	ts := httptest.NewServer(NewServer(sched))
+	t.Cleanup(ts.Close)
+
+	for _, body := range []string{
+		`{"param":"r","values":[-1],"n":100,"v":0.1,"trials":1}`,
+		`{"param":"r","values":[3],"n":100,"v":0,"trials":1}`,
+		`{"param":"v","values":[0.3,-0.1],"n":100,"r":3,"trials":1}`,
+		`{"param":"r","values":[3],"n":0,"v":0.1,"trials":1}`,
+		`{"param":"n","values":[-5],"r":3,"v":0.1,"trials":1}`,
+		`{"param":"n","values":[2.5],"r":3,"v":0.1,"trials":1}`,
+		`{"param":"r","values":[3],"n":100,"v":0.1,"trials":1,"max_steps":-1}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg := new(bytes.Buffer)
+		msg.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", body, resp.StatusCode, strings.TrimSpace(msg.String()))
+		}
+	}
+	if jobs := sched.List(); len(jobs) != 0 {
+		t.Fatalf("rejected specs admitted %d jobs", len(jobs))
+	}
+	for _, sub := range []string{"jobs", "journals"} {
+		entries, err := os.ReadDir(filepath.Join(dir, sub))
+		if err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		if len(entries) != 0 {
+			t.Fatalf("rejected specs wrote %d files under %s/", len(entries), sub)
+		}
+	}
+}
+
 func TestHTTPAPI(t *testing.T) {
 	sched := newScheduler(t, Config{Workers: 2})
 	ts := httptest.NewServer(NewServer(sched))

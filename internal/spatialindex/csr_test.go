@@ -2,7 +2,6 @@ package spatialindex
 
 import (
 	"math/rand/v2"
-	"sort"
 	"testing"
 
 	"manhattanflood/internal/geom"
@@ -27,16 +26,17 @@ func TestCSRLayoutInvariants(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		pts := randPts(rng, 200+trial*100, 10)
 		ix.Rebuild(pts)
+		ids, _, _ := ix.CSR()
 		seen := make([]bool, len(pts))
 		total := 0
 		for c := 0; c < ix.NumCells(); c++ {
-			cnt := ix.CellCount(c)
-			total += cnt
+			lo, hi := ix.CellSpanBounds(c)
+			total += int(hi - lo)
 			cx, cy := c%ix.Cols(), c/ix.Cols()
-			row := ix.RowSpan(cy, cx, cx)
-			if len(row) != cnt {
-				t.Fatalf("cell %d: RowSpan len %d != CellCount %d", c, len(row), cnt)
+			if rlo, rhi := ix.RowSpanBounds(cy, cx, cx); rlo != lo || rhi != hi {
+				t.Fatalf("cell %d: RowSpanBounds [%d, %d) != CellSpanBounds [%d, %d)", c, rlo, rhi, lo, hi)
 			}
+			row := ids[lo:hi]
 			for k, id := range row {
 				if seen[id] {
 					t.Fatalf("id %d appears twice", id)
@@ -52,47 +52,6 @@ func TestCSRLayoutInvariants(t *testing.T) {
 		}
 		if total != len(pts) {
 			t.Fatalf("cells hold %d ids, want %d", total, len(pts))
-		}
-	}
-}
-
-// BlockRows must cover exactly the ids the closure visitor reports as
-// within-radius, after applying the caller-side distance filter.
-func TestBlockRowsMatchesVisitNeighbors(t *testing.T) {
-	rng := rand.New(rand.NewPCG(11, 13))
-	ix, err := New(20, 2.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := randPts(rng, 500, 20)
-	ix.Rebuild(pts)
-	r2 := ix.Radius() * ix.Radius()
-	var rows [3][]int32
-	for qi := 0; qi < 100; qi++ {
-		q := geom.Pt(rng.Float64()*20, rng.Float64()*20)
-		var fromRows []int
-		nr := ix.BlockRows(q, &rows)
-		for ri := 0; ri < nr; ri++ {
-			for _, id := range rows[ri] {
-				if pts[id].Dist2(q) <= r2 {
-					fromRows = append(fromRows, int(id))
-				}
-			}
-		}
-		var fromVisit []int
-		ix.VisitNeighbors(q, -1, func(id int, _ geom.Point) bool {
-			fromVisit = append(fromVisit, id)
-			return true
-		})
-		sort.Ints(fromRows)
-		sort.Ints(fromVisit)
-		if len(fromRows) != len(fromVisit) {
-			t.Fatalf("query %v: rows %v visit %v", q, fromRows, fromVisit)
-		}
-		for i := range fromRows {
-			if fromRows[i] != fromVisit[i] {
-				t.Fatalf("query %v: rows %v visit %v", q, fromRows, fromVisit)
-			}
 		}
 	}
 }
@@ -117,8 +76,8 @@ func TestRebuildCopiesPoints(t *testing.T) {
 	if len(before) != 2 || len(after) != 2 {
 		t.Fatalf("neighbors before mutation %v, after %v; want 2 ids both times", before, after)
 	}
-	if ix.Point(2) != (geom.Pt(9, 9)) {
-		t.Errorf("Point(2) = %v, want the snapshotted (9, 9)", ix.Point(2))
+	if x, y := ix.XS()[2], ix.YS()[2]; x != 9 || y != 9 {
+		t.Errorf("point 2 = (%v, %v), want the snapshotted (9, 9)", x, y)
 	}
 	if got := ix.Neighbors(geom.Pt(5, 5), -1, nil); len(got) != 0 {
 		t.Errorf("query at mutated location found %v, want none", got)
@@ -157,7 +116,8 @@ func TestRebuildResize(t *testing.T) {
 		}
 		total := 0
 		for c := 0; c < ix.NumCells(); c++ {
-			total += ix.CellCount(c)
+			lo, hi := ix.CellSpanBounds(c)
+			total += int(hi - lo)
 		}
 		if total != n {
 			t.Fatalf("n=%d: cell counts sum to %d", n, total)

@@ -16,8 +16,8 @@
 // bucket scan is one cache-linear slice walk instead of chasing
 // bucket-of-slices pointers. Because buckets are numbered row-major, the
 // three buckets of one row of a 3x3 query block are adjacent in the ids
-// array; RowSpan/BlockSpans expose each such row as a single contiguous
-// span.
+// array; RowSpanBounds/BlockSpans expose each such row as a single
+// contiguous span.
 //
 // Coordinates live in structure-of-arrays form throughout. RebuildXY
 // ingests two flat float64 slices (sim.World's native layout; the
@@ -99,12 +99,6 @@ type Index struct {
 	events       []int32 // buckets with a departure or arrival, ascending
 	moved        []bool  // id -> bucket changed this update (reset per update)
 	cellScratch  []int32 // batched-classify target for nil-dirty updates
-
-	// Per-bucket change summary of the last re-synchronization (see
-	// ChangedBuckets). Exact only after an Update driven by a dirty bitmap;
-	// rebuilds, nil-dirty updates and fallback bails leave it inexact.
-	changed     []bool
-	changeExact bool
 
 	// tiling, when non-nil, reroutes the counting sort through
 	// tile-parallel passes and shards the delta path over its workers
@@ -225,7 +219,6 @@ func (ix *Index) RebuildXYCells(xs, ys []float64, cells []int32) {
 	ix.ensure(n)
 	copy(ix.xs, xs)
 	copy(ix.ys, ys)
-	ix.changeExact = false
 	if tl := ix.tiling; tl != nil {
 		copy(ix.cellOf, cells)
 		tl.rebuild()
@@ -254,27 +247,11 @@ func (ix *Index) Rebuild(pts []geom.Point) {
 	ix.rebuildOwned()
 }
 
-// ChangedBuckets returns the per-bucket change summary of the last
-// re-synchronization and whether it is exact. When exact is true, marks[c]
-// is set iff some point whose position changed during the last Update sat
-// in bucket c before or after the move — equivalently, a bucket with a
-// clear mark holds exactly the points it held before the update, at
-// exactly the coordinates the index already published for them. Consumers
-// (the flooding sweep) use the marks to skip buckets whose whole 3x3
-// neighborhood is unchanged. When exact is false (full rebuilds, updates
-// without a dirty bitmap, fallback bails, population changes) every bucket
-// must be treated as changed; marks may be nil or stale and must not be
-// read. The slice is valid until the next rebuild or update.
-func (ix *Index) ChangedBuckets() (marks []bool, exact bool) {
-	return ix.changed, ix.changeExact
-}
-
 // rebuildOwned runs the counting sort over the current id-indexed view
 // (the owned copies, or slices retained by Update's fallback path). The
 // classify pass is one batched kernel call straight into cellOf; the
 // count pass then reads the ids back as a sequential int32 stream.
 func (ix *Index) rebuildOwned() {
-	ix.changeExact = false
 	ix.ClassifyInto(ix.cellOf, ix.xs, ix.ys)
 	if tl := ix.tiling; tl != nil {
 		tl.rebuild()
@@ -311,10 +288,6 @@ func (ix *Index) finishRebuild() {
 	ix.gatherCSR()
 }
 
-// Point returns the indexed position of point id (valid until the next
-// rebuild or update).
-func (ix *Index) Point(id int) geom.Point { return geom.Point{X: ix.xs[id], Y: ix.ys[id]} }
-
 // XS returns the index's id-ordered X-coordinate view. The slice is
 // read-only and valid until the next rebuild or update; after an Update it
 // aliases the caller's coordinate slice rather than a copy.
@@ -322,16 +295,6 @@ func (ix *Index) XS() []float64 { return ix.xs }
 
 // YS returns the index's id-ordered Y-coordinate view.
 func (ix *Index) YS() []float64 { return ix.ys }
-
-// Points returns a freshly allocated copy of the point set in id order; a
-// compatibility accessor for cold paths and tests.
-func (ix *Index) Points() []geom.Point {
-	out := make([]geom.Point, len(ix.xs))
-	for i := range out {
-		out[i] = geom.Point{X: ix.xs[i], Y: ix.ys[i]}
-	}
-	return out
-}
 
 // CSR returns the raw bucket-major arrays: ids plus the parallel
 // coordinate copies (xs[k], ys[k] belong to point ids[k]). Combined with
@@ -344,9 +307,6 @@ func (ix *Index) CSR() (ids []int32, xs, ys []float64) { return ix.ids, ix.cx, i
 
 // Cell returns the bucket holding point id.
 func (ix *Index) Cell(id int) int { return int(ix.cellOf[id]) }
-
-// CellCount returns the number of points in bucket c.
-func (ix *Index) CellCount(c int) int { return int(ix.starts[c+1] - ix.starts[c]) }
 
 // bucketOfXY is the scalar classify path; the batched paths and every
 // consumer share the kernel's definition, so a point always lands in
@@ -391,11 +351,6 @@ func (ix *Index) BlockBoundsCell(c int) (x0, x1, y0, y1 int) {
 	return ix.blockBounds(c%ix.cols, c/ix.cols)
 }
 
-// BlockBounds is BlockBoundsXY for a geom.Point query.
-func (ix *Index) BlockBounds(q geom.Point) (x0, x1, y0, y1 int) {
-	return ix.BlockBoundsXY(q.X, q.Y)
-}
-
 // RowSpanBounds returns the half-open [lo, hi) offsets into the CSR arrays
 // covering buckets (x0..x1, by) — adjacent buckets of a grid row are
 // adjacent in the arrays.
@@ -407,28 +362,6 @@ func (ix *Index) RowSpanBounds(by, x0, x1 int) (lo, hi int32) {
 // arrays of bucket c's own points.
 func (ix *Index) CellSpanBounds(c int) (lo, hi int32) {
 	return ix.starts[c], ix.starts[c+1]
-}
-
-// RowSpan returns the ids of buckets (x0..x1, by) as one contiguous span.
-// Ids are ascending within each bucket.
-func (ix *Index) RowSpan(by, x0, x1 int) []int32 {
-	lo, hi := ix.RowSpanBounds(by, x0, x1)
-	return ix.ids[lo:hi]
-}
-
-// BlockRows fills rows with up to three contiguous id spans covering the
-// 3x3 bucket block around q and returns the number of spans. Callers that
-// also need candidate coordinates use BlockSpans instead.
-func (ix *Index) BlockRows(q geom.Point, rows *[3][]int32) int {
-	x0, x1, y0, y1 := ix.BlockBoundsXY(q.X, q.Y)
-	nr := 0
-	for by := y0; by <= y1; by++ {
-		if s := ix.RowSpan(by, x0, x1); len(s) > 0 {
-			rows[nr] = s
-			nr++
-		}
-	}
-	return nr
 }
 
 // BlockSpans fills spans with up to three contiguous CSR ranges (ids plus
@@ -448,31 +381,6 @@ func (ix *Index) BlockSpans(x, y float64, spans *[3]Span) int {
 		}
 	}
 	return nr
-}
-
-// VisitNeighbors calls fn for every indexed point within Euclidean distance
-// r <= Radius of q, excluding the point with id exclude (pass -1 to keep
-// all). Iteration stops early if fn returns false.
-//
-// The closure-based visitors ride the batched kernel like every other
-// distance-test consumer: one hit mask per row span, closures invoked only
-// for actual hits.
-func (ix *Index) VisitNeighbors(q geom.Point, exclude int, fn func(id int, p geom.Point) bool) {
-	r2 := ix.radius * ix.radius
-	var spans [3]Span
-	nr := ix.BlockSpans(q.X, q.Y, &spans)
-	for ri := 0; ri < nr; ri++ {
-		s := spans[ri]
-		done := kernel.VisitHits(s.XS, s.YS, q.X, q.Y, r2, nil, 0, func(k int) bool {
-			if int(s.IDs[k]) == exclude {
-				return true
-			}
-			return fn(int(s.IDs[k]), geom.Point{X: s.XS[k], Y: s.YS[k]})
-		})
-		if !done {
-			return
-		}
-	}
 }
 
 // Neighbors returns the ids of all indexed points within the index radius
@@ -511,29 +419,6 @@ func (ix *Index) CountNeighbors(q geom.Point, exclude int) int {
 		})
 	}
 	return n
-}
-
-// HasNeighborWhere reports whether some indexed point within the radius of
-// q (excluding exclude) satisfies pred. It short-circuits on the first hit.
-func (ix *Index) HasNeighborWhere(q geom.Point, exclude int, pred func(id int) bool) bool {
-	r2 := ix.radius * ix.radius
-	var spans [3]Span
-	nr := ix.BlockSpans(q.X, q.Y, &spans)
-	for ri := 0; ri < nr; ri++ {
-		s := spans[ri]
-		found := false
-		kernel.VisitHits(s.XS, s.YS, q.X, q.Y, r2, nil, 0, func(k int) bool {
-			if int(s.IDs[k]) != exclude && pred(int(s.IDs[k])) {
-				found = true
-				return false
-			}
-			return true
-		})
-		if found {
-			return true
-		}
-	}
-	return false
 }
 
 // Brute is the O(n^2) reference neighbor finder used to validate Index in

@@ -92,37 +92,6 @@ func TestBoundaryInclusive(t *testing.T) {
 	}
 }
 
-func TestHasNeighborWhere(t *testing.T) {
-	ix, _ := New(10, 2)
-	pts := []geom.Point{geom.Pt(1, 1), geom.Pt(2, 1), geom.Pt(2.5, 1)}
-	ix.Rebuild(pts)
-	informed := map[int]bool{2: true}
-	if !ix.HasNeighborWhere(pts[0], 0, func(id int) bool { return informed[id] }) {
-		t.Error("expected to find informed neighbor 2")
-	}
-	if ix.HasNeighborWhere(pts[0], 0, func(id int) bool { return false }) {
-		t.Error("predicate never true but reported found")
-	}
-}
-
-func TestVisitNeighborsEarlyStop(t *testing.T) {
-	ix, _ := New(10, 5)
-	pts := make([]geom.Point, 50)
-	rng := rand.New(rand.NewPCG(1, 2))
-	for i := range pts {
-		pts[i] = geom.Pt(rng.Float64()*2, rng.Float64()*2) // all mutually close
-	}
-	ix.Rebuild(pts)
-	var visited int
-	ix.VisitNeighbors(geom.Pt(1, 1), -1, func(int, geom.Point) bool {
-		visited++
-		return visited < 5
-	})
-	if visited != 5 {
-		t.Errorf("early stop visited %d, want 5", visited)
-	}
-}
-
 func TestRebuildResets(t *testing.T) {
 	ix, _ := New(10, 1)
 	ix.Rebuild([]geom.Point{geom.Pt(5, 5)})

@@ -2,6 +2,7 @@ package spatialindex
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"manhattanflood/internal/geom"
@@ -33,8 +34,8 @@ func TestRebuildXYMatchesRebuild(t *testing.T) {
 			t.Fatalf("lengths differ: %d vs %d", a.Len(), b.Len())
 		}
 		for i := range pts {
-			if a.Point(i) != b.Point(i) {
-				t.Fatalf("point %d differs: %v vs %v", i, a.Point(i), b.Point(i))
+			if a.XS()[i] != b.XS()[i] || a.YS()[i] != b.YS()[i] {
+				t.Fatalf("point %d differs: (%v, %v) vs (%v, %v)", i, a.XS()[i], a.YS()[i], b.XS()[i], b.YS()[i])
 			}
 			if a.Cell(i) != b.Cell(i) {
 				t.Fatalf("cell of %d differs: %d vs %d", i, a.Cell(i), b.Cell(i))
@@ -84,10 +85,10 @@ func TestCSRCoordinateSlicesConsistent(t *testing.T) {
 	}
 }
 
-// BlockSpans must cover exactly the same ids as BlockRows, with the
-// parallel coordinate slices attached, and CellSpanBounds must tile the
-// CSR arrays.
-func TestBlockSpansMatchesBlockRows(t *testing.T) {
+// BlockSpans filtered at the index radius must find exactly the ids the
+// brute-force reference finds, with the parallel coordinate slices
+// attached, and CellSpanBounds must tile the CSR arrays.
+func TestBlockSpansMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 42))
 	ix, err := New(20, 2.5)
 	if err != nil {
@@ -95,53 +96,41 @@ func TestBlockSpansMatchesBlockRows(t *testing.T) {
 	}
 	pts := randPts(rng, 600, 20)
 	ix.Rebuild(pts)
-	var rows [3][]int32
+	ref := NewBrute(ix.Radius())
+	ref.Rebuild(pts)
+	r2 := ix.Radius() * ix.Radius()
 	var spans [3]Span
 	for qi := 0; qi < 200; qi++ {
 		q := geom.Pt(rng.Float64()*20, rng.Float64()*20)
-		nr := ix.BlockRows(q, &rows)
+		var got []int
 		ns := ix.BlockSpans(q.X, q.Y, &spans)
-		if nr != ns {
-			t.Fatalf("query %v: %d rows vs %d spans", q, nr, ns)
+		for si := 0; si < ns; si++ {
+			s := spans[si]
+			for k, id := range s.IDs {
+				p := pts[id]
+				if s.XS[k] != p.X || s.YS[k] != p.Y {
+					t.Fatalf("query %v span %d slot %d: coords differ from point %d", q, si, k, id)
+				}
+				if p.Dist2(q) <= r2 {
+					got = append(got, int(id))
+				}
+			}
 		}
-		for ri := 0; ri < nr; ri++ {
-			if len(rows[ri]) != len(spans[ri].IDs) {
-				t.Fatalf("query %v row %d: lengths differ", q, ri)
-			}
-			for k, id := range rows[ri] {
-				s := spans[ri]
-				if s.IDs[k] != id {
-					t.Fatalf("query %v row %d slot %d: id %d vs %d", q, ri, k, s.IDs[k], id)
-				}
-				if p := ix.Point(int(id)); s.XS[k] != p.X || s.YS[k] != p.Y {
-					t.Fatalf("query %v row %d slot %d: coords differ from Point(%d)", q, ri, k, id)
-				}
-			}
+		want := ref.Neighbors(q, -1)
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("query %v: spans %v, brute %v", q, got, want)
 		}
 	}
 	total := 0
 	for c := 0; c < ix.NumCells(); c++ {
 		lo, hi := ix.CellSpanBounds(c)
-		if int(hi-lo) != ix.CellCount(c) {
-			t.Fatalf("cell %d: span size %d != CellCount %d", c, hi-lo, ix.CellCount(c))
+		if lo != int32(total) {
+			t.Fatalf("cell %d: span starts at %d, want %d", c, lo, total)
 		}
 		total += int(hi - lo)
 	}
 	if total != ix.Len() {
 		t.Fatalf("cell spans cover %d ids, want %d", total, ix.Len())
-	}
-}
-
-// Points returns an independent snapshot, not the internal storage.
-func TestPointsSnapshotIndependent(t *testing.T) {
-	ix, err := New(10, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix.Rebuild([]geom.Point{geom.Pt(1, 1), geom.Pt(2, 2)})
-	snap := ix.Points()
-	snap[0] = geom.Pt(9, 9)
-	if ix.Point(0) != geom.Pt(1, 1) {
-		t.Fatal("Points aliases internal storage")
 	}
 }

@@ -136,8 +136,8 @@ func TestTiledUpdateCellsMatchesFlat(t *testing.T) {
 }
 
 // TestTiledUpdateDirtyMatchesFlat drives the dirty-bitmap delta path (the
-// pause-model regime): only flagged points move, and the change summary
-// must stay exact and equal on both sides.
+// pause-model regime): only flagged points move, and both sides must
+// patch the same CSR.
 func TestTiledUpdateDirtyMatchesFlat(t *testing.T) {
 	const side, radius = 10.0, 1.0
 	const n = 500
@@ -166,18 +166,6 @@ func TestTiledUpdateDirtyMatchesFlat(t *testing.T) {
 				flat.Update(fxs, fys, dirty)
 				tiled.Update(txs, tys, dirty)
 				requireIdentical(t, step, tiled, flat)
-				fm, fe := flat.ChangedBuckets()
-				tm, te := tiled.ChangedBuckets()
-				if fe != te {
-					t.Fatalf("step %d: changeExact %v != %v", step, te, fe)
-				}
-				if fe {
-					for c := range fm {
-						if fm[c] != tm[c] {
-							t.Fatalf("step %d: changed[%d] = %v, want %v", step, c, tm[c], fm[c])
-						}
-					}
-				}
 			}
 		})
 	}
@@ -206,8 +194,8 @@ func TestTiledEmptyTiles(t *testing.T) {
 			flat.RebuildXY(xs, ys)
 			tiled.RebuildXY(xs, ys)
 			requireIdentical(t, -1, tiled, flat)
-			if got := tiled.CellCount(0); got != 0 {
-				t.Fatalf("empty bucket 0 reports %d points", got)
+			if lo, hi := tiled.CellSpanBounds(0); hi != lo {
+				t.Fatalf("empty bucket 0 reports %d points", hi-lo)
 			}
 			for step := 0; step < 10; step++ {
 				perturb(rng, xs, ys, side, 0.2)
@@ -244,8 +232,8 @@ func TestTiledSingleOccupantBuckets(t *testing.T) {
 			flat.RebuildXY(xs, ys)
 			tiled.RebuildXY(xs, ys)
 			for c := 0; c < flat.NumCells(); c++ {
-				if got := tiled.CellCount(c); got != 1 {
-					t.Fatalf("bucket %d holds %d points, want 1", c, got)
+				if lo, hi := tiled.CellSpanBounds(c); hi-lo != 1 {
+					t.Fatalf("bucket %d holds %d points, want 1", c, hi-lo)
 				}
 			}
 			// A 0.3 shift keeps everyone in place; repeated, points cross

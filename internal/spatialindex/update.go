@@ -46,9 +46,6 @@ func (ix *Index) ensureUpdate(n int) {
 		ix.startsAlt = make([]int32, m+1)
 		ix.events = make([]int32, 0, m)
 	}
-	if len(ix.changed) != m {
-		ix.changed = make([]bool, m)
-	}
 }
 
 // Update incrementally re-synchronizes the index with the flat coordinate
@@ -105,12 +102,6 @@ func (ix *Index) ensureUpdate(n int) {
 //
 // A population-size change (len(xs) != Len()) degrades to a full rebuild
 // of the given slices (still retained).
-//
-// When dirty is non-nil and the patch completes without bailing, Update
-// also publishes an exact per-bucket change summary (ChangedBuckets): the
-// classify pass marks, for every dirty point, the bucket it occupied and —
-// for movers — the bucket it arrived in. The flooding sweep uses the
-// summary to skip buckets whose 3x3 neighborhood is untouched.
 func (ix *Index) Update(xs, ys []float64, dirty []bool) {
 	ix.updateImpl(xs, ys, dirty, nil)
 }
@@ -149,9 +140,6 @@ func (ix *Index) updateImpl(xs, ys []float64, dirty []bool, cells []int32) {
 
 	ix.adopt(xs, ys)
 	ix.ensureUpdate(n)
-	// Assume the change summary will be inexact; the dirty-driven paths
-	// below flip it back on once they have marked every touched bucket.
-	ix.changeExact = false
 	m := ix.cols * ix.cols
 	maxMovers := int(UpdateFallbackFraction * float64(n))
 	movers := ix.movers[:0]
@@ -217,13 +205,6 @@ func (ix *Index) updateImpl(xs, ys []float64, dirty []bool, cells []int32) {
 			}
 		}
 	} else {
-		// The dirty loop doubles as the change-summary pass: every dirty
-		// point marks the bucket it sat in (its coordinates there changed
-		// even if its bucket did not) and, when it moved bucket, the bucket
-		// it arrived in. Together the marks are exactly the buckets whose
-		// point set or published coordinates differ from the previous step.
-		chg := ix.changed
-		clear(chg)
 		cols32 := int32(cols)
 		for i := range xsn {
 			if !dirty[i] {
@@ -235,10 +216,7 @@ func (ix *Index) updateImpl(xs, ys []float64, dirty []bool, cells []int32) {
 			} else {
 				c = kernel.BucketOf(xsn[i], ysn[i], invR, cols32)
 			}
-			old := cellOf[i]
-			chg[old] = true
-			if old != c {
-				chg[c] = true
+			if old := cellOf[i]; old != c {
 				cellOf[i] = c
 				moved[i] = true
 				ocount[old]++
@@ -259,7 +237,6 @@ func (ix *Index) updateImpl(xs, ys []float64, dirty []bool, cells []int32) {
 		ix.rebuildOwned()
 		return
 	}
-	ix.changeExact = dirty != nil
 	if len(movers) == 0 {
 		// Nobody changed bucket: ids and starts are already exact; only the
 		// CSR coordinate streams must be refreshed from the new positions.

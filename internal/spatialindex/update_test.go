@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"testing"
+
+	"manhattanflood/internal/geom"
 )
 
 // requireIdentical fails unless a and b hold bit-identical index state:
@@ -181,7 +183,7 @@ func TestUpdateRetainsRebuildCopies(t *testing.T) {
 	if &ix.XS()[0] != &xs[0] {
 		t.Fatal("Update copied the caller's slice; it must retain it")
 	}
-	if got := ix.Neighbors(ix.Point(0), 0, nil); len(got) != 1 || got[0] != 1 {
+	if got := ix.Neighbors(geom.Pt(ix.XS()[0], ix.YS()[0]), 0, nil); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("neighbors of point 0 after update = %v, want [1]", got)
 	}
 	// Back to the copying path: the owned buffers must not have been
@@ -193,7 +195,7 @@ func TestUpdateRetainsRebuildCopies(t *testing.T) {
 	for i := range xs {
 		xs[i], ys[i] = 5, 5 // scribble: the rebuild snapshot must survive
 	}
-	if got := ix.Neighbors(ix.Point(2), -1, nil); len(got) != 1 {
+	if got := ix.Neighbors(geom.Pt(ix.XS()[2], ix.YS()[2]), -1, nil); len(got) != 1 {
 		t.Fatalf("query at (9,9) after caller mutation = %v, want the point itself only", got)
 	}
 }
