@@ -195,6 +195,24 @@ func BenchmarkWorldStep10k(b *testing.B) {
 	}
 }
 
+// BenchmarkWorldReset2k measures World.Reset of a sweep_mc_2k-sized world
+// (2000 MRWP agents, L = sqrt(2000)): every agent's stream reseeded, its
+// stationary trip drawn and compiled into the population's columns, and
+// the index rebuilt — the per-trial set-up of a pooled sweep.
+func BenchmarkWorldReset2k(b *testing.B) {
+	const n = 2000
+	w, err := sim.NewWorld(sim.Params{N: n, L: math.Sqrt(n), R: 4, V: 0.3, Seed: 1}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Reset(uint64(i) + 2)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/agent")
+}
+
 // BenchmarkMobilityAdvance10k measures the raw SoA mobility advance —
 // 10000 MRWP agents through Population.StepRange, no index, no classify:
 // the pure kinematics cost that the world step builds on.

@@ -147,20 +147,20 @@ func (d *Destination) QuadrantMass(q Quadrant) float64 {
 // (the agent is on its final leg); otherwise it is strictly inside a
 // quadrant (the agent is on its first leg, heading distributed per
 // HeadingGivenQuadrant).
-func (d *Destination) Sample(rng *rand.Rand) (dst geom.Point, onCross bool) {
-	u := rng.Float64()
+func (d *Destination) Sample(src rand.Source) (dst geom.Point, onCross bool) {
+	u := Float64(src)
 	x, y, l := d.pos.X, d.pos.Y, d.l
 	for a := ArmSouth; a <= ArmEast; a++ {
 		if u < d.arm[a] {
 			switch a {
 			case ArmSouth:
-				return geom.Pt(x, rng.Float64()*y), true
+				return geom.Pt(x, Float64(src)*y), true
 			case ArmWest:
-				return geom.Pt(rng.Float64()*x, y), true
+				return geom.Pt(Float64(src)*x, y), true
 			case ArmNorth:
-				return geom.Pt(x, y+rng.Float64()*(l-y)), true
+				return geom.Pt(x, y+Float64(src)*(l-y)), true
 			default: // ArmEast
-				return geom.Pt(x+rng.Float64()*(l-x), y), true
+				return geom.Pt(x+Float64(src)*(l-x), y), true
 			}
 		}
 		u -= d.arm[a]
@@ -170,13 +170,13 @@ func (d *Destination) Sample(rng *rand.Rand) (dst geom.Point, onCross bool) {
 			var px, py float64
 			switch q {
 			case QuadrantSW:
-				px, py = rng.Float64()*x, rng.Float64()*y
+				px, py = Float64(src)*x, Float64(src)*y
 			case QuadrantNW:
-				px, py = rng.Float64()*x, y+rng.Float64()*(l-y)
+				px, py = Float64(src)*x, y+Float64(src)*(l-y)
 			case QuadrantNE:
-				px, py = x+rng.Float64()*(l-x), y+rng.Float64()*(l-y)
+				px, py = x+Float64(src)*(l-x), y+Float64(src)*(l-y)
 			default: // QuadrantSE
-				px, py = x+rng.Float64()*(l-x), rng.Float64()*y
+				px, py = x+Float64(src)*(l-x), Float64(src)*y
 			}
 			return geom.Pt(px, py), false
 		}
@@ -191,7 +191,7 @@ func (d *Destination) Sample(rng *rand.Rand) (dst geom.Point, onCross bool) {
 // by the Palm decomposition the horizontal-heading weight is the measure of
 // sources behind the position along x (x when heading east, L-x when
 // heading west), and symmetrically for vertical.
-func (d *Destination) HeadingGivenQuadrant(rng *rand.Rand, dst geom.Point) geom.Heading {
+func (d *Destination) HeadingGivenQuadrant(src rand.Source, dst geom.Point) geom.Heading {
 	x, y, l := d.pos.X, d.pos.Y, d.l
 	hw := l - x // heading west: sources in [x, L]
 	if dst.X > x {
@@ -201,7 +201,7 @@ func (d *Destination) HeadingGivenQuadrant(rng *rand.Rand, dst geom.Point) geom.
 	if dst.Y > y {
 		vw = y
 	}
-	if rng.Float64()*(hw+vw) < hw {
+	if Float64(src)*(hw+vw) < hw {
 		if dst.X > x {
 			return geom.HeadingEast
 		}

@@ -21,6 +21,7 @@ package dist
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 )
 
 func validSide(l float64) error {
@@ -28,4 +29,12 @@ func validSide(l float64) error {
 		return fmt.Errorf("dist: side must be positive and finite, got %v", l)
 	}
 	return nil
+}
+
+// Float64 returns a uniform float64 in [0, 1) drawn from src. It computes
+// exactly what (*rand.Rand).Float64 computes for a Rand wrapping src, so a
+// caller that holds a bare rand.Source (a PCG stored by value, say) draws
+// the same stream, bit for bit, as one that wraps it in a rand.Rand.
+func Float64(src rand.Source) float64 {
+	return float64(src.Uint64()<<11>>11) / (1 << 53)
 }

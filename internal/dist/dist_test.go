@@ -406,3 +406,17 @@ func TestArmQuadrantStrings(t *testing.T) {
 		t.Error("unknown value strings wrong")
 	}
 }
+
+// Float64 on a bare source must reproduce (*rand.Rand).Float64 on the same
+// stream bit for bit: the simulator's per-agent streams draw through it.
+func TestFloat64MatchesRand(t *testing.T) {
+	var bare rand.PCG
+	bare.Seed(3, 9)
+	wrapped := rand.New(rand.NewPCG(3, 9))
+	for k := 0; k < 10000; k++ {
+		got, want := Float64(&bare), wrapped.Float64()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("draw %d: Float64 = %v, rand.Rand.Float64 = %v", k, got, want)
+		}
+	}
+}

@@ -77,17 +77,17 @@ func (s Spatial) CellMass(x0, y0, side float64) float64 {
 // Sample draws a point distributed by f. The density decomposes as the
 // even mixture of (Beta(2,2) x Uniform) and (Uniform x Beta(2,2)); a
 // Beta(2,2) variate is the median of three independent uniforms.
-func (s Spatial) Sample(rng *rand.Rand) geom.Point {
-	if rng.Float64() < 0.5 {
-		return geom.Pt(s.l*median3(rng), s.l*rng.Float64())
+func (s Spatial) Sample(src rand.Source) geom.Point {
+	if Float64(src) < 0.5 {
+		return geom.Pt(s.l*median3(src), s.l*Float64(src))
 	}
-	return geom.Pt(s.l*rng.Float64(), s.l*median3(rng))
+	return geom.Pt(s.l*Float64(src), s.l*median3(src))
 }
 
 // median3 returns the median of three independent U(0,1) variates, whose
 // density is exactly 6 u (1-u) — Beta(2,2).
-func median3(rng *rand.Rand) float64 {
-	a, b, c := rng.Float64(), rng.Float64(), rng.Float64()
+func median3(src rand.Source) float64 {
+	a, b, c := Float64(src), Float64(src), Float64(src)
 	if a > b {
 		a, b = b, a
 	}

@@ -45,39 +45,29 @@ func (ts TripSampler) Side() float64 { return ts.l }
 // separation |a-b| is the (min, max) of three independent uniforms with the
 // middle one discarded (their joint density is 6(b-a)/L^3), in random
 // order; the unbiased coordinates stay uniform.
-func (ts TripSampler) Sample(rng *rand.Rand) Trip {
+func (ts TripSampler) Sample(src rand.Source) Trip {
 	var sx, dx, sy, dy float64
-	if rng.Float64() < 0.5 {
-		sx, dx = biasedPair(rng, ts.l)
-		sy, dy = rng.Float64()*ts.l, rng.Float64()*ts.l
+	if Float64(src) < 0.5 {
+		sx, dx = biasedPair(src, ts.l)
+		sy, dy = Float64(src)*ts.l, Float64(src)*ts.l
 	} else {
-		sy, dy = biasedPair(rng, ts.l)
-		sx, dx = rng.Float64()*ts.l, rng.Float64()*ts.l
+		sy, dy = biasedPair(src, ts.l)
+		sx, dx = Float64(src)*ts.l, Float64(src)*ts.l
 	}
 	order := geom.VerticalFirst
-	if rng.Float64() < 0.5 {
+	if Float64(src) < 0.5 {
 		order = geom.HorizontalFirst
 	}
 	path := geom.NewLPath(geom.Pt(sx, sy), geom.Pt(dx, dy), order)
-	return Trip{Path: path, Travelled: rng.Float64() * path.Length()}
+	return Trip{Path: path, Travelled: Float64(src) * path.Length()}
 }
 
 // biasedPair returns (a, b) on [0, l]^2 with joint density proportional to
 // |a - b|: the extremes of three independent uniforms, randomly ordered.
-func biasedPair(rng *rand.Rand, l float64) (a, b float64) {
-	u1, u2, u3 := rng.Float64(), rng.Float64(), rng.Float64()
-	lo, hi := u1, u1
-	if u2 < lo {
-		lo = u2
-	} else if u2 > hi {
-		hi = u2
-	}
-	if u3 < lo {
-		lo = u3
-	} else if u3 > hi {
-		hi = u3
-	}
-	if rng.Float64() < 0.5 {
+func biasedPair(src rand.Source, l float64) (a, b float64) {
+	u1, u2, u3 := Float64(src), Float64(src), Float64(src)
+	lo, hi := min(u1, u2, u3), max(u1, u2, u3)
+	if Float64(src) < 0.5 {
 		return l * lo, l * hi
 	}
 	return l * hi, l * lo

@@ -137,6 +137,23 @@ func (h Heading) String() string {
 // Horizontal reports whether h is east or west.
 func (h Heading) Horizontal() bool { return h == HeadingEast || h == HeadingWest }
 
+// headingDirs holds Dir's answers, indexed by heading.
+var headingDirs = [8][2]float64{
+	HeadingEast:  {1, 0},
+	HeadingWest:  {-1, 0},
+	HeadingNorth: {0, 1},
+	HeadingSouth: {0, -1},
+}
+
+// Dir returns the unit axis direction of h, (0, 0) for HeadingNone: the
+// leg direction Compile caches for a leg with heading h. It is a table
+// lookup, so deriving a leg's direction from its heading costs no
+// data-dependent branch.
+func (h Heading) Dir() (dx, dy float64) {
+	d := headingDirs[h&7]
+	return d[0], d[1]
+}
+
 // HeadingAt returns the direction of motion after travelling distance d
 // along the path. On a leg boundary the heading of the upcoming leg is
 // returned; at or past the end it returns HeadingNone.
@@ -156,10 +173,12 @@ func (p LPath) HeadingAt(d float64) Heading {
 			a, b = p.Src, c
 		}
 	}
-	return headingOf(a, b)
+	return HeadingOf(a, b)
 }
 
-func headingOf(a, b Point) Heading {
+// HeadingOf returns the heading of the axis-parallel move from a to b
+// (HeadingNone when a == b): the leg heading Compile caches.
+func HeadingOf(a, b Point) Heading {
 	switch {
 	case b.X > a.X:
 		return HeadingEast
@@ -199,34 +218,19 @@ type CompiledPath struct {
 	D1X, D1Y, D2X, D2Y float64
 }
 
-// legDir returns the axis-parallel unit direction from a to b.
-func legDir(a, b Point) (dx, dy float64) {
-	switch {
-	case b.X > a.X:
-		return 1, 0
-	case b.X < a.X:
-		return -1, 0
-	case b.Y > a.Y:
-		return 0, 1
-	case b.Y < a.Y:
-		return 0, -1
-	default:
-		return 0, 0
-	}
-}
-
 // Compile caches the derived geometry of p.
 func Compile(p LPath) CompiledPath {
 	c := p.Corner()
-	d1x, d1y := legDir(p.Src, c)
-	d2x, d2y := legDir(c, p.Dst)
+	leg1, leg2 := HeadingOf(p.Src, c), HeadingOf(c, p.Dst)
+	d1x, d1y := leg1.Dir()
+	d2x, d2y := leg2.Dir()
 	return CompiledPath{
 		LPath:    p,
 		CornerPt: c,
 		FirstLen: p.Src.ManhattanDist(c),
 		TotalLen: p.Src.ManhattanDist(p.Dst),
-		Leg1:     headingOf(p.Src, c),
-		Leg2:     headingOf(c, p.Dst),
+		Leg1:     leg1,
+		Leg2:     leg2,
 		D1X:      d1x,
 		D1Y:      d1y,
 		D2X:      d2x,
@@ -268,10 +272,12 @@ func (c *CompiledPath) OnSecondLeg(d float64) bool { return d > c.FirstLen }
 
 // HeadingInto returns the direction of travel as the path arrives at its
 // destination: the last non-degenerate leg's heading (HeadingNone for a
-// zero-length path).
+// zero-length path). A degenerate second leg means the corner is Dst, so
+// the first leg's heading is the heading from Src to Dst; HeadingInto
+// reads only the two leg headings.
 func (c *CompiledPath) HeadingInto() Heading {
 	if c.Leg2 != HeadingNone {
 		return c.Leg2
 	}
-	return headingOf(c.Src, c.Dst)
+	return c.Leg1
 }

@@ -51,6 +51,15 @@ func TestCompiledPathMatchesLPath(t *testing.T) {
 				t.Fatalf("path %+v: OnSecondLeg(%v) = %v, LPath = %v", p, d, got, want)
 			}
 		}
+		// HeadingInto reads only the leg headings; it must still be the
+		// heading from the last non-degenerate leg's start to Dst.
+		into := HeadingOf(p.Corner(), p.Dst)
+		if into == HeadingNone {
+			into = HeadingOf(p.Src, p.Dst)
+		}
+		if got := c.HeadingInto(); got != into {
+			t.Fatalf("path %+v: HeadingInto = %v, want %v", p, got, into)
+		}
 		// The direction cache must hold unit axis vectors consistent with
 		// the leg headings.
 		if c.D1X*c.D1Y != 0 || c.D2X*c.D2Y != 0 {

@@ -179,9 +179,14 @@ type Population interface {
 	// len(v.X) and len(v.Y) must equal Len().
 	Bind(v View)
 	// InitAgent draws agent i's initial state from rng — consuming exactly
-	// the draws the model's NewAgent would — and publishes its initial
-	// position. The population keeps rng for agent i's later moves.
-	InitAgent(i int, rng *rand.Rand)
+	// the draws the model's NewAgent would make from a rand.Rand over the
+	// same stream — and publishes its initial position. The population
+	// keeps the rng value itself (a 16-byte interface, no copy of the
+	// stream) and draws agent i's later moves from it, so rng must stay
+	// valid and unshared for the population's lifetime. sim.World passes
+	// a pointer into its by-value []rand.PCG slab; a *rand.Rand works
+	// too, and draws the identical stream.
+	InitAgent(i int, rng rand.Source)
 	// StepRange advances agents lo..hi-1 by one time unit each, in index
 	// order, bit-identically to calling Step on the corresponding AoS
 	// agents. Disjoint ranges may be stepped concurrently: an agent

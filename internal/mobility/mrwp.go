@@ -64,27 +64,29 @@ func (m *MRWP) Config() Config { return m.cfg }
 // NewAgent implements Model.
 func (m *MRWP) NewAgent(rng *rand.Rand) Agent {
 	a := &MRWPAgent{cfg: m.cfg, rng: rng}
-	a.path, a.travelled = m.drawInit(rng)
+	var lp geom.LPath
+	lp, a.travelled = m.drawInit(rng)
+	a.setPath(lp)
 	a.syncLeg()
 	a.pos = a.path.At(a.travelled)
 	return a
 }
 
-// drawInit draws one agent's initial trip state (compiled path + progress
-// along it) according to the model's InitMode. It is the single source of
-// the initialization RNG draw sequence: the AoS NewAgent and the SoA
-// Population.InitAgent both call it, which is what makes their trajectories
-// bit-identical from step 0.
-func (m *MRWP) drawInit(rng *rand.Rand) (geom.CompiledPath, float64) {
+// drawInit draws one agent's initial trip state (path + progress along
+// it) from rng according to the model's InitMode. It is the single source
+// of the initialization RNG draw sequence: the AoS NewAgent and the SoA
+// Population.InitAgent both call it, which is what makes their
+// trajectories bit-identical from step 0.
+func (m *MRWP) drawInit(rng rand.Source) (geom.LPath, float64) {
 	switch m.init {
 	case InitUniform:
-		src := geom.Pt(rng.Float64()*m.cfg.L, rng.Float64()*m.cfg.L)
-		return geom.Compile(geom.NewLPath(src, m.uniformPoint(rng), randOrder(rng))), 0
+		from := uniformPoint(rng, m.cfg.L)
+		return geom.NewLPath(from, uniformPoint(rng, m.cfg.L), randOrder(rng)), 0
 	case InitTheorem12:
 		return m.drawTheorems(rng)
 	default: // InitStationary
 		t := m.trip.Sample(rng)
-		return geom.Compile(t.Path), t.Travelled
+		return t.Path, t.Travelled
 	}
 }
 
@@ -94,12 +96,14 @@ func (m *MRWP) NewMRWPAgent(rng *rand.Rand) *MRWPAgent {
 	return m.NewAgent(rng).(*MRWPAgent)
 }
 
-func (m *MRWP) uniformPoint(rng *rand.Rand) geom.Point {
-	return geom.Pt(rng.Float64()*m.cfg.L, rng.Float64()*m.cfg.L)
+// uniformPoint draws a uniform point of [0, l]^2 from rng, x first.
+func uniformPoint(rng rand.Source, l float64) geom.Point {
+	x := dist.Float64(rng) * l
+	return geom.Pt(x, dist.Float64(rng)*l)
 }
 
-func randOrder(rng *rand.Rand) geom.LegOrder {
-	if rng.Float64() < 0.5 {
+func randOrder(rng rand.Source) geom.LegOrder {
+	if dist.Float64(rng) < 0.5 {
 		return geom.VerticalFirst
 	}
 	return geom.HorizontalFirst
@@ -167,7 +171,7 @@ var _ SlotWriter = (*MRWPAgent)(nil)
 // position ~ Theorem 1; destination ~ Theorem 2; for a quadrant destination
 // the current heading follows the Palm leg-weight decomposition, which
 // fixes the remaining route.
-func (m *MRWP) drawTheorems(rng *rand.Rand) (geom.CompiledPath, float64) {
+func (m *MRWP) drawTheorems(rng rand.Source) (geom.LPath, float64) {
 	var pos geom.Point
 	for {
 		pos = m.spat.Sample(rng)
@@ -181,19 +185,19 @@ func (m *MRWP) drawTheorems(rng *rand.Rand) (geom.CompiledPath, float64) {
 	if err != nil {
 		// Unreachable after the rejection loop above; fall back to a fresh
 		// uniform trip rather than panicking in library code.
-		return geom.Compile(geom.NewLPath(pos, m.uniformPoint(rng), randOrder(rng))), 0
+		return geom.NewLPath(pos, uniformPoint(rng, m.cfg.L), randOrder(rng)), 0
 	}
 	dst, onCross := dl.Sample(rng)
 	if onCross {
 		// Final leg: a single straight segment; either leg order yields it.
-		return geom.Compile(geom.NewLPath(pos, dst, geom.VerticalFirst)), 0
+		return geom.NewLPath(pos, dst, geom.VerticalFirst), 0
 	}
 	heading := dl.HeadingGivenQuadrant(rng, dst)
 	order := geom.VerticalFirst
 	if heading.Horizontal() {
 		order = geom.HorizontalFirst
 	}
-	return geom.Compile(geom.NewLPath(pos, dst, order)), 0
+	return geom.NewLPath(pos, dst, order), 0
 }
 
 // Pos implements Agent.

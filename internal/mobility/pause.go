@@ -82,7 +82,9 @@ func (m *PausedMRWP) StationaryDensity(x, y float64) float64 {
 // NewAgent implements Model with exact stationary initialization.
 func (m *PausedMRWP) NewAgent(rng *rand.Rand) Agent {
 	a := &PausedAgent{cfg: m.cfg, maxPause: m.maxPause, rng: rng}
-	a.path, a.travelled, a.pauseLeft = m.drawInit(rng)
+	var lp geom.LPath
+	lp, a.travelled, a.pauseLeft = m.drawInit(rng)
+	a.setPath(lp)
 	a.pos = a.path.At(a.travelled)
 	return a
 }
@@ -90,19 +92,19 @@ func (m *PausedMRWP) NewAgent(rng *rand.Rand) Agent {
 // drawInit draws one agent's initial phase, trip and pause clock; the
 // single source of the initialization RNG draw sequence shared by the AoS
 // and SoA forms.
-func (m *PausedMRWP) drawInit(rng *rand.Rand) (path geom.CompiledPath, travelled, pauseLeft float64) {
-	if rng.Float64() < m.PausedFraction() {
+func (m *PausedMRWP) drawInit(rng rand.Source) (path geom.LPath, travelled, pauseLeft float64) {
+	if dist.Float64(rng) < m.PausedFraction() {
 		// Paused phase: position uniform (destinations are uniform), total
 		// pause length-biased (density ~ tau on [0, P] => P*sqrt(U)),
 		// elapsed time uniform within it.
-		pos := geom.Pt(rng.Float64()*m.cfg.L, rng.Float64()*m.cfg.L)
-		total := m.maxPause * math.Sqrt(rng.Float64())
-		pauseLeft = total * rng.Float64()
+		pos := uniformPoint(rng, m.cfg.L)
+		total := m.maxPause * math.Sqrt(dist.Float64(rng))
+		pauseLeft = total * dist.Float64(rng)
 		// The path is the degenerate "already arrived" trip.
-		return geom.Compile(geom.NewLPath(pos, pos, geom.VerticalFirst)), 0, pauseLeft
+		return geom.NewLPath(pos, pos, geom.VerticalFirst), 0, pauseLeft
 	}
 	t := m.trip.Sample(rng)
-	return geom.Compile(t.Path), t.Travelled, 0
+	return t.Path, t.Travelled, 0
 }
 
 // PausedAgent is one agent of the paused MRWP model.

@@ -118,7 +118,7 @@ func (p *pausedPop) ProbeAgent(i int) Probe {
 	return Probe{
 		X: p.view.X[i], Y: p.view.Y[i],
 		Travelled: p.travelled[i],
-		TotalLen:  p.path[i].TotalLen,
+		TotalLen:  p.legT[i],
 		PauseLeft: p.pauseLeft[i],
 	}
 }

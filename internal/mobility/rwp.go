@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 
+	"manhattanflood/internal/dist"
 	"manhattanflood/internal/geom"
 )
 
@@ -64,26 +65,26 @@ func (m *RWP) NewAgent(rng *rand.Rand) Agent {
 // drawInit draws one agent's initial segment and progress; the single
 // source of the initialization RNG draw sequence shared by the AoS and
 // SoA forms.
-func (m *RWP) drawInit(rng *rand.Rand) (src, dst geom.Point, travelled float64) {
+func (m *RWP) drawInit(rng rand.Source) (src, dst geom.Point, travelled float64) {
 	if m.init == InitUniform {
-		src = geom.Pt(rng.Float64()*m.cfg.L, rng.Float64()*m.cfg.L)
-		dst = geom.Pt(rng.Float64()*m.cfg.L, rng.Float64()*m.cfg.L)
+		src = uniformPoint(rng, m.cfg.L)
+		dst = uniformPoint(rng, m.cfg.L)
 		return src, dst, 0
 	}
 	// Palm trip law for straight-line RWP: endpoint density proportional
 	// to the Euclidean length, position uniform along the segment.
 	src, dst = sampleEuclideanBiasedPair(rng, m.cfg.L)
-	return src, dst, rng.Float64() * src.Dist(dst)
+	return src, dst, dist.Float64(rng) * src.Dist(dst)
 }
 
 // sampleEuclideanBiasedPair draws (A, B) from [0,L]^4 with density
 // proportional to |A - B| by rejection against the diameter L*sqrt(2).
-func sampleEuclideanBiasedPair(rng *rand.Rand, l float64) (geom.Point, geom.Point) {
+func sampleEuclideanBiasedPair(rng rand.Source, l float64) (geom.Point, geom.Point) {
 	maxDist := l * math.Sqrt2
 	for {
-		a := geom.Pt(rng.Float64()*l, rng.Float64()*l)
-		b := geom.Pt(rng.Float64()*l, rng.Float64()*l)
-		if rng.Float64()*maxDist < a.Dist(b) {
+		a := uniformPoint(rng, l)
+		b := uniformPoint(rng, l)
+		if dist.Float64(rng)*maxDist < a.Dist(b) {
 			return a, b
 		}
 	}

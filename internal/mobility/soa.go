@@ -10,6 +10,12 @@ package mobility
 // trajectories are bit-identical to AoS trajectories by construction (and
 // by the soatest differential harness, which checks exactly that).
 //
+// No column holds a pointer the population owns: the per-agent RNG
+// streams are the rand.Source values InitAgent was handed (sim.World
+// hands out pointers into one by-value []rand.PCG slab), and the two
+// L-path populations keep a trip as a few flat columns (tripCols) rather
+// than a geom.CompiledPath per agent.
+//
 // Initialization draws are not duplicated at all: InitAgent calls the
 // model's drawInit helper, the same function the AoS NewAgent consumes.
 
@@ -17,6 +23,7 @@ import (
 	"math"
 	"math/rand/v2"
 
+	"manhattanflood/internal/dist"
 	"manhattanflood/internal/geom"
 	"manhattanflood/internal/panicsafe"
 )
@@ -25,8 +32,10 @@ import (
 // the per-agent RNG streams. Positions live in the view, not here.
 type popBase struct {
 	view View
-	rngs []*rand.Rand
+	rngs []rand.Source
 }
+
+func newPopBase(n int) popBase { return popBase{rngs: make([]rand.Source, n)} }
 
 func (p *popBase) Len() int { return len(p.rngs) }
 
@@ -50,69 +59,201 @@ func (p *popBase) publish(i int, x, y float64) {
 }
 
 // ---------------------------------------------------------------------------
+// Trip columns
+
+// floatColumns carves k float64 columns of length n out of one
+// allocation, each starting one cache line further into a 4 KiB page than
+// the one before. Equal-size columns allocated one by one start at the
+// same page offset, so a loop touching slot i of each of them hits a
+// single L1 set once per column (4K aliasing); ten such columns cost
+// World.Reset about 15% at n = 2000. Each column's capacity runs to the
+// next column's start, so the capacities sum to the allocation.
+func floatColumns(n, k int) [][]float64 {
+	const pageFloats, lineFloats = 512, 8
+	stride := (n+pageFloats-1)/pageFloats*pageFloats + lineFloats
+	slab := make([]float64, k*stride)
+	cols := make([][]float64, k)
+	for c := range cols {
+		cols[c] = slab[c*stride : c*stride+n : (c+1)*stride]
+	}
+	return cols
+}
+
+// tripCols are the per-agent trip columns of the two L-path populations
+// (mrwpPop, pausedPop), kept in place of a geom.CompiledPath per agent.
+//
+// The hot step reads only travelled and the current-leg cache: for a
+// distance d on the cached leg the position is
+// (legBX, legBY) + (d - legS) * (legDX, legDY), bit-identical to
+// CompiledPath.At, and legT is the trip's TotalLen. A corner crossing or
+// an arrival also reads the destination and the two leg headings. From
+// them it rebuilds everything the exact loop asks of the trip: FirstLen
+// (legE on a cached first leg, legS on a cached second leg), the corner
+// and the second leg's direction (crossCorner), and the HeadingAt and
+// HeadingInto answers (trip). A fresh trip is written straight into the
+// columns (setTrip); nothing compiles or copies a whole path.
+//
+// Which leg the corner itself belongs to is the population's convention
+// (moveTo); a cached first leg always has positive length.
+type tripCols struct {
+	travelled    []float64
+	legS, legE   []float64
+	legT         []float64
+	legBX, legBY []float64
+	legDX, legDY []float64
+	dstX, dstY   []float64
+	leg1, leg2   []geom.Heading
+}
+
+func newTripCols(n int) tripCols {
+	c := floatColumns(n, 10)
+	return tripCols{
+		travelled: c[0],
+		legS:      c[1], legE: c[2], legT: c[3],
+		legBX: c[4], legBY: c[5],
+		legDX: c[6], legDY: c[7],
+		dstX: c[8], dstY: c[9],
+		leg1: make([]geom.Heading, n),
+		leg2: make([]geom.Heading, n),
+	}
+}
+
+// setTrip installs trip lp in slot i at its start, with the geometry
+// geom.Compile derives written straight into the columns. The cache holds
+// the first leg, or the second when the first has length 0. The caller
+// sets the progress (moveTo).
+func (t *tripCols) setTrip(i int, lp geom.LPath) {
+	corner := lp.Corner()
+	h1, h2 := geom.HeadingOf(lp.Src, corner), geom.HeadingOf(corner, lp.Dst)
+	total := lp.Src.ManhattanDist(lp.Dst)
+	t.legT[i] = total
+	t.dstX[i], t.dstY[i] = lp.Dst.X, lp.Dst.Y
+	t.leg1[i], t.leg2[i] = h1, h2
+	t.legS[i] = 0
+	if h1 != geom.HeadingNone {
+		t.legE[i] = lp.Src.ManhattanDist(corner)
+		t.legBX[i], t.legBY[i] = lp.Src.X, lp.Src.Y
+		t.legDX[i], t.legDY[i] = h1.Dir()
+	} else {
+		t.legE[i] = total
+		t.legBX[i], t.legBY[i] = corner.X, corner.Y
+		t.legDX[i], t.legDY[i] = h2.Dir()
+	}
+}
+
+// onFirstLeg reports whether slot i's cache holds the first leg: a cached
+// second leg starts at FirstLen, which is 0 only for a first leg of length
+// 0, and that has no heading.
+func (t *tripCols) onFirstLeg(i int) bool {
+	return t.legS[i] == 0 && t.leg1[i] != geom.HeadingNone
+}
+
+// trip returns the fields of slot i's compiled trip that the exact loops
+// read besides the cached leg: Dst, TotalLen, FirstLen and the two leg
+// headings, enough for HeadingAt and HeadingInto. Src, CornerPt and the
+// leg directions stay zero.
+func (t *tripCols) trip(i int) geom.CompiledPath {
+	firstLen := t.legS[i]
+	if t.onFirstLeg(i) {
+		firstLen = t.legE[i]
+	}
+	return geom.CompiledPath{
+		LPath:    geom.LPath{Dst: geom.Point{X: t.dstX[i], Y: t.dstY[i]}},
+		FirstLen: firstLen,
+		TotalLen: t.legT[i],
+		Leg1:     t.leg1[i],
+		Leg2:     t.leg2[i],
+	}
+}
+
+// crossCorner moves slot i's cache from its first leg to its second. The
+// corner is rebuilt exactly as geom.Compile computes it: the first leg
+// starts at Src (the cached base) and runs along its heading's axis to the
+// corner, which shares the other coordinate with Dst.
+func (t *tripCols) crossCorner(i int) {
+	cx, cy := t.legBX[i], t.legBY[i]
+	if t.leg1[i].Horizontal() {
+		cx = t.dstX[i]
+	} else {
+		cy = t.dstY[i]
+	}
+	t.legS[i], t.legE[i] = t.legE[i], t.legT[i]
+	t.legBX[i], t.legBY[i] = cx, cy
+	t.legDX[i], t.legDY[i] = t.leg2[i].Dir()
+}
+
+// legAt is CompiledPath.At(d) for a distance d that At places on slot i's
+// cached leg, or at or past the trip's end. At's d <= 0 case needs no
+// branch: d is then 0 on a leg starting at Src, and Src + 0*dir is Src
+// (coordinates are never -0).
+func (t *tripCols) legAt(i int, d float64) geom.Point {
+	if d >= t.legT[i] {
+		return geom.Point{X: t.dstX[i], Y: t.dstY[i]}
+	}
+	u := d - t.legS[i]
+	return geom.Point{X: t.legBX[i] + u*t.legDX[i], Y: t.legBY[i] + u*t.legDY[i]}
+}
+
+// moveTo sets slot i's progress to d, which is not behind the cached leg,
+// and returns CompiledPath.At(d). A d past the corner moves the cache to
+// the second leg; with cornerOnSecond, so does d equal to FirstLen
+// (MRWPAgent.syncLeg's convention), though At still places the corner
+// itself on the first leg.
+func (t *tripCols) moveTo(i int, d float64, cornerOnSecond bool) geom.Point {
+	t.travelled[i] = d
+	if !t.onFirstLeg(i) || d < t.legE[i] || (d == t.legE[i] && !cornerOnSecond) {
+		return t.legAt(i, d)
+	}
+	if d == t.legE[i] {
+		pos := t.legAt(i, d)
+		t.crossCorner(i)
+		return pos
+	}
+	t.crossCorner(i)
+	return t.legAt(i, d)
+}
+
+// ---------------------------------------------------------------------------
 // MRWP
 
-// mrwpPop is the SoA form of n MRWP agents. The hot slices mirror
-// MRWPAgent's hot fields: the common step touches only travelled, the
-// current-leg cache and the view — never the compiled paths or the RNGs.
+// mrwpPop is the SoA form of n MRWP agents. Its leg cache follows
+// MRWPAgent.syncLeg: a distance strictly below FirstLen rides the first
+// leg, everything else the second. The common step touches only
+// travelled, the leg cache and the view — never the other trip columns
+// or the RNGs.
 type mrwpPop struct {
 	popBase
+	tripCols
 	m         *MRWP
-	travelled []float64
-	// Current-leg cache, maintained by syncLeg exactly as MRWPAgent's.
-	legS, legE []float64
-	legT       []float64
-	legBX      []float64
-	legBY      []float64
-	legDX      []float64
-	legDY      []float64
-	path       []geom.CompiledPath
-	turns      []int64
-	waypoints  []int64
+	turns     []int64
+	waypoints []int64
 }
 
 func newMRWPPop(m *MRWP, n int) *mrwpPop {
 	return &mrwpPop{
-		popBase:   popBase{rngs: make([]*rand.Rand, n)},
+		popBase:   newPopBase(n),
+		tripCols:  newTripCols(n),
 		m:         m,
-		travelled: make([]float64, n),
-		legS:      make([]float64, n),
-		legE:      make([]float64, n),
-		legT:      make([]float64, n),
-		legBX:     make([]float64, n),
-		legBY:     make([]float64, n),
-		legDX:     make([]float64, n),
-		legDY:     make([]float64, n),
-		path:      make([]geom.CompiledPath, n),
 		turns:     make([]int64, n),
 		waypoints: make([]int64, n),
 	}
 }
 
 // InitAgent implements Population.
-func (p *mrwpPop) InitAgent(i int, rng *rand.Rand) {
+func (p *mrwpPop) InitAgent(i int, rng rand.Source) {
 	p.rngs[i] = rng
-	p.turns[i] = 0
-	p.waypoints[i] = 0
-	p.path[i], p.travelled[i] = p.m.drawInit(rng)
-	p.syncLeg(i)
-	pos := p.path[i].At(p.travelled[i])
-	p.publish(i, pos.X, pos.Y)
+	lp, d := p.m.drawInit(rng)
+	p.place(i, lp, d)
 }
 
-// syncLeg is MRWPAgent.syncLeg on slot i.
-func (p *mrwpPop) syncLeg(i int) {
-	pa := &p.path[i]
-	p.legT[i] = pa.TotalLen
-	if p.travelled[i] < pa.FirstLen {
-		p.legS[i], p.legE[i] = 0, pa.FirstLen
-		p.legBX[i], p.legBY[i] = pa.Src.X, pa.Src.Y
-		p.legDX[i], p.legDY[i] = pa.D1X, pa.D1Y
-	} else {
-		p.legS[i], p.legE[i] = pa.FirstLen, pa.TotalLen
-		p.legBX[i], p.legBY[i] = pa.CornerPt.X, pa.CornerPt.Y
-		p.legDX[i], p.legDY[i] = pa.D2X, pa.D2Y
-	}
+// place starts slot i on trip lp at progress d with zeroed counters and
+// publishes its position.
+func (p *mrwpPop) place(i int, lp geom.LPath, d float64) {
+	p.turns[i] = 0
+	p.waypoints[i] = 0
+	p.setTrip(i, lp)
+	pos := p.moveTo(i, d, true)
+	p.publish(i, pos.X, pos.Y)
 }
 
 // StepRange implements Population. The common case — the move stays
@@ -143,30 +284,32 @@ func (p *mrwpPop) StepRange(lo, hi int) {
 }
 
 // stepSlow is MRWPAgent.stepSlow on slot i: chain through corners,
-// arrivals and fresh trips, counting turns and waypoints.
+// arrivals and fresh trips, counting turns and waypoints. The heading
+// tests run on the trip fields rebuilt from the columns.
 func (p *mrwpPop) stepSlow(i int) {
-	pa := &p.path[i]
+	pa := p.trip(i)
+	d := p.travelled[i]
 	residual := p.m.cfg.V
 	for residual > 0 {
-		remain := pa.TotalLen - p.travelled[i]
+		remain := pa.TotalLen - d
 		if residual < remain {
 			corner := pa.FirstLen
-			if p.travelled[i] < corner && p.travelled[i]+residual >= corner {
-				before := pa.HeadingAt(p.travelled[i])
-				p.travelled[i] += residual
-				after := pa.HeadingAt(p.travelled[i])
+			if d < corner && d+residual >= corner {
+				before := pa.HeadingAt(d)
+				d += residual
+				after := pa.HeadingAt(d)
 				if after != before && before != geom.HeadingNone && after != geom.HeadingNone {
 					p.turns[i]++
 				}
 			} else {
-				p.travelled[i] += residual
+				d += residual
 			}
 			break
 		}
 		// Reach the destination; account for a mid-path corner turn if it
 		// is still ahead of the current progress.
-		if corner := pa.FirstLen; p.travelled[i] < corner && corner < pa.TotalLen {
-			h1 := pa.HeadingAt(p.travelled[i])
+		if corner := pa.FirstLen; d < corner && corner < pa.TotalLen {
+			h1 := pa.HeadingAt(d)
 			h2 := pa.HeadingAt(corner)
 			if h1 != h2 && h1 != geom.HeadingNone && h2 != geom.HeadingNone {
 				p.turns[i]++
@@ -176,17 +319,16 @@ func (p *mrwpPop) stepSlow(i int) {
 		lastHeading := pa.HeadingInto()
 		// Start a fresh trip from the current destination (MRWPAgent.startTrip).
 		rng := p.rngs[i]
-		src := pa.Dst
-		dst := geom.Pt(rng.Float64()*p.m.cfg.L, rng.Float64()*p.m.cfg.L)
-		*pa = geom.Compile(geom.NewLPath(src, dst, randOrder(rng)))
-		p.travelled[i] = 0
+		dst := uniformPoint(rng, p.m.cfg.L)
+		p.setTrip(i, geom.NewLPath(pa.Dst, dst, randOrder(rng)))
+		pa = p.trip(i)
+		d = 0
 		p.waypoints[i]++
 		if nh := pa.HeadingAt(0); nh != lastHeading && nh != geom.HeadingNone && lastHeading != geom.HeadingNone {
 			p.turns[i]++
 		}
 	}
-	p.syncLeg(i)
-	pos := pa.At(p.travelled[i]).Clamp(p.m.cfg.L)
+	pos := p.moveTo(i, d, true).Clamp(p.m.cfg.L)
 	p.publish(i, pos.X, pos.Y)
 }
 
@@ -205,7 +347,7 @@ type rwpPop struct {
 
 func newRWPPop(m *RWP, n int) *rwpPop {
 	return &rwpPop{
-		popBase:   popBase{rngs: make([]*rand.Rand, n)},
+		popBase:   newPopBase(n),
 		m:         m,
 		srcX:      make([]float64, n),
 		srcY:      make([]float64, n),
@@ -217,7 +359,7 @@ func newRWPPop(m *RWP, n int) *rwpPop {
 }
 
 // InitAgent implements Population.
-func (p *rwpPop) InitAgent(i int, rng *rand.Rand) {
+func (p *rwpPop) InitAgent(i int, rng rand.Source) {
 	p.rngs[i] = rng
 	p.waypoints[i] = 0
 	src, dst, travelled := p.m.drawInit(rng)
@@ -244,8 +386,8 @@ func (p *rwpPop) StepRange(lo, hi int) {
 			residual -= remain
 			rng := p.rngs[i]
 			p.srcX[i], p.srcY[i] = p.dstX[i], p.dstY[i]
-			p.dstX[i] = rng.Float64() * l
-			p.dstY[i] = rng.Float64() * l
+			p.dstX[i] = dist.Float64(rng) * l
+			p.dstY[i] = dist.Float64(rng) * l
 			p.travelled[i] = 0
 			p.waypoints[i]++
 		}
@@ -279,13 +421,13 @@ type walkPop struct {
 }
 
 func newWalkPop(m *RandomWalk, n int) *walkPop {
-	return &walkPop{popBase: popBase{rngs: make([]*rand.Rand, n)}, m: m}
+	return &walkPop{popBase: newPopBase(n), m: m}
 }
 
 // InitAgent implements Population.
-func (p *walkPop) InitAgent(i int, rng *rand.Rand) {
+func (p *walkPop) InitAgent(i int, rng rand.Source) {
 	p.rngs[i] = rng
-	pos := geom.Pt(rng.Float64()*p.m.cfg.L, rng.Float64()*p.m.cfg.L)
+	pos := uniformPoint(rng, p.m.cfg.L)
 	p.publish(i, pos.X, pos.Y)
 }
 
@@ -294,7 +436,7 @@ func (p *walkPop) StepRange(lo, hi int) {
 	v, l := p.m.cfg.V, p.m.cfg.L
 	x, y := p.view.X, p.view.Y
 	for i := lo; i < hi; i++ {
-		theta := p.rngs[i].Float64() * 2 * math.Pi
+		theta := dist.Float64(p.rngs[i]) * 2 * math.Pi
 		nx := x[i] + v*math.Cos(theta)
 		ny := y[i] + v*math.Sin(theta)
 		pos := geom.Pt(reflect(nx, l), reflect(ny, l))
@@ -315,7 +457,7 @@ type directionPop struct {
 
 func newDirectionPop(m *RandomDirection, n int) *directionPop {
 	return &directionPop{
-		popBase:   popBase{rngs: make([]*rand.Rand, n)},
+		popBase:   newPopBase(n),
 		m:         m,
 		dx:        make([]float64, n),
 		dy:        make([]float64, n),
@@ -324,12 +466,12 @@ func newDirectionPop(m *RandomDirection, n int) *directionPop {
 }
 
 // InitAgent implements Population.
-func (p *directionPop) InitAgent(i int, rng *rand.Rand) {
+func (p *directionPop) InitAgent(i int, rng rand.Source) {
 	p.rngs[i] = rng
-	pos := geom.Pt(rng.Float64()*p.m.cfg.L, rng.Float64()*p.m.cfg.L)
+	pos := uniformPoint(rng, p.m.cfg.L)
 	p.dx[i], p.dy[i], p.remaining[i] = drawDirectionEpoch(rng, p.m.cfg.L)
 	// Start mid-epoch so agents are desynchronized from time 0.
-	p.remaining[i] *= rng.Float64()
+	p.remaining[i] *= dist.Float64(rng)
 	p.publish(i, pos.X, pos.Y)
 }
 
@@ -364,73 +506,106 @@ func (p *directionPop) StepRange(lo, hi int) {
 // ---------------------------------------------------------------------------
 // PausedMRWP
 
-// pausedPop is the SoA form of n paused-MRWP agents.
+// pausedPop is the SoA form of n paused-MRWP agents. PausedAgent reads its
+// position through CompiledPath.At, so this leg cache follows At's
+// boundary rather than syncLeg's: the corner itself rides the first leg.
 type pausedPop struct {
 	popBase
+	tripCols
 	m         *PausedMRWP
-	travelled []float64
 	pauseLeft []float64
-	path      []geom.CompiledPath
 }
 
 func newPausedPop(m *PausedMRWP, n int) *pausedPop {
 	return &pausedPop{
-		popBase:   popBase{rngs: make([]*rand.Rand, n)},
+		popBase:   newPopBase(n),
+		tripCols:  newTripCols(n),
 		m:         m,
-		travelled: make([]float64, n),
 		pauseLeft: make([]float64, n),
-		path:      make([]geom.CompiledPath, n),
 	}
 }
 
 // InitAgent implements Population.
-func (p *pausedPop) InitAgent(i int, rng *rand.Rand) {
+func (p *pausedPop) InitAgent(i int, rng rand.Source) {
 	p.rngs[i] = rng
-	p.path[i], p.travelled[i], p.pauseLeft[i] = p.m.drawInit(rng)
-	pos := p.path[i].At(p.travelled[i])
+	lp, d, pause := p.m.drawInit(rng)
+	p.place(i, lp, d, pause)
+}
+
+// place starts slot i on trip lp at progress d with pause left to rest
+// and publishes its position.
+func (p *pausedPop) place(i int, lp geom.LPath, d, pause float64) {
+	p.setTrip(i, lp)
+	p.pauseLeft[i] = pause
+	pos := p.moveTo(i, d, false)
 	p.publish(i, pos.X, pos.Y)
 }
 
 // StepRange implements Population (PausedAgent.Step per slot). An agent
-// that rested through the whole step skips its publish, leaving its
-// dirty bit clear — the view slot already holds the right position, so
-// the "did I move" test compares against it directly.
+// that is not resting and whose move stays strictly inside its cached leg
+// takes the multiply-add path of mrwpPop; everything else runs stepSlow,
+// the ported exact loop. An agent that rested through the whole step
+// skips its publish, leaving its dirty bit clear — the view slot already
+// holds the right position, so the "did I move" test compares against it
+// directly.
 func (p *pausedPop) StepRange(lo, hi int) {
-	v, l, maxPause := p.m.cfg.V, p.m.cfg.L, p.m.maxPause
+	v, l := p.m.cfg.V, p.m.cfg.L
 	x, y := p.view.X, p.view.Y
+	trav, pauseLeft := p.travelled, p.pauseLeft
+	legS, legE, legT := p.legS, p.legE, p.legT
+	bx, by, dx, dy := p.legBX, p.legBY, p.legDX, p.legDY
 	for i := lo; i < hi; i++ {
-		pa := &p.path[i]
-		timeLeft := 1.0
-		for timeLeft > 0 {
-			if p.pauseLeft[i] > 0 {
-				if p.pauseLeft[i] >= timeLeft {
-					p.pauseLeft[i] -= timeLeft
-					break
-				}
-				timeLeft -= p.pauseLeft[i]
-				p.pauseLeft[i] = 0
+		t := trav[i] + v
+		if pauseLeft[i] <= 0 && v < legT[i]-trav[i] && t < legE[i] {
+			trav[i] = t
+			u := t - legS[i]
+			np := geom.Point{X: bx[i] + u*dx[i], Y: by[i] + u*dy[i]}.Clamp(l)
+			if np.X != x[i] || np.Y != y[i] {
+				p.publish(i, np.X, np.Y)
 			}
-			remain := pa.TotalLen - p.travelled[i]
-			maxDist := v * timeLeft
-			if maxDist < remain {
-				p.travelled[i] += maxDist
-				break
-			}
-			// Arrive, start a pause, then a fresh trip.
-			timeLeft -= remain / v
-			rng := p.rngs[i]
-			p.pauseLeft[i] = rng.Float64() * maxPause
-			src := pa.Dst
-			dst := geom.Pt(rng.Float64()*l, rng.Float64()*l)
-			*pa = geom.Compile(geom.NewLPath(src, dst, randOrder(rng)))
-			p.travelled[i] = 0
-		}
-		np := pa.At(p.travelled[i]).Clamp(l)
-		if np.X == x[i] && np.Y == y[i] {
-			// Rested through the whole step: skip the publish so the dirty
-			// bit stays clear (see PausedAgent.Step).
 			continue
 		}
-		p.publish(i, np.X, np.Y)
+		p.stepSlow(i)
 	}
+}
+
+// stepSlow is PausedAgent.Step on slot i: consume pause time first, then
+// travel with the rest of the time unit, chaining arrivals, pauses and
+// fresh trips.
+func (p *pausedPop) stepSlow(i int) {
+	v, l, maxPause := p.m.cfg.V, p.m.cfg.L, p.m.maxPause
+	d, pause := p.travelled[i], p.pauseLeft[i]
+	timeLeft := 1.0
+	for timeLeft > 0 {
+		if pause > 0 {
+			if pause >= timeLeft {
+				pause -= timeLeft
+				break
+			}
+			timeLeft -= pause
+			pause = 0
+		}
+		remain := p.legT[i] - d
+		maxDist := v * timeLeft
+		if maxDist < remain {
+			d += maxDist
+			break
+		}
+		// Arrive, start a pause, then a fresh trip.
+		timeLeft -= remain / v
+		rng := p.rngs[i]
+		pause = dist.Float64(rng) * maxPause
+		src := geom.Point{X: p.dstX[i], Y: p.dstY[i]}
+		dst := uniformPoint(rng, l)
+		p.setTrip(i, geom.NewLPath(src, dst, randOrder(rng)))
+		d = 0
+	}
+	p.pauseLeft[i] = pause
+	np := p.moveTo(i, d, false).Clamp(l)
+	if np.X == p.view.X[i] && np.Y == p.view.Y[i] {
+		// Rested through the whole step: skip the publish so the dirty
+		// bit stays clear (see PausedAgent.Step).
+		return
+	}
+	p.publish(i, np.X, np.Y)
 }

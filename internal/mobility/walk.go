@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 
+	"manhattanflood/internal/dist"
 	"manhattanflood/internal/geom"
 )
 
@@ -144,9 +145,9 @@ func (a *DirectionAgent) redraw() {
 // drawDirectionEpoch draws a fresh direction epoch (unit direction +
 // travel distance); shared by the AoS and SoA forms so both consume the
 // same RNG draw sequence.
-func drawDirectionEpoch(rng *rand.Rand, l float64) (dx, dy, remaining float64) {
-	theta := rng.Float64() * 2 * math.Pi
-	return math.Cos(theta), math.Sin(theta), rng.Float64() * l
+func drawDirectionEpoch(rng rand.Source, l float64) (dx, dy, remaining float64) {
+	theta := dist.Float64(rng) * 2 * math.Pi
+	return math.Cos(theta), math.Sin(theta), dist.Float64(rng) * l
 }
 
 // Pos implements Agent.

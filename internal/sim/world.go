@@ -173,11 +173,10 @@ type World struct {
 	model      mobility.Model
 	pop        mobility.Population // all mutable agent state, SoA
 	cells      []int32             // fused classify output: per-agent bucket ids
-	rngs       []*rand.Rand
-	pcgs       []*rand.PCG
-	x, y       []float64 // SoA positions, indexed by agent id
-	dirty      []bool    // agents whose position changed this step (resting models only)
-	neverRests bool      // model guarantees every agent moves every step
+	pcgs       []rand.PCG          // per-agent RNG streams, by value; pop keeps &pcgs[i]
+	x, y       []float64           // SoA positions, indexed by agent id
+	dirty      []bool              // agents whose position changed this step (resting models only)
+	neverRests bool                // model guarantees every agent moves every step
 	index      *spatialindex.Index
 	step       int
 	// fan runs the parallel stepping workers and forwards their panics
@@ -227,8 +226,7 @@ func NewWorld(p Params, factory ModelFactory) (*World, error) {
 		model:      model,
 		pop:        model.NewPopulation(p.N),
 		cells:      make([]int32, p.N),
-		rngs:       make([]*rand.Rand, p.N),
-		pcgs:       make([]*rand.PCG, p.N),
+		pcgs:       make([]rand.PCG, p.N),
 		x:          make([]float64, p.N),
 		y:          make([]float64, p.N),
 		index:      ix,
@@ -247,14 +245,24 @@ func NewWorld(p Params, factory ModelFactory) (*World, error) {
 	// canonically in the view; the cells buffer receives the fused
 	// advance→classify pass.
 	w.pop.Bind(mobility.View{X: w.x, Y: w.y, Dirty: w.dirty})
-	for i := range w.rngs {
-		// Independent per-agent PCG streams split from the world seed.
-		w.pcgs[i] = rand.NewPCG(p.Seed, uint64(i)+seedStride)
-		w.rngs[i] = rand.New(w.pcgs[i])
-		w.pop.InitAgent(i, w.rngs[i]) // publishes the initial position
-	}
-	w.index.RebuildXY(w.x, w.y)
+	w.initAgents()
 	return w, nil
+}
+
+// initAgents seeds every per-agent PCG stream from the world seed, draws
+// each agent's initial state from it (InitAgent publishes the initial
+// position), and rebuilds the index. The streams live by value in one
+// slab; the population keeps a pointer into it per agent, so the world
+// allocates no object per agent and the GC traces none.
+func (w *World) initAgents() {
+	for i := range w.pcgs {
+		// Independent per-agent PCG streams split from the world seed
+		// (PCG.Seed is exactly what rand.NewPCG does).
+		w.pcgs[i].Seed(w.params.Seed, uint64(i)+seedStride)
+		w.pop.InitAgent(i, &w.pcgs[i])
+	}
+	w.step = 0
+	w.index.RebuildXY(w.x, w.y)
 }
 
 // Reset re-draws every agent from the given seed in place, reusing the
@@ -268,12 +276,7 @@ func (w *World) Reset(seed uint64) {
 	w.params.Seed = seed
 	// InitAgent re-draws slot i in place from the reseeded stream,
 	// consuming exactly the draws of a fresh world's initialization.
-	for i := range w.rngs {
-		w.pcgs[i].Seed(seed, uint64(i)+seedStride)
-		w.pop.InitAgent(i, w.rngs[i])
-	}
-	w.step = 0
-	w.index.RebuildXY(w.x, w.y)
+	w.initAgents()
 }
 
 // Params returns the world's parameters.
