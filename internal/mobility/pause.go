@@ -100,8 +100,10 @@ func (m *PausedMRWP) drawInit(rng rand.Source) (path geom.LPath, travelled, paus
 		pos := uniformPoint(rng, m.cfg.L)
 		total := m.maxPause * math.Sqrt(dist.Float64(rng))
 		pauseLeft = total * dist.Float64(rng)
-		// The path is the degenerate "already arrived" trip.
-		return geom.NewLPath(pos, pos, geom.VerticalFirst), 0, pauseLeft
+		// The agent has arrived at pos: like Step's arrival branch, draw
+		// the next trip from there now, to start when the pause ends.
+		dst := uniformPoint(rng, m.cfg.L)
+		return geom.NewLPath(pos, dst, randOrder(rng)), 0, pauseLeft
 	}
 	t := m.trip.Sample(rng)
 	return t.Path, t.Travelled, 0

@@ -132,3 +132,39 @@ func TestPausedMRWPStationaryMixture(t *testing.T) {
 		t.Error("corner density below the uniform floor")
 	}
 }
+
+// The stationary start must stay stationary in the paused fraction too:
+// an agent drawn in its paused phase rests out its residual pause and then
+// travels, exactly like an agent that just arrived. (Returning a
+// zero-length trip from the paused phase made the residual pause end in a
+// second full U(0, P) pause, so the paused fraction rose well above q
+// around t = P/2 before decaying back.)
+func TestPausedFractionStaysStationary(t *testing.T) {
+	const maxPause = 8.0
+	m, err := NewPausedMRWP(Config{L: 10, V: 0.5}, maxPause) // q = 0.2308
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := m.PausedFraction()
+	const n = 50000 // standard error of the fraction ~0.002
+	agents := make([]*PausedAgent, n)
+	rng := testRNG(47)
+	for i := range agents {
+		agents[i] = m.NewAgent(rng).(*PausedAgent)
+	}
+	for step := 1; step <= maxPause; step++ {
+		paused := 0
+		for _, a := range agents {
+			a.Step()
+			if a.Paused() {
+				paused++
+			}
+		}
+		if step != maxPause/2 && step != maxPause {
+			continue
+		}
+		if f := float64(paused) / n; math.Abs(f-q) > 0.01 {
+			t.Errorf("paused fraction at t=%d: %.4f, want %.4f ± 0.01", step, f, q)
+		}
+	}
+}
