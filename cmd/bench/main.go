@@ -55,9 +55,10 @@
 // # Allocation gate (-allocs)
 //
 // -allocs runs the hardware-independent allocation gate instead of the
-// timing benchmarks: the steady-state hot loops — world step, plain,
-// chained, tiled and paused flood step, KGossip step, and the spatial
-// index's delta update — must perform zero allocations per operation.
+// timing benchmarks: the steady-state hot loops — world step, world
+// reset, plain, chained, tiled and paused flood step, KGossip step, and
+// the spatial index's delta update — must perform zero allocations per
+// operation.
 // Unlike the ns/op gate this holds on any machine, so it is the leg of
 // the benchmark suite that CI runs on every push.
 package main
@@ -904,6 +905,21 @@ func runAllocGate(w io.Writer) int {
 				return nil, nil, err
 			}
 			return world.Step, world.Step, nil
+		}},
+		// The pooled-trial reset: every agent re-drawn from its reseeded
+		// stream in place. A per-agent heap object (a rand.Rand wrapper
+		// that escapes, a compiled path) shows up here.
+		{name: "world_reset_2k", warmups: 3, setup: func() (func(), func(), error) {
+			world, err := sim.NewWorld(sim.Params{N: 2000, L: math.Sqrt(2000), R: 4, V: 0.3, Seed: 1}, nil)
+			if err != nil {
+				return nil, nil, err
+			}
+			seed := uint64(1)
+			op := func() {
+				seed++
+				world.Reset(seed)
+			}
+			return op, op, nil
 		}},
 		{name: "flood_step_4k", warmups: 40, setup: func() (func(), func(), error) {
 			return newAllocFlood(4000, false, 0)
