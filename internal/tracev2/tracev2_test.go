@@ -22,7 +22,7 @@ type synthRun struct {
 	newly    [][]int32
 }
 
-func makeRun(t *testing.T, n, steps int, withInformed bool, seed uint64) synthRun {
+func makeRun(t testing.TB, n, steps int, withInformed bool, seed uint64) synthRun {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, 7))
 	x := make([]float64, n)
@@ -68,7 +68,7 @@ func makeRun(t *testing.T, n, steps int, withInformed bool, seed uint64) synthRu
 	return run
 }
 
-func writeRun(t *testing.T, run synthRun, n, keyEvery int) []byte {
+func writeRun(t testing.TB, run synthRun, n, keyEvery int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, RunInfo{N: n, L: 100, R: 5, V: 0.3, Seed: 1, Model: "test", KeyframeEvery: keyEvery})
