@@ -80,8 +80,7 @@ func (m *MRWP) NewAgent(rng *rand.Rand) Agent {
 func (m *MRWP) drawInit(rng rand.Source) (geom.LPath, float64) {
 	switch m.init {
 	case InitUniform:
-		from := uniformPoint(rng, m.cfg.L)
-		return geom.NewLPath(from, uniformPoint(rng, m.cfg.L), randOrder(rng)), 0
+		return geom.NewLPath(uniformPoint(rng, m.cfg.L), uniformPoint(rng, m.cfg.L), randOrder(rng)), 0
 	case InitTheorem12:
 		return m.drawTheorems(rng)
 	default: // InitStationary
@@ -98,8 +97,7 @@ func (m *MRWP) NewMRWPAgent(rng *rand.Rand) *MRWPAgent {
 
 // uniformPoint draws a uniform point of [0, l]^2 from rng, x first.
 func uniformPoint(rng rand.Source, l float64) geom.Point {
-	x := dist.Float64(rng) * l
-	return geom.Pt(x, dist.Float64(rng)*l)
+	return geom.Pt(dist.Float64(rng)*l, dist.Float64(rng)*l)
 }
 
 func randOrder(rng rand.Source) geom.LegOrder {
