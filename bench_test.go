@@ -235,14 +235,22 @@ func BenchmarkMobilityAdvance10k(b *testing.B) {
 }
 
 // floodStepBench measures one steady-state flooding step (move +
-// transmission round) at n agents: a single Flooding is stepped
-// repeatedly, and the (untimed) flood restart when it completes keeps
-// every timed iteration a live transmission round.
+// transmission round) at n agents, unit density, R = 4 and V = 0.3.
 func floodStepBench(b *testing.B, n int, chaining bool) {
 	b.Helper()
-	l := math.Sqrt(float64(n))
+	floodStepBenchWith(b, sim.Params{N: n, L: math.Sqrt(float64(n)), R: 4, V: 0.3}, chaining)
+}
+
+// floodStepBenchWith measures one flooding step of world p from the
+// central source: a single Flooding is stepped repeatedly, and the
+// (untimed) flood restart when it completes keeps every timed iteration a
+// live transmission round. p.Seed is overwritten per flood.
+func floodStepBenchWith(b *testing.B, p sim.Params, chaining bool) {
+	b.Helper()
+	l := p.L
 	newFlood := func(seed uint64) *core.Flooding {
-		w, err := sim.NewWorld(sim.Params{N: n, L: l, R: 4, V: 0.3, Seed: seed}, nil)
+		p.Seed = seed
+		w, err := sim.NewWorld(p, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -282,6 +290,16 @@ func BenchmarkFloodStep4kChained(b *testing.B) { floodStepBench(b, 4000, true) }
 // BenchmarkFloodStep20k measures the steady-state flooding step at 20000
 // agents — the scale where per-step O(n) scans dominate.
 func BenchmarkFloodStep20k(b *testing.B) { floodStepBench(b, 20000, false) }
+
+// BenchmarkFloodStep100kTiled measures a whole Flooding.Step at the
+// flood_sparse_100k geometry: 100k agents on a side of 2*sqrt(n), R = 4,
+// V = 0.1, a 4x4 tiling on 2 workers. Every step syncs the index through
+// the tiled delta path and the sweep settles the coordinates it reads.
+func BenchmarkFloodStep100kTiled(b *testing.B) {
+	const n = 100000
+	floodStepBenchWith(b, sim.Params{N: n, L: 2 * math.Sqrt(n), R: 4, V: 0.1, Tiles: 4, Workers: 2}, false)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/agent")
+}
 
 // BenchmarkFullFlood2k measures a complete flooding run at 2000 agents.
 func BenchmarkFullFlood2k(b *testing.B) {

@@ -930,6 +930,13 @@ func runAllocGate(w io.Writer) int {
 		{name: "flood_step_4k_t4", warmups: 40, setup: func() (func(), func(), error) {
 			return newAllocFlood(4000, false, 4)
 		}},
+		// The tiled flood step on the delta route: at V/R = 0.025 the
+		// world syncs through UpdateCells sharded over two workers, and the
+		// sweep plans, settles and evaluates (flood_step_4k_t4 at V/R =
+		// 0.075 takes the rebuild).
+		{name: "flood_step_4k_t4_delta", warmups: 40, setup: func() (func(), func(), error) {
+			return newAllocFloodWith(sim.Params{N: 4000, R: 4, V: 0.1, Seed: 1, Tiles: 4, Workers: 2}, nil, false)
+		}},
 		// A world that can rest: PausedMRWP at V/R = 0.025, so every step
 		// syncs the index through the dirty-bitmap Update and then sweeps.
 		{name: "flood_step_4k_paused", warmups: 40, setup: func() (func(), func(), error) {

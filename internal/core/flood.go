@@ -29,6 +29,14 @@
 // second phase (Theorem 3's Suburb phase, when almost every agent is
 // informed) a step costs O(cells + #uninformed * blocksize), not O(n).
 //
+// A round runs in two halves around the index's pending coordinates (a
+// delta sync leaves the bucket-major coordinate streams stale until
+// settled): plan picks the buckets to evaluate from the occupancy counts
+// alone and lists the buckets they will read, Step settles exactly those
+// through spatialindex.Index.SettleCSR, and eval runs the distance tests.
+// So the sync never pays an O(n) coordinate gather for agents no round
+// looks at.
+//
 // The ids that hear a transmitter are collected in bucket-major order —
 // deterministic, though not ascending; all downstream state (informed
 // flags, counts, series, zone tracking) is order-independent.
@@ -86,30 +94,37 @@ type Flooding struct {
 	series       []int
 	recordSeries bool
 
-	newlyInformed []int32  // scratch: ids informed by this step's round, bucket-major (deterministic, not sorted)
-	bucketUninf   []int32  // scratch: per-bucket uninformed occupancy
-	queue         []int32  // scratch: chaining BFS queue
-	uninfBits     []uint64 // scratch: uninformed-by-CSR-position bitmap (chaining closure)
+	newlyInformed []int32                    // scratch: ids informed by this step's round, bucket-major (deterministic, not sorted)
+	bucketUninf   []int32                    // scratch: per-bucket uninformed occupancy
+	plans         []bucketPlan               // scratch: the flat round's planned buckets
+	need          []spatialindex.BucketRange // scratch: the flat round's settle set
+	queue         []int32                    // scratch: chaining BFS queue
+	uninfBits     []uint64                   // scratch: uninformed-by-CSR-position bitmap (chaining closure)
 
 	// Tiled sweep state (sweepTiled; worlds with sim.Params.Tiles): the
 	// per-tile uninformed and informed occupancies drive the two
 	// whole-tile skips — a fully informed tile has no candidates, and a
 	// tile whose 9-tile neighborhood holds no informed agent has no
-	// transmitter in range of any of its buckets' blocks — and the
-	// per-tile hit buffers plus their per-row offset tables let the merge
-	// rebuild the flat sweep's exact bucket-major hit order.
+	// transmitter in range of any of its buckets' blocks — the per-tile
+	// plans and settle sets carry the planning pass to the evaluation
+	// pass, and the per-tile hit buffers plus their per-row offset tables
+	// let the merge rebuild the flat sweep's exact bucket-major hit order.
 	tileUninf  []int32
 	tileInf    []int32
+	tilePlans  [][]bucketPlan
+	tileNeed   [][]spatialindex.BucketRange
 	tileShards [][]int32
 	tileRowOff [][]int32
 
-	// Per-pass inputs for the per-tile bodies (sweepOneTile,
+	// Per-pass inputs for the per-tile bodies (planOneTile, evalOneTile,
 	// tileNoTransmitter). Methods plus scratch fields instead of per-call
 	// closures: a closure handed to a worker goroutine escapes and costs an
 	// allocation per step.
-	swIx   *spatialindex.Index
-	swTl   *spatialindex.Tiling
-	swCols int
+	swIx     *spatialindex.Index
+	swTl     *spatialindex.Tiling
+	swCols   int
+	swIds    []int32
+	swX, swY []float64
 
 	// fresh holds the ids informed during the previous Step (sweep hits
 	// plus chained-in agents; the source after a reset): what
@@ -119,11 +134,12 @@ type Flooding struct {
 	// fan runs the tiled sweep's workers and forwards their panics onto
 	// the stepping goroutine, where the trial runner's recover can turn
 	// them into structured per-trial errors instead of a process crash. A
-	// field, with its pass body built once in NewFlooding and its per-call
-	// inputs in swIx/swTl/swCols, so the tiled path stays allocation-free
-	// in the steady state.
-	fan     panicsafe.Fanout
-	tilesFn func(shard, lo, hi int)
+	// field, with its pass bodies built once in NewFlooding and its
+	// per-call inputs in the sw* fields, so the tiled path stays
+	// allocation-free in the steady state.
+	fan    panicsafe.Fanout
+	planFn func(shard, lo, hi int)
+	evalFn func(shard, lo, hi int)
 
 	// observer, when set (WithStepObserver), is invoked by Run/RunContext
 	// after every completed flooding step with the ids informed during
@@ -188,7 +204,8 @@ func NewFlooding(w *sim.World, source int, opts ...FloodOption) (*Flooding, erro
 		uninformed: make([]int32, 0, w.N()-1),
 		fresh:      make([]int32, 0, w.N()),
 	}
-	f.tilesFn = f.sweepTileRange
+	f.planFn = f.planTileRange
+	f.evalFn = f.evalTileRange
 	for _, o := range opts {
 		o(f)
 	}
@@ -290,7 +307,9 @@ func (f *Flooding) Step() int {
 	if tiling := ix.Tiling(); tiling != nil {
 		f.sweepTiled(ix, tiling)
 	} else {
-		f.newlyInformed = f.sweep(ix, 0, ix.NumCells(), f.newlyInformed)
+		f.plans, f.need = f.plan(ix, 0, ix.NumCells(), f.plans[:0], f.need[:0])
+		ids, cxs, cys := ix.SettleCSR(f.need)
+		f.newlyInformed = f.eval(ix, ids, cxs, cys, f.plans, f.newlyInformed)
 	}
 	f.fresh = append(f.fresh[:0], f.newlyInformed...)
 	for _, i := range f.newlyInformed {
@@ -335,42 +354,45 @@ const rowWindowWords = 4
 // 64-lane chunk.
 const sparseWndPop = 8
 
-// sweep runs one transmission round over the uninformed occupants of
-// buckets [c0, c1), appending the ids that hear a transmitter to dst in
-// CSR (bucket-major) order. It only reads shared state, so tiles may run
-// it concurrently over disjoint bucket ranges.
+// bucketPlan is one bucket the round evaluates: a bucket with an
+// uninformed occupant and at least one transmitter row in its 3x3 block.
+// It carries what the planning pass derived from the occupancy counts —
+// the transmitter rows as CSR spans, their transmitter total, and whether
+// every row fits the candidate-major windows — to the evaluation pass.
+type bucketPlan struct {
+	c, nrows, trans int32
+	fits            bool
+	rowLo, rowHi    [3]int32
+}
+
+// plan is the first half of one transmission round over buckets [c0, c1):
+// it appends a bucketPlan for every bucket eval must visit, and the
+// buckets eval will read — each planned bucket and its transmitter rows —
+// to need, for the index to settle. It reads only the occupancy counts
+// and the CSR starts, never a coordinate or an informed flag, so tiles may
+// run it concurrently over disjoint bucket ranges.
 //
 // Iterating candidates bucket by bucket instead of down the uninformed id
-// list is what makes the sweep cheap: every candidate in a bucket shares
+// list is what makes the round cheap: every candidate in a bucket shares
 // the same 3x3 block, so the block bounds, the three row spans and the
 // per-row occupancy skip are computed once per bucket instead of once per
-// candidate, candidate coordinates stream out of the CSR slices
-// sequentially, and a bucket with no uninformed occupant is skipped with a
+// candidate, and a bucket with no uninformed occupant is skipped with a
 // single counter load.
-func (f *Flooding) sweep(ix *spatialindex.Index, c0, c1 int, dst []int32) []int32 {
-	r := ix.Radius()
-	r2 := r * r
+func (f *Flooding) plan(ix *spatialindex.Index, c0, c1 int, plans []bucketPlan,
+	need []spatialindex.BucketRange) ([]bucketPlan, []spatialindex.BucketRange) {
 	cols := ix.Cols()
-	ids, cxs, cys := ix.CSR()
-	informed := f.informed
 	bucketUninf := f.bucketUninf
-	var rowLo, rowHi [3]int32
-	var twnd [3][rowWindowWords]uint64
 	for c := c0; c < c1; c++ {
-		nu := bucketUninf[c]
-		if nu == 0 {
+		if bucketUninf[c] == 0 {
 			continue
 		}
-		lo, hi := ix.CellSpanBounds(c)
-		// Hoist the block geometry: all candidates in bucket c share it.
 		// Rows without a transmitter are dropped outright (a row whose
 		// occupants are all uninformed cannot inform anyone), and the
 		// surviving transmitter count — derived from the occupancy
-		// arrays alone, no flag loads — picks the evaluation strategy.
+		// arrays alone, no flag loads — picks eval's strategy.
 		x0, x1, y0, y1 := ix.BlockBoundsCell(c)
-		nrows := 0
-		trans := int32(0)
-		fits := true
+		p := bucketPlan{c: int32(c), fits: true}
+		ownRow := false
 		for yy := y0; yy <= y1; yy++ {
 			rlo, rhi := ix.RowSpanBounds(yy, x0, x1)
 			if rlo == rhi {
@@ -386,17 +408,43 @@ func (f *Flooding) sweep(ix *spatialindex.Index, c0, c1 int, dst []int32) []int3
 				continue
 			}
 			if rhi-rlo > rowWindowWords*64 {
-				fits = false
+				p.fits = false
 			}
-			rowLo[nrows], rowHi[nrows] = rlo, rhi
-			nrows++
-			trans += t
+			p.rowLo[p.nrows], p.rowHi[p.nrows] = rlo, rhi
+			p.nrows++
+			p.trans += t
+			need = append(need, spatialindex.BucketRange{Lo: int32(base + x0), Hi: int32(base + x1 + 1)})
+			ownRow = ownRow || base == c-c%cols
 		}
-		if nrows == 0 {
+		if p.nrows == 0 {
 			continue
 		}
+		if !ownRow {
+			need = append(need, spatialindex.BucketRange{Lo: int32(c), Hi: int32(c + 1)})
+		}
+		plans = append(plans, p)
+	}
+	return plans, need
+}
 
-		if trans <= transMajorFactor*nu || !fits {
+// eval is the second half of the round: it evaluates the planned buckets
+// in order, appending the ids that hear a transmitter to dst in CSR
+// (bucket-major) order. ids/cxs/cys are the CSR arrays with every bucket
+// of the plans' settle set settled. It only reads shared state, so tiles
+// may run it concurrently over disjoint plans.
+func (f *Flooding) eval(ix *spatialindex.Index, ids []int32, cxs, cys []float64,
+	plans []bucketPlan, dst []int32) []int32 {
+	r := ix.Radius()
+	r2 := r * r
+	informed := f.informed
+	var twnd [3][rowWindowWords]uint64
+	for pi := range plans {
+		p := &plans[pi]
+		lo, hi := ix.CellSpanBounds(int(p.c))
+		nu := f.bucketUninf[p.c]
+		nrows := int(p.nrows)
+		rowLo, rowHi := &p.rowLo, &p.rowHi
+		if p.trans <= transMajorFactor*nu || !p.fits {
 			// Transmitter-major coverage: one kernel MaskWord per
 			// transmitter tests the bucket's whole candidate window at
 			// once; the masks accumulate into heard until they cover
@@ -509,19 +557,20 @@ func (f *Flooding) sweep(ix *spatialindex.Index, c0, c1 int, dst []int32) []int3
 	return dst
 }
 
-// sweepTiled runs the transmission round tile by tile on a tiled world.
-// Each tile sweeps the bucket rows of its own rectangle with the shared
-// per-bucket sweep — candidates near a tile edge read their neighbors'
-// border rows (the ghost spans) directly out of the shared CSR — and a
-// tile whose uninformed occupancy is zero is skipped before a single
-// bucket counter is loaded; in the paper's Suburb phase, when whole
-// regions are saturated, that eliminates most of the grid per round.
-// Tiles run on the tiling's worker pool; each appends hits to its own
-// buffer and records where every bucket row's hits start, and the merge
-// then concatenates the row fragments in global bucket-row order — tile
-// columns left to right within each row — which is exactly the flat
-// sweep's bucket-major order, so the hit list (ids AND order) is
-// bit-identical to the untiled sweep.
+// sweepTiled runs the transmission round tile by tile on a tiled world,
+// in three passes. Tiles plan their own bucket rectangles in parallel —
+// candidates near a tile edge plan their neighbors' border rows (the
+// ghost spans) too — and a tile whose uninformed occupancy is zero is
+// skipped before a single bucket counter is loaded; in the paper's Suburb
+// phase, when whole regions are saturated, that eliminates most of the
+// grid per round. The stepping goroutine then settles every tile's settle
+// set: no tile may settle, because the rows it reads belong to its
+// neighbors too. Last, the tiles evaluate their plans in parallel; each
+// appends hits to its own buffer and records where every bucket row's
+// hits start, and the merge then concatenates the row fragments in global
+// bucket-row order — tile columns left to right within each row — which
+// is exactly the flat sweep's bucket-major order, so the hit list (ids
+// AND order) is bit-identical to the untiled sweep.
 func (f *Flooding) sweepTiled(ix *spatialindex.Index, tl *spatialindex.Tiling) {
 	nt := tl.NumTiles()
 	k := tl.K()
@@ -534,7 +583,7 @@ func (f *Flooding) sweepTiled(ix *spatialindex.Index, tl *spatialindex.Tiling) {
 	// (O(buckets) sequential adds — cheaper than a TileOfBucket lookup per
 	// uninformed agent, which is O(n) while the flood is young) and
 	// informed occupancy = CSR row-span occupancy - uninformed (O(K*cols),
-	// not O(n)). They drive the whole-tile skips in sweepOneTile.
+	// not O(n)). They drive the whole-tile skips in planOneTile.
 	for t := 0; t < nt; t++ {
 		x0, x1, y0, y1 := tl.TileBounds(t)
 		occ, uninf := int32(0), int32(0)
@@ -549,21 +598,36 @@ func (f *Flooding) sweepTiled(ix *spatialindex.Index, tl *spatialindex.Tiling) {
 		f.tileInf[t] = occ - uninf
 	}
 	if len(f.tileShards) < nt {
-		f.tileShards = append(f.tileShards, make([][]int32, nt-len(f.tileShards))...)
-		f.tileRowOff = append(f.tileRowOff, make([][]int32, nt-len(f.tileRowOff))...)
+		grow := nt - len(f.tileShards)
+		f.tilePlans = append(f.tilePlans, make([][]bucketPlan, grow)...)
+		f.tileNeed = append(f.tileNeed, make([][]spatialindex.BucketRange, grow)...)
+		f.tileShards = append(f.tileShards, make([][]int32, grow)...)
+		f.tileRowOff = append(f.tileRowOff, make([][]int32, grow)...)
 	}
 	f.swIx, f.swTl, f.swCols = ix, tl, cols
-	f.fan.Run(tl.Workers(), nt, f.tilesFn)
+	f.fan.Run(tl.Workers(), nt, f.planFn)
+	for t := 0; t < nt; t++ {
+		f.swIds, f.swX, f.swY = ix.SettleCSR(f.tileNeed[t])
+	}
+	f.fan.Run(tl.Workers(), nt, f.evalFn)
 	f.swIx, f.swTl = nil, nil
+	f.swIds, f.swX, f.swY = nil, nil, nil
 	// Bucket-major merge: for every global bucket row, append each tile
 	// column's fragment of that row, left to right.
 	f.mergeTileRows(tl, cols, k)
 }
 
-// sweepTileRange sweeps tiles [lo, hi) for sweepTiled.
-func (f *Flooding) sweepTileRange(_, lo, hi int) {
+// planTileRange plans tiles [lo, hi) for sweepTiled.
+func (f *Flooding) planTileRange(_, lo, hi int) {
 	for t := lo; t < hi; t++ {
-		f.sweepOneTile(t)
+		f.planOneTile(t)
+	}
+}
+
+// evalTileRange evaluates tiles [lo, hi) for sweepTiled.
+func (f *Flooding) evalTileRange(_, lo, hi int) {
+	for t := lo; t < hi; t++ {
+		f.evalOneTile(t)
 	}
 }
 
@@ -595,27 +659,42 @@ func (f *Flooding) tileNoTransmitter(t int) bool {
 	return true
 }
 
-// sweepOneTile sweeps tile t's bucket rows into its hit buffer and row
-// offsets. Inputs travel through swIx/swTl/swCols (see those fields).
-func (f *Flooding) sweepOneTile(t int) {
+// planOneTile plans tile t's bucket rows into its plan list and settle
+// set. A fully informed tile (no candidates) or one fully ahead of the
+// frontier (no transmitter in range) plans nothing: no hits can originate
+// there. Inputs travel through swIx/swTl/swCols (see those fields).
+func (f *Flooding) planOneTile(t int) {
 	ix, tl, cols := f.swIx, f.swTl, f.swCols
+	plans := f.tilePlans[t][:0]
+	need := f.tileNeed[t][:0]
+	if f.tileUninf[t] != 0 && !f.tileNoTransmitter(t) {
+		x0, x1, y0, y1 := tl.TileBounds(t)
+		for by := y0; by <= y1; by++ {
+			plans, need = f.plan(ix, by*cols+x0, by*cols+x1+1, plans, need)
+		}
+	}
+	f.tilePlans[t] = plans
+	f.tileNeed[t] = need
+}
+
+// evalOneTile evaluates tile t's plans into its hit buffer, recording
+// where each bucket row's hits start so the merge stays uniform.
+func (f *Flooding) evalOneTile(t int) {
+	ix, tl, cols := f.swIx, f.swTl, f.swCols
+	plans := f.tilePlans[t]
 	dst := f.tileShards[t][:0]
 	off := f.tileRowOff[t][:0]
-	x0, x1, y0, y1 := tl.TileBounds(t)
-	if f.tileUninf[t] == 0 || f.tileNoTransmitter(t) {
-		// Fully informed tile (no candidates) or fully ahead of the
-		// frontier (no transmitter in range): no hits can originate
-		// here. Publish empty row fragments so the merge stays uniform.
-		for by := y0; by <= y1+1; by++ {
-			off = append(off, 0)
-		}
-	} else {
-		for by := y0; by <= y1; by++ {
-			off = append(off, int32(len(dst)))
-			dst = f.sweep(ix, by*cols+x0, by*cols+x1+1, dst)
-		}
+	_, x1, y0, y1 := tl.TileBounds(t)
+	for by := y0; by <= y1; by++ {
 		off = append(off, int32(len(dst)))
+		end := 0
+		for end < len(plans) && int(plans[end].c) <= by*cols+x1 {
+			end++
+		}
+		dst = f.eval(ix, f.swIds, f.swX, f.swY, plans[:end], dst)
+		plans = plans[end:]
 	}
+	off = append(off, int32(len(dst)))
 	f.tileShards[t] = dst
 	f.tileRowOff[t] = off
 }

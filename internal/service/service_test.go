@@ -468,8 +468,9 @@ func TestConcurrentLoad(t *testing.T) {
 // scheduler: submit, poll, result in both formats, cancel, error paths.
 // TestSubmitRejectsUnrunnablePoints: a spec whose every cell would fail
 // (a point sim cannot build, a fractional agent count, a negative step
-// budget) is a bad spec, answered 400 at submission — no job is admitted
-// and nothing is written to the state directory.
+// budget, a radius whose index grid exceeds the bucket cap) is a bad
+// spec, answered 400 at submission — no job is admitted and nothing is
+// written to the state directory.
 func TestSubmitRejectsUnrunnablePoints(t *testing.T) {
 	dir := t.TempDir()
 	sched := newScheduler(t, Config{Workers: 1, StateDir: dir})
@@ -484,6 +485,7 @@ func TestSubmitRejectsUnrunnablePoints(t *testing.T) {
 		`{"param":"n","values":[-5],"r":3,"v":0.1,"trials":1}`,
 		`{"param":"n","values":[2.5],"r":3,"v":0.1,"trials":1}`,
 		`{"param":"r","values":[3],"n":100,"v":0.1,"trials":1,"max_steps":-1}`,
+		`{"param":"r","values":[1e-5],"n":100,"v":0.1,"trials":1}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -97,6 +97,9 @@ func (p Params) Validate() error {
 	if p.R <= 0 || math.IsNaN(p.R) || math.IsInf(p.R, 0) {
 		return fmt.Errorf("sim: R must be positive and finite, got %v", p.R)
 	}
+	if b := spatialindex.GridBuckets(p.L, p.R); b > spatialindex.MaxBuckets {
+		return fmt.Errorf("sim: L/R = %v needs a grid of %.4g index buckets, over the cap of %d", p.L/p.R, b, spatialindex.MaxBuckets)
+	}
 	if p.V <= 0 || math.IsNaN(p.V) || math.IsInf(p.V, 0) {
 		return fmt.Errorf("sim: V must be positive and finite, got %v", p.V)
 	}

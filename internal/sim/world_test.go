@@ -22,6 +22,8 @@ func TestParamsValidate(t *testing.T) {
 		{"zero-R", func(p *Params) { p.R = 0 }},
 		{"nan-V", func(p *Params) { p.V = math.NaN() }},
 		{"inf-L", func(p *Params) { p.L = math.Inf(1) }},
+		// 10^12 index buckets: over spatialindex.MaxBuckets.
+		{"grid-over-cap", func(p *Params) { p.R = 1e-5 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

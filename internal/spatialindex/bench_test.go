@@ -118,7 +118,11 @@ func BenchmarkUpdate10kHot(b *testing.B) { benchUpdate(b, 10000, 100, 2.0) }
 // displacement 0.1 per step (~2.5% movers). The classification of every
 // frame is precomputed, so the timed loop is the sync alone; ns/agent is
 // the figure the traced benchmark reports as
-// spatialindex.sync_ns_per_agent.
+// spatialindex.sync_ns_per_agent. The sync leaves the bucket-major
+// coordinates pending and nothing here reads them, so the benchmark does
+// not measure the coordinate gather: a flood step settles only the
+// buckets its sweep reads (BenchmarkFloodStep100kTiled in the root
+// package measures the whole step).
 func BenchmarkUpdateCells100kTiled(b *testing.B) {
 	const n = 100000
 	side := 2 * math.Sqrt(n)

@@ -42,17 +42,27 @@
 // (agents move at most V per step against a bucket side of R), so a full
 // counting sort re-derives mostly unchanged structure. Update (update.go)
 // is the incremental path: it classifies each point as moved-in-place
-// (coordinates refreshed, CSR position untouched) or mover (bucket
-// changed), patches starts from the per-bucket departure and arrival
-// counts, patches the ids array — one copy per run of buckets without
-// movers, a merge only in the buckets a mover left or entered — and
-// refreshes cx/cy with one flat coordinate gather. Unlike Rebuild it also
-// retains the caller's coordinate slices as the id-indexed view instead
-// of copying them. The post-state is
-// bit-identical to a full RebuildXY, and the index falls back to the
-// counting sort automatically when the moved fraction crosses
+// (CSR position untouched) or mover (bucket changed), and patches ids and
+// starts from the per-bucket departure and arrival counts — one copy per
+// run of buckets without movers, a merge only in the buckets a mover left
+// or entered. Its bookkeeping costs O(cells/64 + movers), not O(cells).
+// Unlike Rebuild it retains the caller's coordinate slices as the
+// id-indexed view instead of copying them. The ids, starts and id-indexed
+// view are bit-identical to a full RebuildXY, and the index falls back to
+// the counting sort automatically when the moved fraction crosses
 // UpdateFallbackFraction. sim.World.Step drives this path, feeding it
 // per-agent dirty bits from the mobility layer.
+//
+// # Pending coordinates
+//
+// A delta sync does not refresh the bucket-major coordinates: after it,
+// every bucket's cx/cy span is pending. A pending bucket is settled — its
+// span gathered from the id-indexed view — by the first reader that needs
+// it. The public readers (CSR, BlockSpans, Neighbors, CountNeighbors)
+// settle every pending bucket before they read, so they return exactly
+// the arrays a RebuildXY would. The flooding sweep instead calls SettleCSR
+// with the buckets one round reads, which in the paper's Suburb phase is
+// a few percent of the grid. Rebuilds leave every bucket settled.
 //
 // An intentionally naive O(n^2) reference implementation (Brute) backs the
 // property tests.
@@ -61,6 +71,9 @@ package spatialindex
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"sync"
+	"sync/atomic"
 
 	"manhattanflood/internal/geom"
 	"manhattanflood/internal/kernel"
@@ -69,9 +82,11 @@ import (
 
 // Index is a uniform-grid fixed-radius neighbor index in CSR form.
 // Re-synchronize it once per simulation step — with RebuildXY (or Rebuild)
-// for a full counting sort, or Update for the delta patch; queries are
-// read-only and may run concurrently after the rebuild or update
-// completes.
+// for a full counting sort, or Update for the delta patch. Queries may run
+// concurrently with each other after the rebuild or update completes:
+// the first one to find buckets pending settles them under a lock, and
+// later ones see an atomic flag and read without locking. Queries must
+// not overlap a rebuild or update.
 type Index struct {
 	side   float64
 	radius float64
@@ -88,17 +103,28 @@ type Index struct {
 	ownXs, ownYs []float64 // owned copy buffers for the Rebuild path
 	cx, cy       []float64 // bucket-major coordinates, parallel to ids
 
-	// Delta-update scratch (see Update in update.go).
-	idsAlt       []int32 // ids-patch target, ping-ponged with ids
-	startsAlt    []int32 // new offsets, ping-ponged with starts
-	slab         []int32 // one-memclr backing for ocount/mstarts
-	mstarts      []int32 // movers-per-destination-bucket offsets
-	ocount       []int32 // per-bucket departure counts this update
-	movers       []int32 // ids whose bucket changed, ascending
-	moversByCell []int32 // movers grouped by destination, ascending ids
-	events       []int32 // buckets with a departure or arrival, ascending
-	moved        []bool  // id -> bucket changed this update (reset per update)
-	cellScratch  []int32 // batched-classify target for nil-dirty updates
+	// Delta-update scratch (see Update in update.go). The per-bucket
+	// counters and the event bitmap are zero between updates: an update
+	// resets exactly the entries it touched.
+	idsAlt       []int32    // ids-patch target, ping-ponged with ids
+	startsAlt    []int32    // new offsets, ping-ponged with starts
+	slab         []int32    // one backing for ocount/icount
+	ocount       []int32    // per-bucket departure counts this update
+	icount       []int32    // per-bucket arrival counts this update
+	evBits       []uint64   // bit c: bucket c had a departure or arrival
+	events       []int32    // event buckets, ascending
+	evOff        []eventOff // per event, plus one sentinel past the last
+	movers       []int32    // ids whose bucket changed, ascending
+	moversByCell []int32    // movers grouped by destination, ascending ids
+	moved        []bool     // id -> bucket changed this update (reset per update)
+	cellScratch  []int32    // batched-classify target for nil-dirty updates
+
+	// Pending coordinates: bit c of pending is set while bucket c's cx/cy
+	// span is stale. settled is true when no bit is set, so readers skip
+	// the lock; settleMu serializes the readers that settle.
+	pending  []uint64
+	settled  atomic.Bool
+	settleMu sync.Mutex
 
 	// tiling, when non-nil, reroutes the counting sort through
 	// tile-parallel passes and shards the delta path over its workers
@@ -114,8 +140,26 @@ type Span struct {
 	XS, YS []float64
 }
 
+// BucketRange is the half-open range [Lo, Hi) of bucket ids.
+type BucketRange struct{ Lo, Hi int32 }
+
+// MaxBuckets caps the bucket grid: New refuses a side/radius ratio whose
+// ceil(side/radius)^2 grid exceeds it. Every per-bucket array is sized by
+// the grid, so a tiny radius would otherwise allocate gigabytes (or fail
+// in makeslice). The largest grid any configuration in this repository
+// builds is about 2.5e5 buckets.
+const MaxBuckets = 1 << 24
+
+// GridBuckets returns the bucket count ceil(side/radius)^2 of an index
+// over [0, side]^2 at the given radius, as a float so that absurd ratios
+// do not overflow. Compare it against MaxBuckets.
+func GridBuckets(side, radius float64) float64 {
+	cols := math.Max(math.Ceil(side/radius), 1)
+	return cols * cols
+}
+
 // New creates an index over [0, side]^2 for neighbor queries at the given
-// radius.
+// radius. It returns an error when the grid would exceed MaxBuckets.
 func New(side, radius float64) (*Index, error) {
 	if side <= 0 || math.IsNaN(side) || math.IsInf(side, 0) {
 		return nil, fmt.Errorf("spatialindex: side must be positive and finite, got %v", side)
@@ -123,17 +167,22 @@ func New(side, radius float64) (*Index, error) {
 	if radius <= 0 || math.IsNaN(radius) || math.IsInf(radius, 0) {
 		return nil, fmt.Errorf("spatialindex: radius must be positive and finite, got %v", radius)
 	}
+	if b := GridBuckets(side, radius); b > MaxBuckets {
+		return nil, fmt.Errorf("spatialindex: side/radius = %v needs %.4g buckets, over the cap of %d", side/radius, b, MaxBuckets)
+	}
 	cols := int(math.Ceil(side / radius))
 	if cols < 1 {
 		cols = 1
 	}
+	m := cols * cols
 	return &Index{
-		side:   side,
-		radius: radius,
-		invR:   1 / radius,
-		cols:   cols,
-		starts: make([]int32, cols*cols+1),
-		cursor: make([]int32, cols*cols),
+		side:    side,
+		radius:  radius,
+		invR:    1 / radius,
+		cols:    cols,
+		starts:  make([]int32, m+1),
+		cursor:  make([]int32, m),
+		pending: make([]uint64, (m+63)/64),
 	}, nil
 }
 
@@ -267,7 +316,8 @@ func (ix *Index) rebuildOwned() {
 
 // finishRebuild completes a counting sort whose classify pass has filled
 // cellOf and the per-bucket counts in starts[1:]: prefix-sum, stable id
-// scatter, and the sequential CSR coordinate fill.
+// scatter, and the sequential CSR coordinate fill, which leaves every
+// bucket settled.
 func (ix *Index) finishRebuild() {
 	starts := ix.starts
 	m := ix.cols * ix.cols
@@ -285,7 +335,8 @@ func (ix *Index) finishRebuild() {
 		ix.ids[cursor[c]] = int32(i)
 		cursor[c]++
 	}
-	ix.gatherCSR()
+	ix.gatherRange(0, len(ix.ids))
+	ix.markSettled()
 }
 
 // XS returns the index's id-ordered X-coordinate view. The slice is
@@ -297,13 +348,95 @@ func (ix *Index) XS() []float64 { return ix.xs }
 func (ix *Index) YS() []float64 { return ix.ys }
 
 // CSR returns the raw bucket-major arrays: ids plus the parallel
-// coordinate copies (xs[k], ys[k] belong to point ids[k]). Combined with
-// RowSpanBounds this is the zero-overhead fast path of the flooding sweep.
-// All three slices are read-only and valid only until the next rebuild or
-// update — Update ping-pongs the ids array and rewrites the coordinate
-// streams in place, so a held slice goes stale (or silently inconsistent)
-// the moment the index is re-synchronized.
-func (ix *Index) CSR() (ids []int32, xs, ys []float64) { return ix.ids, ix.cx, ix.cy }
+// coordinate copies (xs[k], ys[k] belong to point ids[k]), settling every
+// pending bucket first. All three slices are read-only and valid only
+// until the next rebuild or update — Update ping-pongs the ids array and
+// leaves the coordinate streams pending, so a held slice goes stale (or
+// silently inconsistent) the moment the index is re-synchronized.
+func (ix *Index) CSR() (ids []int32, xs, ys []float64) {
+	ix.settleAll()
+	return ix.ids, ix.cx, ix.cy
+}
+
+// SettleCSR settles the buckets in need and returns the CSR arrays. Only
+// the ids, and the coordinates of the buckets in need or settled earlier
+// since the last sync, are valid; any other coordinate may be stale. This
+// is the flooding sweep's reader: it settles the buckets one round reads,
+// where CSR settles the whole grid. Validity and concurrency are as for
+// CSR.
+func (ix *Index) SettleCSR(need []BucketRange) (ids []int32, xs, ys []float64) {
+	if !ix.settled.Load() {
+		ix.settleMu.Lock()
+		for _, r := range need {
+			ix.settleBuckets(int(r.Lo), int(r.Hi))
+		}
+		ix.settleMu.Unlock()
+	}
+	return ix.ids, ix.cx, ix.cy
+}
+
+// settleAll settles every pending bucket, once per sync: concurrent
+// callers serialize on settleMu, and the winner publishes settled.
+func (ix *Index) settleAll() {
+	if ix.settled.Load() {
+		return
+	}
+	ix.settleMu.Lock()
+	defer ix.settleMu.Unlock()
+	if ix.settled.Load() {
+		return
+	}
+	if tl := ix.tiling; tl != nil {
+		tl.parallelRanges(len(ix.pending), tl.settleFn)
+	} else {
+		ix.settleWords(0, len(ix.pending))
+	}
+	ix.settled.Store(true)
+}
+
+// settleWords settles the pending buckets of bitmap words [w0, w1). Shards
+// of disjoint word ranges touch disjoint bits and CSR spans.
+func (ix *Index) settleWords(w0, w1 int) {
+	ix.settleBuckets(w0<<6, min(w1<<6, ix.cols*ix.cols))
+}
+
+// settleBuckets gathers the coordinates of the pending buckets in [lo, hi)
+// and clears their bits. Adjacent pending buckets share one gather.
+func (ix *Index) settleBuckets(lo, hi int) {
+	pending, starts := ix.pending, ix.starts
+	for b := lo; b < hi; {
+		w := pending[b>>6] >> uint(b&63)
+		if w == 0 {
+			b = (b | 63) + 1
+			continue
+		}
+		b += bits.TrailingZeros64(w)
+		if b >= hi {
+			return
+		}
+		s := b
+		for b < hi && pending[b>>6]&(1<<uint(b&63)) != 0 {
+			pending[b>>6] &^= 1 << uint(b&63)
+			b++
+		}
+		ix.gatherRange(int(starts[s]), int(starts[b]))
+	}
+}
+
+// markPending flags every bucket's coordinates stale (after a delta sync).
+func (ix *Index) markPending() {
+	for i := range ix.pending {
+		ix.pending[i] = ^uint64(0)
+	}
+	ix.settled.Store(false)
+}
+
+// markSettled records that every bucket's coordinates are current (after
+// a rebuild).
+func (ix *Index) markSettled() {
+	clear(ix.pending)
+	ix.settled.Store(true)
+}
 
 // Cell returns the bucket holding point id.
 func (ix *Index) Cell(id int) int { return int(ix.cellOf[id]) }
@@ -369,8 +502,9 @@ func (ix *Index) CellSpanBounds(c int) (lo, hi int32) {
 // returns the number of spans. This is the closure-free fast path: callers
 // stream the flat coordinate slices, branch on |dx| before touching Y, and
 // apply their own distance filter — no Point loads, no per-candidate
-// function calls.
+// function calls. Like CSR, it settles pending buckets first.
 func (ix *Index) BlockSpans(x, y float64, spans *[3]Span) int {
+	ix.settleAll()
 	x0, x1, y0, y1 := ix.BlockBoundsXY(x, y)
 	nr := 0
 	for by := y0; by <= y1; by++ {

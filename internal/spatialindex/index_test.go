@@ -20,6 +20,11 @@ func TestNewErrors(t *testing.T) {
 		{"zero-radius", 1, 0},
 		{"nan-radius", 1, math.NaN()},
 		{"inf-side", math.Inf(1), 1},
+		// Grids over MaxBuckets: an error, not a makeslice panic or
+		// gigabytes of per-bucket arrays.
+		{"grid-over-cap", 10, 1e-6},
+		{"grid-one-past-cap", 4097, 1},
+		{"grid-overflows-int", 1e300, 1e-300},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -27,6 +32,9 @@ func TestNewErrors(t *testing.T) {
 				t.Error("want error")
 			}
 		})
+	}
+	if b := GridBuckets(4096, 1); b != MaxBuckets {
+		t.Errorf("GridBuckets(4096, 1) = %v, want the cap %d", b, MaxBuckets)
 	}
 	ix, err := New(10, 3)
 	if err != nil {

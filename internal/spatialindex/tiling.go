@@ -29,8 +29,8 @@ import (
 // working set is cache-resident again, and tiles are independent, so the
 // sort also parallelizes across the worker pool. The delta path shares
 // the flat index's code and only shards it: the classify-compare scan
-// (two streaming reads) over id ranges, and the ids patch plus
-// coordinate gather over bucket ranges.
+// (two streaming reads) over id ranges, and the ids and starts patch over
+// bucket ranges.
 //
 // # Ownership handoff and ghost spans
 //
@@ -83,8 +83,8 @@ type Tiling struct {
 	scatterFn func(shard, lo, hi int)
 	tilesFn   func(shard, lo, hi int)
 	compareFn func(shard, lo, hi int)
-	gatherFn  func(shard, lo, hi int)
 	patchFn   func(shard, lo, hi int)
+	settleFn  func(shard, lo, hi int)
 
 	fan panicsafe.Fanout
 }
@@ -99,12 +99,13 @@ type tileRec struct {
 
 // EnableTiling attaches a K x K tiling to the index: from the next
 // rebuild or update on, the counting sort runs as tile-parallel passes
-// and the delta update's compare scan, ids patch and coordinate gather
-// run sharded, on up to `workers` goroutines (workers <= 1 keeps
-// every pass on the calling goroutine — the cache-locality win of the
+// and the delta update's compare scan and ids patch run sharded, on up
+// to `workers` goroutines (workers <= 1 keeps every pass on the calling
+// goroutine — the cache-locality win of the
 // two-level sort applies regardless). K is clamped to the bucket grid
 // side, so K = 1 is always legal and degenerates to the flat algorithm's
-// work shape with the tiled code path. The resulting index state is
+// work shape with the tiled code path. Settling all pending coordinates
+// for a public reader also runs sharded. The resulting index state is
 // bit-identical to the untiled index at every K and worker count; tiling
 // changes only how the state is computed.
 func (ix *Index) EnableTiling(k, workers int) (*Tiling, error) {
@@ -141,8 +142,8 @@ func (ix *Index) EnableTiling(k, workers int) (*Tiling, error) {
 	tl.scatterFn = tl.scatterRange
 	tl.tilesFn = tl.tileRange
 	tl.compareFn = tl.compareRange
-	tl.gatherFn = tl.gatherRange
 	tl.patchFn = tl.patchRange
+	tl.settleFn = tl.settleRange
 	ix.tiling = tl
 	return tl, nil
 }
@@ -286,7 +287,7 @@ func (tl *Tiling) scatterRange(shard, lo, hi int) {
 // AND bucket-major coordinates into the global CSR arrays in one pass
 // over the tile's partition segment. The scatter is stable in id order
 // (members are ascending per tile), so ids stay ascending within each
-// bucket — the flat sort's invariant.
+// bucket — the flat sort's invariant — and every bucket is settled.
 func (tl *Tiling) rebuild() {
 	ix := tl.ix
 	tl.partition(ix.cellOf, ix.xs, ix.ys)
@@ -311,6 +312,7 @@ func (tl *Tiling) rebuild() {
 		}
 	}
 	tl.parallelRanges(tl.NumTiles(), tl.tilesFn)
+	ix.markSettled()
 }
 
 // tileRange runs the per-tile scatter of rebuild for tiles [lo, hi).
@@ -384,8 +386,9 @@ func (tl *Tiling) compareRange(shard, lo, hi int) {
 	tl.shardMovers[shard] = out
 }
 
-// gatherRange is gatherCSR's per-worker body over CSR range [lo, hi).
-func (tl *Tiling) gatherRange(_, lo, hi int) { tl.ix.gatherRange(lo, hi) }
-
 // patchRange is the delta update's per-worker patch over buckets [lo, hi).
 func (tl *Tiling) patchRange(_, lo, hi int) { tl.ix.patchRange(lo, hi) }
+
+// settleRange is settleAll's per-worker body over pending-bitmap words
+// [lo, hi).
+func (tl *Tiling) settleRange(_, lo, hi int) { tl.ix.settleWords(lo, hi) }

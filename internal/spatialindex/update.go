@@ -1,6 +1,7 @@
 package spatialindex
 
 import (
+	"math/bits"
 	"slices"
 
 	"manhattanflood/internal/kernel"
@@ -22,10 +23,16 @@ import (
 // Hot bails, so it prices the rebuild on moving data).
 const UpdateFallbackFraction = 0.35
 
-// ensureUpdate sizes the delta-update scratch buffers. The two cells-sized
-// counter arrays live in one slab so the per-update reset is a single
-// memclr; the moved flags are instead reset surgically (movers only), so
-// steady-state updates never touch more than the points that changed.
+// eventOff holds the prefix offsets of one event bucket: where its
+// arrivals start in moversByCell, and how far its start (and every
+// non-event bucket up to the previous event) shifts in the new CSR.
+type eventOff struct{ arrivals, shift int32 }
+
+// ensureUpdate sizes the delta-update scratch buffers. The per-bucket
+// counters and the event bitmap are allocated zero and kept zero between
+// updates (an update resets exactly the buckets it touched), and the moved
+// flags are reset surgically (movers only), so steady-state updates never
+// clear a per-bucket or per-point array.
 func (ix *Index) ensureUpdate(n int) {
 	m := ix.cols * ix.cols
 	if cap(ix.idsAlt) < n {
@@ -40,11 +47,13 @@ func (ix *Index) ensureUpdate(n int) {
 	// within capacity cannot expose stale flags.
 	ix.moved = ix.moved[:n]
 	if ix.slab == nil {
-		ix.slab = make([]int32, 2*m+1)
+		ix.slab = make([]int32, 2*m)
 		ix.ocount = ix.slab[0:m]
-		ix.mstarts = ix.slab[m : 2*m+1]
+		ix.icount = ix.slab[m : 2*m]
+		ix.evBits = make([]uint64, (m+63)/64)
 		ix.startsAlt = make([]int32, m+1)
 		ix.events = make([]int32, 0, m)
+		ix.evOff = make([]eventOff, 0, m+1)
 	}
 }
 
@@ -53,8 +62,8 @@ func (ix *Index) ensureUpdate(n int) {
 // per step and therefore mostly stay in their grid bucket. Point ids are
 // the slice indices, exactly as in RebuildXY, and the post-state is
 // bit-identical to RebuildXY(xs, ys): same starts offsets, same
-// bucket-major ids (ascending within each bucket), same id-indexed and
-// CSR-ordered coordinate views.
+// bucket-major ids (ascending within each bucket), same id-indexed view,
+// and — once settled — the same CSR-ordered coordinates.
 //
 // Unlike RebuildXY, Update RETAINS xs and ys as the index's id-indexed
 // coordinate view instead of copying them — the whole point of the delta
@@ -71,34 +80,36 @@ func (ix *Index) ensureUpdate(n int) {
 // the mobility layer, where a resting way-point agent publishes unchanged
 // coordinates). A nil dirty treats every point as potentially moved.
 //
-// The patch is three passes:
+// The update runs in three steps:
 //
 //  1. Classify, in id order (pure streaming): each dirty point is
 //     re-bucketed and compared against its stored bucket. Movers get a
-//     moved flag plus an entry in the (id-ascending) mover list, and
-//     per-bucket departure and arrival counts accumulate on the side.
-//     The pass bails straight into the counting sort if the mover count
-//     crosses UpdateFallbackFraction. If nothing changed bucket, ids and
-//     starts are already exact and only the coordinate gather (pass 3)
-//     runs.
+//     moved flag plus an entry in the (id-ascending) mover list; their
+//     departure and arrival counts accumulate per bucket, and both
+//     buckets are marked in the event bitmap. The pass bails straight
+//     into the counting sort if the mover count crosses
+//     UpdateFallbackFraction. If nothing changed bucket, ids and starts
+//     are already exact.
 //
-//  2. Patch the ids, in bucket order. A fused prefix pass computes the
-//     new starts, groups the movers by destination bucket, and lists the
-//     event buckets (a departure or an arrival). Between two event
-//     buckets every bucket keeps its exact id run, shifted by one
-//     constant offset, so each such gap moves with a single copy between
-//     the ping-ponged ids arrays. Only event buckets run the
-//     merge: departures drop on a moved-flag test (a byte load from a
-//     cache-resident array, not a position search) and arrivals
-//     interleave in ascending id order.
+//  2. Bookkeeping, O(cells/64 + movers): one scan of the event bitmap
+//     lists the event buckets (a departure or an arrival) in ascending
+//     order with their prefix offsets — where their arrivals start, and
+//     how far their starts shift — and resets their counters; one
+//     stable scatter groups the movers by destination.
 //
-//  3. Gather the coordinates: one branch-free pass over the new ids
-//     refills the bucket-major cx/cy streams from xs/ys.
+//  3. Patch ids and starts, in bucket order. Between two event buckets
+//     every bucket keeps its exact id run, shifted by one constant
+//     offset, so each such gap moves with a single copy between the
+//     ping-ponged ids arrays and its new starts are the old ones plus
+//     that offset. Only event buckets run the merge: departures drop on
+//     a moved-flag test (a byte load from a cache-resident array, not a
+//     position search) and arrivals interleave in ascending id order.
+//     Every bucket's output span is fixed by the prefix offsets, so
+//     contiguous bucket ranges are independent, and with a tiling
+//     attached they are sharded over its workers.
 //
-// Passes 2 and 3 run together per contiguous bucket range (patchRange):
-// every bucket's output span is fixed by the new starts, so the ranges
-// are independent, and with a tiling attached they are sharded over its
-// workers, each gathering the coordinates of the ids it just wrote.
+// Update does not gather coordinates: every bucket is left pending (see
+// the package comment), to be settled by the reader that needs it.
 //
 // A population-size change (len(xs) != Len()) degrades to a full rebuild
 // of the given slices (still retained).
@@ -140,13 +151,8 @@ func (ix *Index) updateImpl(xs, ys []float64, dirty []bool, cells []int32) {
 
 	ix.adopt(xs, ys)
 	ix.ensureUpdate(n)
-	m := ix.cols * ix.cols
 	maxMovers := int(UpdateFallbackFraction * float64(n))
 	movers := ix.movers[:0]
-	clear(ix.slab) // ocount, mstarts
-	ocount := ix.ocount
-	mstarts := ix.mstarts
-	moved := ix.moved
 	cellOf := ix.cellOf[:n]
 	invR := ix.invR
 	cols := ix.cols
@@ -182,20 +188,12 @@ func (ix *Index) updateImpl(xs, ys []float64, dirty []bool, cells []int32) {
 				return
 			}
 			for _, id := range movers {
-				c := cells[id]
-				old := cellOf[id]
-				cellOf[id] = c
-				moved[id] = true
-				ocount[old]++
-				mstarts[c+1]++
+				ix.noteMove(id, cellOf[id], cells[id])
 			}
 		} else {
 			for i, c := range cells {
 				if old := cellOf[i]; old != c {
-					cellOf[i] = c
-					moved[i] = true
-					ocount[old]++
-					mstarts[c+1]++
+					ix.noteMove(int32(i), old, c)
 					movers = append(movers, int32(i))
 					if len(movers) > maxMovers {
 						bailed = true
@@ -217,10 +215,7 @@ func (ix *Index) updateImpl(xs, ys []float64, dirty []bool, cells []int32) {
 				c = kernel.BucketOf(xsn[i], ysn[i], invR, cols32)
 			}
 			if old := cellOf[i]; old != c {
-				cellOf[i] = c
-				moved[i] = true
-				ocount[old]++
-				mstarts[c+1]++
+				ix.noteMove(int32(i), old, c)
 				movers = append(movers, int32(i))
 				if len(movers) > maxMovers {
 					bailed = true
@@ -232,89 +227,118 @@ func (ix *Index) updateImpl(xs, ys []float64, dirty []bool, cells []int32) {
 	ix.movers = movers
 	if bailed {
 		for _, id := range movers {
-			moved[id] = false
+			ix.moved[id] = false
 		}
+		ix.listEvents() // resets the counters and the event bitmap
 		ix.rebuildOwned()
 		return
 	}
-	if len(movers) == 0 {
-		// Nobody changed bucket: ids and starts are already exact; only the
-		// CSR coordinate streams must be refreshed from the new positions.
-		ix.gatherCSR()
-		return
+	if len(movers) > 0 {
+		ix.patch(movers)
 	}
+	ix.markPending()
+}
 
-	// Fused prefix pass: mover-in offsets, the new starts, and the
-	// ascending list of event buckets (a departure or an arrival). Before
-	// its prefix step, mstarts[c+1] still holds bucket c's arrival count.
-	oldStarts := ix.starts
-	newStarts := ix.startsAlt
+// noteMove records that point id moved from bucket old to bucket c.
+func (ix *Index) noteMove(id, old, c int32) {
+	ix.cellOf[id] = c
+	ix.moved[id] = true
+	ix.ocount[old]++
+	ix.icount[c]++
+	ix.evBits[old>>6] |= 1 << uint(old&63)
+	ix.evBits[c>>6] |= 1 << uint(c&63)
+}
+
+// listEvents turns the event bitmap into the ascending events list with
+// its prefix offsets (plus the sentinel past the last event), points
+// cursor[e] at each event's arrival offset, and resets the counters and
+// bitmap words it visits: O(cells/64 + events).
+func (ix *Index) listEvents() {
 	events := ix.events[:0]
-	newStarts[0] = 0
-	var mpos, npos int32
-	for c := 0; c < m; c++ {
-		in := mstarts[c+1]
-		if in|ocount[c] != 0 {
-			events = append(events, int32(c))
+	evOff := ix.evOff[:0]
+	ocount, icount, cursor := ix.ocount, ix.icount, ix.cursor
+	var arrivals, shift int32
+	for wi, w := range ix.evBits {
+		if w == 0 {
+			continue
 		}
-		mpos += in
-		mstarts[c+1] = mpos
-		npos += oldStarts[c+1] - oldStarts[c] + in - ocount[c]
-		newStarts[c+1] = npos
+		ix.evBits[wi] = 0
+		for ; w != 0; w &= w - 1 {
+			e := int32(wi<<6 + bits.TrailingZeros64(w))
+			in, out := icount[e], ocount[e]
+			icount[e], ocount[e] = 0, 0
+			events = append(events, e)
+			evOff = append(evOff, eventOff{arrivals: arrivals, shift: shift})
+			cursor[e] = arrivals
+			arrivals += in
+			shift += in - out
+		}
 	}
 	ix.events = events
+	ix.evOff = append(evOff, eventOff{arrivals: arrivals, shift: shift})
+}
+
+// patch runs the bookkeeping and the ids/starts patch for a non-empty,
+// id-ascending mover list.
+func (ix *Index) patch(movers []int32) {
+	ix.listEvents()
 	// Group movers by destination bucket with a stable scatter — movers
 	// are already ascending by id, so each destination group stays
-	// ascending.
+	// ascending. listEvents left each event's cursor at its group start.
 	k := len(movers)
 	if cap(ix.moversByCell) < k {
 		ix.moversByCell = make([]int32, k)
 	}
 	mby := ix.moversByCell[:k]
-	cursor := ix.cursor
-	copy(cursor, mstarts[:m])
+	cellOf, cursor := ix.cellOf, ix.cursor
 	for _, id := range movers {
 		c := cellOf[id]
 		mby[cursor[c]] = id
 		cursor[c]++
 	}
+	ix.moversByCell = mby
 
-	// Passes 2 and 3 over bucket ranges. Ping-pong first, so the patch
-	// reads the old CSR from the alternates and writes the live arrays.
+	// Ping-pong first, so the patch reads the old CSR from the alternates
+	// and writes the live arrays.
 	ix.ids, ix.idsAlt = ix.idsAlt, ix.ids
 	ix.starts, ix.startsAlt = ix.startsAlt, ix.starts
+	m := ix.cols * ix.cols
 	if tl := ix.tiling; tl != nil {
 		tl.parallelRanges(m, tl.patchFn)
 	} else {
 		ix.patchRange(0, m)
 	}
 	for _, id := range movers {
-		moved[id] = false // surgical reset; no O(n) clear per step
+		ix.moved[id] = false // surgical reset; no O(n) clear per step
 	}
 }
 
-// patchRange runs the delta update's ids patch and coordinate gather over
-// buckets [lo, hi), reading the pre-update CSR from idsAlt/startsAlt.
-// The buckets between two event buckets kept their exact id runs, and the
-// whole gap maps from its old span to its new span at one constant
-// offset, so it moves with a single copy. Only event buckets run the
-// merge: drop flagged departures, interleave the arrivals in ascending id
-// order. Then one branch-free gather refills the range's coordinates.
+// patchRange runs the delta update's ids and starts patch over buckets
+// [lo, hi), reading the pre-update CSR from idsAlt/startsAlt. The buckets
+// between two event buckets kept their exact id runs, and the whole gap
+// maps from its old span to its new span at one constant offset (the next
+// event's shift), so it moves with a single copy and its new starts are
+// the old ones plus that offset. Only event buckets run the merge: drop
+// flagged departures, interleave the arrivals in ascending id order.
 func (ix *Index) patchRange(lo, hi int) {
 	oldStarts, newStarts := ix.startsAlt, ix.starts
 	oldIds, newIds := ix.idsAlt, ix.ids
-	mstarts, mby, moved := ix.mstarts, ix.moversByCell, ix.moved
-	events := ix.events
-	first, _ := slices.BinarySearch(events, int32(lo))
+	mby, moved := ix.moversByCell, ix.moved
+	events, evOff := ix.events, ix.evOff
+	j, _ := slices.BinarySearch(events, int32(lo))
 	next := lo // first bucket not yet written
-	for _, e32 := range events[first:] {
-		e := int(e32)
+	for ; j < len(events); j++ {
+		e := int(events[j])
 		if e >= hi {
 			break
 		}
-		copy(newIds[newStarts[next]:newStarts[e]], oldIds[oldStarts[next]:oldStarts[e]])
-		w := newStarts[e]
-		mi, mHi := mstarts[e], mstarts[e+1]
+		d := evOff[j].shift
+		for c := next; c <= e; c++ {
+			newStarts[c] = oldStarts[c] + d
+		}
+		copy(newIds[oldStarts[next]+d:oldStarts[e]+d], oldIds[oldStarts[next]:oldStarts[e]])
+		w := oldStarts[e] + d
+		mi, mHi := evOff[j].arrivals, evOff[j+1].arrivals
 		for _, id := range oldIds[oldStarts[e]:oldStarts[e+1]] {
 			if moved[id] {
 				continue
@@ -333,8 +357,16 @@ func (ix *Index) patchRange(lo, hi int) {
 		}
 		next = e + 1
 	}
-	copy(newIds[newStarts[next]:newStarts[hi]], oldIds[oldStarts[next]:oldStarts[hi]])
-	ix.gatherRange(int(newStarts[lo]), int(newStarts[hi]))
+	// j is the first event at or past hi (or the sentinel), so its shift
+	// is the one of the tail gap.
+	d := evOff[j].shift
+	for c := next; c < hi; c++ {
+		newStarts[c] = oldStarts[c] + d
+	}
+	copy(newIds[oldStarts[next]+d:oldStarts[hi]+d], oldIds[oldStarts[next]:oldStarts[hi]])
+	if hi == len(newStarts)-1 {
+		newStarts[hi] = oldStarts[hi]
+	}
 }
 
 // adopt installs xs and ys as the index's id-indexed coordinate view
@@ -355,23 +387,13 @@ func (ix *Index) adopt(xs, ys []float64) {
 	ix.cy = ix.cy[:n]
 }
 
-// gatherCSR runs gatherRange over the whole CSR, sharded over contiguous
-// ranges on the tiling's workers when one is attached.
-func (ix *Index) gatherCSR() {
-	if tl := ix.tiling; tl != nil {
-		tl.parallelRanges(len(ix.ids), tl.gatherFn)
-		return
-	}
-	ix.gatherRange(0, len(ix.ids))
-}
-
 // gatherRange refreshes the bucket-major coordinates of CSR range
 // [lo, hi) from the id-indexed view: cx[k] = xs[ids[k]], cy[k] =
-// ys[ids[k]]. It is the one coordinate pass of every re-synchronization
-// that keeps or patches ids — the flat counting sort and both
-// delta-update outcomes; only the tiled rebuild scatters coordinates
-// alongside its ids instead. One sequential id stream drives two gathers
-// per point with no data-dependent branches, so the loads pipeline.
+// ys[ids[k]]. The flat counting sort runs it over the whole CSR, and
+// settling runs it over the spans of pending buckets; only the tiled
+// rebuild scatters coordinates alongside its ids instead. One sequential
+// id stream drives two gathers per point with no data-dependent branches,
+// so the loads pipeline.
 func (ix *Index) gatherRange(lo, hi int) {
 	xs, ys := ix.xs, ix.ys
 	ids := ix.ids[lo:hi]
