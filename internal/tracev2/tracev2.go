@@ -69,6 +69,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
+	"slices"
 )
 
 // Schema is the RunInfo schema identifier of this format version.
@@ -154,6 +156,7 @@ type Writer struct {
 	prevY    []uint64 // previous-frame position bit patterns
 	buf      []byte   // frame assembly buffer, reused
 	words    []uint64 // informed bitmap scratch (keyframes)
+	err      error    // first failed frame Write; sticky
 }
 
 // NewWriter writes the magic and header for info and returns a Writer
@@ -208,7 +211,18 @@ func (t *Writer) Frames() int { return t.frames }
 // KeyframeEvery-th frame, any step discontinuity (step != previous+1)
 // and any informed-presence transition forces a keyframe; everything
 // else is a delta.
+//
+// A failed Write to the underlying writer is sticky, as in bufio.Writer:
+// that call and every later WriteStep return the same error and write
+// nothing. The frames written before it stay a valid trace, and a frame
+// the failed Write cut short is a torn tail the reader drops. (Encoding
+// has already advanced the delta state to the failed frame, so writing
+// on would produce deltas against positions the trace never received.)
+// Argument errors are not sticky.
 func (t *Writer) WriteStep(step int, x, y []float64, informed []bool, newly []int32) error {
+	if t.err != nil {
+		return t.err
+	}
 	n := t.info.N
 	if len(x) != n || len(y) != n {
 		return fmt.Errorf("tracev2: position columns have length %d/%d, want %d", len(x), len(y), n)
@@ -290,7 +304,8 @@ func (t *Writer) WriteStep(step int, x, y []float64, informed []bool, newly []in
 	binary.LittleEndian.PutUint32(b[9:], crc32.Checksum(payload, castagnoli))
 	t.buf = b
 	if _, err := t.w.Write(b); err != nil {
-		return fmt.Errorf("tracev2: writing frame for step %d: %w", step, err)
+		t.err = fmt.Errorf("tracev2: writing frame for step %d: %w", step, err)
+		return t.err
 	}
 	t.started = true
 	t.prevStep = step
@@ -305,12 +320,46 @@ func (t *Writer) WriteStep(step int, x, y []float64, informed []bool, newly []in
 }
 
 // appendDeltaColumn encodes cur as zig-zag varints of the bit-pattern
-// difference from prev, updating prev to cur's bits in the same pass.
+// difference from prev, updating prev to cur's bits in the same pass. The
+// bytes are exactly binary.AppendUvarint's, produced a word at a time:
+// the column's worst case (binary.MaxVarintLen64 per value) is reserved
+// once, and a delta below 2^56 (at most 8 varint bytes) is spread into
+// one uint64, given its continuation bits and stored whole, the cursor
+// advancing by its length; the store's spare high bytes are zero and the
+// next value overwrites them. Each value advances the cursor by at most
+// MaxVarintLen64, so every 8-byte store ends inside the reservation. The
+// rare delta of 2^56 or more (9-10 bytes) goes through
+// binary.PutUvarint.
 func appendDeltaColumn(b []byte, cur []float64, prev []uint64) []byte {
+	n := len(b)
+	b = slices.Grow(b, len(cur)*binary.MaxVarintLen64)
+	out := b[:cap(b)]
+	prev = prev[:len(cur)]
 	for i, v := range cur {
-		bits := math.Float64bits(v)
-		b = binary.AppendUvarint(b, zigzag(int64(bits)-int64(prev[i])))
-		prev[i] = bits
+		p := math.Float64bits(v)
+		u := zigzag(int64(p) - int64(prev[i]))
+		prev[i] = p
+		if u >= 1<<56 {
+			n += binary.PutUvarint(out[n:], u)
+			continue
+		}
+		k := (bits.Len64(u|1) + 6) / 7
+		// Continuation bits on bytes 0..k-2. k <= 8, so the &63 only
+		// tells the compiler the shift is in range.
+		cont := uint64(0x8080808080808080) & (1<<((8*k-8)&63) - 1)
+		binary.LittleEndian.PutUint64(out[n:], spread7(u)|cont)
+		n += k
 	}
-	return b
+	return b[:n]
+}
+
+// spread7 moves the eight 7-bit groups of u < 2^56 into the low seven
+// bits of the result's eight bytes, the least significant group in the
+// lowest byte: the varint payload without its continuation bits. Each
+// level halves the group width: 28-bit halves to 32-bit lanes, 14-bit
+// quarters to 16-bit lanes, 7-bit groups to bytes.
+func spread7(u uint64) uint64 {
+	u = u&0x0000_0000_0FFF_FFFF | (u&0x00FF_FFFF_F000_0000)<<4
+	u = u&0x0000_3FFF_0000_3FFF | (u&0x0FFF_C000_0FFF_C000)<<2
+	return u&0x007F_007F_007F_007F | (u&0x3F80_3F80_3F80_3F80)<<1
 }

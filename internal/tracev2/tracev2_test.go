@@ -3,6 +3,7 @@ package tracev2
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -413,4 +414,62 @@ func TestShortKeyframeIsCorruption(t *testing.T) {
 	if _, err := NewReader(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "too short") {
 		t.Fatalf("NewReader = %v, want a short keyframe error", err)
 	}
+}
+
+var errSinkFailed = errors.New("sink failed")
+
+// failOnceSink passes writes through to buf, except that its failAt-th
+// Write (counting from 1; the header is the first) stores only the first
+// half of its bytes and fails. Later writes succeed again.
+type failOnceSink struct {
+	buf    bytes.Buffer
+	writes int
+	failAt int
+}
+
+func (s *failOnceSink) Write(p []byte) (int, error) {
+	s.writes++
+	if s.writes == s.failAt {
+		n, _ := s.buf.Write(p[:len(p)/2])
+		return n, errSinkFailed
+	}
+	return s.buf.Write(p)
+}
+
+// TestWriteErrorIsSticky: after a failed frame Write, retrying that step
+// and writing later ones must keep failing. A retry that succeeded would
+// encode zero deltas against positions the trace never received and
+// replay the previous frame's positions under the retried step, with
+// every CRC intact. The frames before the failure must still replay
+// exactly, the torn one dropped.
+func TestWriteErrorIsSticky(t *testing.T) {
+	const n, steps, failed = 16, 8, 3
+	run := makeRun(t, n, steps, true, 41)
+	sink := &failOnceSink{failAt: 2 + failed}
+	w, err := NewWriter(sink, RunInfo{N: n, KeyframeEvery: 64})
+	if err != nil {
+		t.Fatalf("NewWriter: %v", err)
+	}
+	for i := 0; i < failed; i++ {
+		if err := w.WriteStep(run.steps[i], run.x[i], run.y[i], run.informed[i], run.newly[i]); err != nil {
+			t.Fatalf("WriteStep(%d): %v", run.steps[i], err)
+		}
+	}
+	for i := failed; i < len(run.steps); i++ {
+		// Retry the failed step once, then move on.
+		for _, j := range []int{failed, i} {
+			err := w.WriteStep(run.steps[j], run.x[j], run.y[j], run.informed[j], run.newly[j])
+			if !errors.Is(err, errSinkFailed) {
+				t.Fatalf("WriteStep(%d) after the failed write: %v, want %v", run.steps[j], err, errSinkFailed)
+			}
+		}
+	}
+	if w.Frames() != failed {
+		t.Fatalf("Frames() = %d, want %d", w.Frames(), failed)
+	}
+	committed := synthRun{
+		steps: run.steps[:failed], x: run.x[:failed], y: run.y[:failed],
+		informed: run.informed[:failed], newly: run.newly[:failed],
+	}
+	checkReplay(t, sink.buf.Bytes(), committed, n)
 }

@@ -33,6 +33,13 @@ type RecordOptions struct {
 // The recorder writes through to the given io.Writer with one Write per
 // step and no steady-state allocations; wrap slow destinations in a
 // bufio.Writer (and flush it when done).
+//
+// A failed Write to the destination ends the recording: ObserveStep
+// returns that error then and on every later call, so a run the
+// recorder is attached to stops with it, and so does any later run it
+// stays attached to. The trace keeps every frame written before the
+// failure (a frame the failure cut short is a torn tail OpenReplay
+// drops). To record again, create a new Recorder.
 type Recorder struct {
 	w *tracev2.Writer
 }

@@ -248,6 +248,60 @@ func TestObserverErrorAbortsFlood(t *testing.T) {
 	}
 }
 
+var errSinkFailed = errors.New("sink failed")
+
+// failOnceWriter passes writes through to buf, except that its failAt-th
+// Write (counting from 1; the header is the first) stores only the first
+// half of its bytes and fails. Later writes succeed again.
+type failOnceWriter struct {
+	buf    bytes.Buffer
+	writes int
+	failAt int
+}
+
+func (w *failOnceWriter) Write(p []byte) (int, error) {
+	w.writes++
+	if w.writes == w.failAt {
+		n, _ := w.buf.Write(p[:len(p)/2])
+		return n, errSinkFailed
+	}
+	return w.buf.Write(p)
+}
+
+// TestRecorderWriteErrorIsSticky: a Flood whose trace destination fails a
+// write returns the error, and running Flood again with the recorder
+// still attached must fail the same way. The second run's start frame
+// lands on the failed frame's step; recording it would encode zero deltas
+// against positions the trace never received and silently replay the
+// previous step's positions. The frames written before the failure
+// replay exactly.
+func TestRecorderWriteErrorIsSticky(t *testing.T) {
+	const n, committed = 200, 2
+	sim, err := New(Config{N: n, L: 14.1, R: 3, V: 0.3, Seed: 5})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	sink := &failOnceWriter{failAt: 2 + committed}
+	rec, err := NewRecorder(sink, sim, RecordOptions{})
+	if err != nil {
+		t.Fatalf("NewRecorder: %v", err)
+	}
+	cap := &capturingRecorder{rec: rec}
+	sim.Attach(cap)
+	for run := 1; run <= 2; run++ {
+		if _, err := sim.Flood(FloodOptions{MaxSteps: 100}); !errors.Is(err, errSinkFailed) {
+			t.Fatalf("Flood run %d: error %v, want %v", run, err, errSinkFailed)
+		}
+	}
+	sim.Detach()
+	if rec.Frames() != committed {
+		t.Fatalf("recorder committed %d frames, want %d", rec.Frames(), committed)
+	}
+	cap.steps, cap.xs, cap.ys = cap.steps[:committed], cap.xs[:committed], cap.ys[:committed]
+	cap.informed, cap.newly = cap.informed[:committed], cap.newly[:committed]
+	checkReplayMatches(t, sink.buf.Bytes(), cap, n)
+}
+
 // observerFunc adapts a function to the Observer interface.
 type observerFunc func(StepView) error
 
