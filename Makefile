@@ -94,15 +94,16 @@ cover:
 		{ echo "coverage below floor"; exit 1; }
 
 # fuzz-short runs each fuzzer briefly past its seed corpus — a cheap
-# randomized sweep for kernel-vs-reference and trace-encoder-vs-reference
-# divergence and for trace reader panics or allocation blow-ups on
-# hostile bytes, on every full ci run; `go test -fuzz <name>` without
-# -fuzztime searches indefinitely.
+# randomized sweep for kernel-vs-reference, trace-encoder-vs-reference
+# and trip-sampler-vs-reference divergence and for trace reader panics or
+# allocation blow-ups on hostile bytes, on every full ci run;
+# `go test -fuzz <name>` without -fuzztime searches indefinitely.
 fuzz-short:
 	$(GO) test $(TAGFLAG) -run '^$$' -fuzz FuzzBucketsDifferential -fuzztime 15s ./internal/kernel/
 	$(GO) test $(TAGFLAG) -run '^$$' -fuzz FuzzMaskDifferential -fuzztime 15s ./internal/kernel/
 	$(GO) test $(TAGFLAG) -run '^$$' -fuzz FuzzOpenReplay -fuzztime 15s ./internal/tracev2/
 	$(GO) test $(TAGFLAG) -run '^$$' -fuzz FuzzAppendDeltaColumn -fuzztime 15s ./internal/tracev2/
+	$(GO) test $(TAGFLAG) -run '^$$' -fuzz FuzzTripSample -fuzztime 15s ./internal/dist/
 
 # FAULTTAGS appends the faultinject tag to the active variant, so the
 # fault suite can run against either kernel build.

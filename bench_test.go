@@ -196,21 +196,33 @@ func BenchmarkWorldStep10k(b *testing.B) {
 }
 
 // BenchmarkWorldReset2k measures World.Reset of a sweep_mc_2k-sized world
-// (2000 MRWP agents, L = sqrt(2000)): every agent's stream reseeded, its
-// stationary trip drawn and compiled into the population's columns, and
-// the index rebuilt — the per-trial set-up of a pooled sweep.
+// (2000 agents, L = sqrt(2000)): every agent's stream reseeded, its
+// stationary state drawn and written into the population's columns, and
+// the index rebuilt — the per-trial set-up of a pooled sweep. The paused
+// model draws a pause phase for some agents and the Palm trip for the
+// rest, and places trips under the other corner convention.
 func BenchmarkWorldReset2k(b *testing.B) {
 	const n = 2000
-	w, err := sim.NewWorld(sim.Params{N: n, L: math.Sqrt(n), R: 4, V: 0.3, Seed: 1}, nil)
-	if err != nil {
-		b.Fatal(err)
+	for _, bc := range []struct {
+		name    string
+		factory sim.ModelFactory
+	}{
+		{"mrwp", nil},
+		{"paused", sim.PausedMRWPFactory(8)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			w, err := sim.NewWorld(sim.Params{N: n, L: math.Sqrt(n), R: 4, V: 0.3, Seed: 1}, bc.factory)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.Reset(uint64(i) + 2)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/agent")
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Reset(uint64(i) + 2)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/agent")
 }
 
 // BenchmarkMobilityAdvance10k measures the raw SoA mobility advance —

@@ -35,6 +35,4 @@ func validSide(l float64) error {
 // exactly what (*rand.Rand).Float64 computes for a Rand wrapping src, so a
 // caller that holds a bare rand.Source (a PCG stored by value, say) draws
 // the same stream, bit for bit, as one that wraps it in a rand.Rand.
-func Float64(src rand.Source) float64 {
-	return float64(src.Uint64()<<11>>11) / (1 << 53)
-}
+func Float64(src rand.Source) float64 { return unit(draw53(src)) }

@@ -45,30 +45,49 @@ func (ts TripSampler) Side() float64 { return ts.l }
 // separation |a-b| is the (min, max) of three independent uniforms with the
 // middle one discarded (their joint density is 6(b-a)/L^3), in random
 // order; the unbiased coordinates stay uniform.
+//
+// The nine uniforms are drawn in a fixed order: the biased axis, the three
+// uniforms of the biased pair, the pair's order, the two unbiased
+// coordinates (source first), the leg order and the position along the
+// path. Each of the first eight is kept as the 53-bit integer k that
+// Float64 divides by 2^53. That division is exact and monotone, so k < 2^52
+// is exactly u < 0.5, and min, max and every either-or choice are taken on
+// the integers, with masks rather than branches: each of those choices goes
+// either way half the time, so no branch predictor can learn them.
 func (ts TripSampler) Sample(src rand.Source) Trip {
-	var sx, dx, sy, dy float64
-	if Float64(src) < 0.5 {
-		sx, dx = biasedPair(src, ts.l)
-		sy, dy = Float64(src)*ts.l, Float64(src)*ts.l
-	} else {
-		sy, dy = biasedPair(src, ts.l)
-		sx, dx = Float64(src)*ts.l, Float64(src)*ts.l
-	}
-	order := geom.VerticalFirst
-	if Float64(src) < 0.5 {
-		order = geom.HorizontalFirst
-	}
-	path := geom.NewLPath(geom.Pt(sx, sy), geom.Pt(dx, dy), order)
-	return Trip{Path: path, Travelled: Float64(src) * path.Length()}
+	axis := draw53(src)
+	u1, u2, u3 := draw53(src), draw53(src), draw53(src)
+	swap := draw53(src)
+	free1, free2 := draw53(src), draw53(src)
+	leg := draw53(src)
+
+	// (a, b) is the biased pair: (lo, hi) when swap < 1/2, else (hi, lo).
+	lo, hi := min(u1, u2, u3), max(u1, u2, u3)
+	a := hi ^ (lo^hi)&below(swap)
+	b := lo ^ hi ^ a
+	// The pair lies on the x axis when axis < 1/2, else on the y axis; the
+	// other axis takes the two unbiased coordinates.
+	onX := below(axis)
+	sx := free1 ^ (a^free1)&onX
+	dx := free2 ^ (b^free2)&onX
+	sy := a ^ free1 ^ sx
+	dy := b ^ free2 ^ dx
+	// HorizontalFirst when leg < 1/2, else VerticalFirst.
+	order := geom.HorizontalFirst - geom.LegOrder(leg>>52)
+
+	l := ts.l
+	from := geom.Point{X: unit(sx) * l, Y: unit(sy) * l}
+	to := geom.Point{X: unit(dx) * l, Y: unit(dy) * l}
+	d := Float64(src) * from.ManhattanDist(to)
+	return Trip{Path: geom.LPath{Src: from, Dst: to, Order: order}, Travelled: d}
 }
 
-// biasedPair returns (a, b) on [0, l]^2 with joint density proportional to
-// |a - b|: the extremes of three independent uniforms, randomly ordered.
-func biasedPair(src rand.Source, l float64) (a, b float64) {
-	u1, u2, u3 := Float64(src), Float64(src), Float64(src)
-	lo, hi := min(u1, u2, u3), max(u1, u2, u3)
-	if Float64(src) < 0.5 {
-		return l * lo, l * hi
-	}
-	return l * hi, l * lo
-}
+// draw53 returns the 53 random bits Float64 scales into [0, 1).
+func draw53(src rand.Source) uint64 { return src.Uint64() << 11 >> 11 }
+
+// unit scales a draw53 value into [0, 1) exactly as Float64 does.
+func unit(k uint64) float64 { return float64(k) / (1 << 53) }
+
+// below returns all ones when the draw53 value k stands for a uniform
+// below 1/2, else zero.
+func below(k uint64) uint64 { return k>>52 - 1 }

@@ -64,9 +64,15 @@ func sweepSource(name string) (sourceKind, error) {
 	}
 }
 
+// MaxCells caps the (point, trial) cells one sweep may ask for. The sweep
+// service lists every cell of a job at admission, under its scheduler
+// lock, so without a cap one spec could stall every other request.
+const MaxCells = 1 << 24
+
 // Validate reports whether the spec describes a runnable sweep: a known
-// shape, a non-negative step budget, and world parameters at every point
-// that sim accepts (an "n" sweep's values must also be whole numbers).
+// shape, at most MaxCells cells, a non-negative step budget, and world
+// parameters at every point that sim accepts (an "n" sweep's values must
+// also be whole numbers).
 // RunSweep, the cell runner, and the sweep service all enforce it, so a
 // malformed spec is rejected identically at every entry point, before any
 // cell runs.
@@ -84,6 +90,10 @@ func (s SweepSpec) Validate() error {
 	}
 	if s.Trials <= 0 {
 		return errors.New("sweep needs at least one trial per point")
+	}
+	// Trials * len(Values) <= MaxCells, without the product overflowing.
+	if s.Trials > MaxCells/len(s.Values) {
+		return fmt.Errorf("sweep asks for %d points x %d trials, over the cap of %d cells", len(s.Values), s.Trials, MaxCells)
 	}
 	if s.MaxSteps < 0 {
 		return fmt.Errorf("max steps must be non-negative, got %d", s.MaxSteps)

@@ -36,6 +36,9 @@ func TestSweepSpecValidate(t *testing.T) {
 		{"NaN n value", with(func(s *SweepSpec) { s.Param, s.Values = "n", []float64{math.NaN()} }), "n must be a whole number"},
 		{"infinite n value", with(func(s *SweepSpec) { s.Param, s.Values = "n", []float64{math.Inf(1)} }), "n must be a whole number"},
 		{"negative step budget", with(func(s *SweepSpec) { s.MaxSteps = -1 }), "max steps must be non-negative"},
+		{"cells at the cap", with(func(s *SweepSpec) { s.Values, s.Trials = []float64{3, 5, 7, 9}, MaxCells/4 }), ""},
+		{"cells over the cap", with(func(s *SweepSpec) { s.Values, s.Trials = []float64{3, 5, 7, 9}, MaxCells/4+1 }), "over the cap"},
+		{"cells overflowing int", with(func(s *SweepSpec) { s.Values, s.Trials = []float64{3, 5, 7, 9}, math.MaxInt/2+1 }), "over the cap"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -177,20 +177,31 @@ func (p LPath) HeadingAt(d float64) Heading {
 }
 
 // HeadingOf returns the heading of the axis-parallel move from a to b
-// (HeadingNone when a == b): the leg heading Compile caches.
+// (HeadingNone when a == b): the leg heading Compile caches. It is a table
+// lookup on the four coordinate comparisons, so it costs no data-dependent
+// branch.
 func HeadingOf(a, b Point) Heading {
-	switch {
-	case b.X > a.X:
-		return HeadingEast
-	case b.X < a.X:
-		return HeadingWest
-	case b.Y > a.Y:
-		return HeadingNorth
-	case b.Y < a.Y:
-		return HeadingSouth
-	default:
-		return HeadingNone
+	i := bit(b.X > a.X) | bit(b.X < a.X)<<1 | bit(b.Y > a.Y)<<2 | bit(b.Y < a.Y)<<3
+	return headingOfBits[i&15]
+}
+
+// headingOfBits holds HeadingOf's answers indexed by its comparison bits
+// (b.X > a.X, b.X < a.X, b.Y > a.Y, b.Y < a.Y, lowest first): east beats
+// west beats north beats south, and no bit set is HeadingNone.
+var headingOfBits = [16]Heading{
+	HeadingNone, HeadingEast, HeadingWest, HeadingEast,
+	HeadingNorth, HeadingEast, HeadingWest, HeadingEast,
+	HeadingSouth, HeadingEast, HeadingWest, HeadingEast,
+	HeadingNorth, HeadingEast, HeadingWest, HeadingEast,
+}
+
+// bit returns 1 when c holds, else 0.
+func bit(c bool) uint8 {
+	var b uint8
+	if c {
+		b = 1
 	}
+	return b
 }
 
 // CompiledPath is an LPath with its derived geometry — corner, leg

@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 )
@@ -65,6 +66,42 @@ func TestCompiledPathMatchesLPath(t *testing.T) {
 		if c.D1X*c.D1Y != 0 || c.D2X*c.D2Y != 0 {
 			t.Fatalf("path %+v: leg directions not axis-parallel: (%v,%v) (%v,%v)",
 				p, c.D1X, c.D1Y, c.D2X, c.D2Y)
+		}
+	}
+}
+
+// headingOfSwitch is HeadingOf as a chain of comparisons: the reference
+// for the table lookup.
+func headingOfSwitch(a, b Point) Heading {
+	switch {
+	case b.X > a.X:
+		return HeadingEast
+	case b.X < a.X:
+		return HeadingWest
+	case b.Y > a.Y:
+		return HeadingNorth
+	case b.Y < a.Y:
+		return HeadingSouth
+	default:
+		return HeadingNone
+	}
+}
+
+// TestHeadingOfMatchesSwitch checks the table-driven HeadingOf against
+// the comparison chain on every pairing of a small coordinate set, with
+// signed zeros, infinities and NaN among the coordinates.
+func TestHeadingOfMatchesSwitch(t *testing.T) {
+	coords := []float64{-1, math.Copysign(0, -1), 0, 0.5, 1, math.Inf(1), math.NaN()}
+	for _, ax := range coords {
+		for _, ay := range coords {
+			for _, bx := range coords {
+				for _, by := range coords {
+					a, b := Pt(ax, ay), Pt(bx, by)
+					if got, want := HeadingOf(a, b), headingOfSwitch(a, b); got != want {
+						t.Fatalf("HeadingOf(%v, %v) = %v, want %v", a, b, got, want)
+					}
+				}
+			}
 		}
 	}
 }

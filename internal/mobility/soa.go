@@ -92,7 +92,8 @@ func floatColumns(n, k int) [][]float64 {
 // (legE on a cached first leg, legS on a cached second leg), the corner
 // and the second leg's direction (crossCorner), and the HeadingAt and
 // HeadingInto answers (trip). A fresh trip is written straight into the
-// columns (setTrip); nothing compiles or copies a whole path.
+// columns (setTrip, or start for a trip placed mid-way); nothing compiles
+// or copies a whole path.
 //
 // Which leg the corner itself belongs to is the population's convention
 // (moveTo); a cached first leg always has positive length.
@@ -140,6 +141,55 @@ func (t *tripCols) setTrip(i int, lp geom.LPath) {
 		t.legBX[i], t.legBY[i] = corner.X, corner.Y
 		t.legDX[i], t.legDY[i] = h2.Dir()
 	}
+}
+
+// start installs trip lp in slot i at progress d and returns
+// CompiledPath.At(d): exactly what setTrip followed by moveTo(i, d,
+// cornerOnSecond) writes and returns, computed without a data-dependent
+// branch. Both legs' caches are built and the one holding d is picked with
+// bit masks, so a fresh stationary trip costs no mispredicted branch on
+// which leg it is on. The cases that take either corner convention or a
+// clamp — a first leg of length 0 (Src == Dst included), d exactly on the
+// corner, and d rounded up to the whole length — are rare for stationary
+// draws and go to setTrip and moveTo behind one predictable branch.
+func (t *tripCols) start(i int, lp geom.LPath, d float64, cornerOnSecond bool) geom.Point {
+	src, dst := lp.Src, lp.Dst
+	vf := mask(lp.Order == geom.VerticalFirst)
+	corner := geom.Point{X: pick(vf, src.X, dst.X), Y: pick(vf, dst.Y, src.Y)}
+	firstLen, total := src.ManhattanDist(corner), src.ManhattanDist(dst)
+	if firstLen == 0 || d == firstLen || d >= total {
+		t.setTrip(i, lp)
+		return t.moveTo(i, d, cornerOnSecond)
+	}
+	h1, h2 := geom.HeadingOf(src, corner), geom.HeadingOf(corner, dst)
+	second := mask(d > firstLen)
+	legS := pick(second, firstLen, 0)
+	bx, by := pick(second, corner.X, src.X), pick(second, corner.Y, src.Y)
+	dx, dy := (h1 ^ (h1^h2)&geom.Heading(second)).Dir()
+	t.travelled[i] = d
+	t.legT[i] = total
+	t.dstX[i], t.dstY[i] = dst.X, dst.Y
+	t.leg1[i], t.leg2[i] = h1, h2
+	t.legS[i], t.legE[i] = legS, pick(second, total, firstLen)
+	t.legBX[i], t.legBY[i] = bx, by
+	t.legDX[i], t.legDY[i] = dx, dy
+	u := d - legS
+	return geom.Point{X: bx + u*dx, Y: by + u*dy}
+}
+
+// mask returns all ones when c holds, else zero.
+func mask(c bool) uint64 {
+	var m uint64
+	if c {
+		m = 1
+	}
+	return -m
+}
+
+// pick returns a when m is all ones and b when m is zero.
+func pick(m uint64, a, b float64) float64 {
+	ab, bb := math.Float64bits(a), math.Float64bits(b)
+	return math.Float64frombits(bb ^ (ab^bb)&m)
 }
 
 // onFirstLeg reports whether slot i's cache holds the first leg: a cached
@@ -252,8 +302,7 @@ func (p *mrwpPop) InitAgent(i int, rng rand.Source) {
 func (p *mrwpPop) place(i int, lp geom.LPath, d float64) {
 	p.turns[i] = 0
 	p.waypoints[i] = 0
-	p.setTrip(i, lp)
-	pos := p.moveTo(i, d, true)
+	pos := p.start(i, lp, d, true)
 	p.publish(i, pos.X, pos.Y)
 }
 
@@ -536,9 +585,8 @@ func (p *pausedPop) InitAgent(i int, rng rand.Source) {
 // place starts slot i on trip lp at progress d with pause left to rest
 // and publishes its position.
 func (p *pausedPop) place(i int, lp geom.LPath, d, pause float64) {
-	p.setTrip(i, lp)
 	p.pauseLeft[i] = pause
-	pos := p.moveTo(i, d, false)
+	pos := p.start(i, lp, d, false)
 	p.publish(i, pos.X, pos.Y)
 }
 

@@ -2,9 +2,11 @@ package mobility
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"testing"
 
+	"manhattanflood/internal/dist"
 	"manhattanflood/internal/geom"
 )
 
@@ -140,6 +142,84 @@ func TestTripColumnsExactBoundaries(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// startBranchy is the reference for tripCols.start: the trip written by
+// setTrip, then the progress set by moveTo.
+func startBranchy(t *tripCols, i int, lp geom.LPath, d float64, cornerOnSecond bool) geom.Point {
+	t.setTrip(i, lp)
+	return t.moveTo(i, d, cornerOnSecond)
+}
+
+// floatCols returns the ten float columns of t.
+func (t *tripCols) floatCols() [][]float64 {
+	return [][]float64{t.travelled, t.legS, t.legE, t.legT, t.legBX, t.legBY, t.legDX, t.legDY, t.dstX, t.dstY}
+}
+
+// slotBits returns every column of slot i as raw bits.
+func slotBits(t *tripCols, i int) [12]uint64 {
+	var out [12]uint64
+	for k, col := range t.floatCols() {
+		out[k] = math.Float64bits(col[i])
+	}
+	out[10], out[11] = uint64(t.leg1[i]), uint64(t.leg2[i])
+	return out
+}
+
+// pointBits returns p's coordinates as raw bits.
+func pointBits(p geom.Point) [2]uint64 {
+	return [2]uint64{math.Float64bits(p.X), math.Float64bits(p.Y)}
+}
+
+// TestStartMatchesBranchy holds the branch-free start to setTrip followed
+// by moveTo, under both corner conventions, on the trips where its selects
+// and its fallback could go wrong: the hand-placed boundary trips (zero-
+// length legs, Src == Dst, d on the corner and one ulp either side of it,
+// d at and one ulp below the length) and stationary draws from a
+// tie-heavy stream and from PCG. Every column starts from the same junk
+// in both copies, so a column one side leaves unwritten shows.
+func TestStartMatchesBranchy(t *testing.T) {
+	const l = 4.0
+	var cases []tripCase
+	for _, c := range boundaryTripCases(0.25, []float64{0}) {
+		first, total := c.path.FirstLegLength(), c.path.Length()
+		cases = append(cases, c)
+		for _, d := range []float64{
+			math.Nextafter(first, -1), math.Nextafter(first, l), total, math.Nextafter(total, -1),
+		} {
+			if d >= 0 && d <= total {
+				cases = append(cases, tripCase{path: c.path, d: d})
+			}
+		}
+	}
+	ts, err := dist.NewTripSampler(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, pcg := &gridSource{state: 1}, rand.NewPCG(1, 2)
+	for k := 0; k < 20000; k++ {
+		for _, src := range []rand.Source{grid, pcg} {
+			tr := ts.Sample(src)
+			cases = append(cases, tripCase{path: tr.Path, d: tr.Travelled})
+		}
+	}
+	for _, cornerOnSecond := range []bool{true, false} {
+		got, want := newTripCols(1), newTripCols(1)
+		for k, c := range cases {
+			for _, tc := range []*tripCols{&got, &want} {
+				for _, col := range tc.floatCols() {
+					col[0] = -7.5
+				}
+				tc.leg1[0], tc.leg2[0] = 9, 9
+			}
+			gp := got.start(0, c.path, c.d, cornerOnSecond)
+			wp := startBranchy(&want, 0, c.path, c.d, cornerOnSecond)
+			if pointBits(gp) != pointBits(wp) || slotBits(&got, 0) != slotBits(&want, 0) {
+				t.Fatalf("cornerOnSecond=%v case %d (%+v, d=%v):\nstart          %v %x\nsetTrip+moveTo %v %x",
+					cornerOnSecond, k, c.path, c.d, gp, slotBits(&got, 0), wp, slotBits(&want, 0))
+			}
 		}
 	}
 }

@@ -17,8 +17,8 @@ import (
 //	GET    /healthz             200 serving / 503 draining
 //
 // Error mapping: invalid spec -> 400, unknown id -> 404, result of an
-// unfinished job -> 409, queue full -> 429 with Retry-After, draining ->
-// 503 with Retry-After.
+// unfinished job -> 409, spec body over MaxSpecBytes -> 413, queue full ->
+// 429 with Retry-After, draining -> 503 with Retry-After.
 type Server struct {
 	sched *Scheduler
 	mux   *http.ServeMux
@@ -65,12 +65,22 @@ type submitResponse struct {
 	Deduplicated bool `json:"deduplicated,omitempty"`
 }
 
+// MaxSpecBytes caps the body of POST /v1/jobs, which is otherwise decoded
+// whole into memory. A typical spec is a few hundred bytes; the cap still
+// leaves room for a value list of tens of thousands of points.
+const MaxSpecBytes = 1 << 20
+
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding job spec: "+err.Error())
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, "decoding job spec: "+err.Error())
 		return
 	}
 	view, dup, err := s.sched.Submit(spec)

@@ -486,6 +486,7 @@ func TestSubmitRejectsUnrunnablePoints(t *testing.T) {
 		`{"param":"n","values":[2.5],"r":3,"v":0.1,"trials":1}`,
 		`{"param":"r","values":[3],"n":100,"v":0.1,"trials":1,"max_steps":-1}`,
 		`{"param":"r","values":[1e-5],"n":100,"v":0.1,"trials":1}`,
+		`{"param":"r","values":[3,4],"n":100,"v":0.1,"trials":8388609}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -509,6 +510,53 @@ func TestSubmitRejectsUnrunnablePoints(t *testing.T) {
 		if len(entries) != 0 {
 			t.Fatalf("rejected specs wrote %d files under %s/", len(entries), sub)
 		}
+	}
+}
+
+// TestSubmitRejectsOversizedSpec: a spec asking for more than
+// experiments.MaxCells cells is refused by validation, promptly, rather
+// than listed cell by cell under the scheduler lock, where it would
+// block every other request.
+func TestSubmitRejectsOversizedSpec(t *testing.T) {
+	sched := newScheduler(t, Config{Workers: 1})
+	done := make(chan error, 1)
+	go func() {
+		spec := testSpec()
+		spec.Trials = 1 << 40
+		_, _, err := sched.Submit(spec)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrBadSpec) {
+			t.Fatalf("Submit: %v, want ErrBadSpec", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Submit of a 2^41-cell spec still running after 5 s")
+	}
+	if jobs := sched.List(); len(jobs) != 0 {
+		t.Fatalf("oversized spec admitted %d jobs", len(jobs))
+	}
+}
+
+// TestSubmitRejectsOversizedBody: POST /v1/jobs stops reading at
+// MaxSpecBytes and answers 413, admitting nothing.
+func TestSubmitRejectsOversizedBody(t *testing.T) {
+	sched := newScheduler(t, Config{Workers: 1})
+	ts := httptest.NewServer(NewServer(sched))
+	t.Cleanup(ts.Close)
+	// A syntactically valid spec whose value list runs to 2 MiB.
+	body := `{"param":"r","n":100,"v":0.1,"trials":1,"values":[3` + strings.Repeat(",3", 1<<20) + `]}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413", resp.StatusCode)
+	}
+	if jobs := sched.List(); len(jobs) != 0 {
+		t.Fatalf("oversized body admitted %d jobs", len(jobs))
 	}
 }
 
