@@ -1,10 +1,12 @@
 package manhattan
 
 // The benchmark harness regenerates every paper artifact (one benchmark per
-// experiment in the E01-E14 index of DESIGN.md) plus micro-benchmarks of
+// experiment in the E01-E18 table of README.md) plus micro-benchmarks of
 // the simulator's hot loops. Experiment benches run in Quick mode so that
 // `go test -bench=. -benchmem` completes on a laptop; `cmd/experiments`
 // runs the full-size versions and prints the paper-vs-measured tables.
+// End-to-end workloads with a per-layer breakdown live in perfbench/; the
+// zero-allocation gate over the hot loops is TestSteadyStateAllocs.
 
 import (
 	"math"
@@ -327,30 +329,25 @@ func BenchmarkFullFlood2k(b *testing.B) {
 	}
 }
 
-// benchSweepTrialsE03 measures Monte-Carlo trial throughput at the E03
-// quick point (n=800, largest sweep radius R=16, v=0.1, 8 trials per op)
-// through the production floodTrials fan-out; see also cmd/bench's
-// sweep_trials_e03 entries.
-func benchSweepTrialsE03(b *testing.B, pooled bool) {
-	b.Helper()
+// BenchmarkSweepTrialsE03 measures Monte-Carlo trial throughput at the
+// E03 quick point (n=800, largest sweep radius R=16, v=0.1, central
+// source, 8 trials per op) through experiments.RunSweep, the production
+// trial fan-out with one pooled world per worker.
+func BenchmarkSweepTrialsE03(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		completed, err := experiments.SweepTrials(800, 8, 20000, 16, uint64(i)+1, pooled)
+		res, err := experiments.RunSweep(experiments.Config{}, experiments.SweepSpec{
+			Param: "r", Values: []float64{16}, N: 800, V: 0.1,
+			Trials: 8, MaxSteps: 20000, Seed: uint64(i) + 1, Source: "center",
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if completed == 0 {
+		if res.Points[0].Completed == 0 {
 			b.Fatal("no trial completed")
 		}
 	}
 }
-
-// BenchmarkSweepTrialsE03 is the pooled (production) trial sweep.
-func BenchmarkSweepTrialsE03(b *testing.B) { benchSweepTrialsE03(b, true) }
-
-// BenchmarkSweepTrialsE03Fresh is the unpooled ablation: a fresh world and
-// flood per trial. The gap to BenchmarkSweepTrialsE03 is the pooling win.
-func BenchmarkSweepTrialsE03Fresh(b *testing.B) { benchSweepTrialsE03(b, false) }
 
 // BenchmarkStationaryInit10k measures perfect-simulation initialization of
 // 10000 agents.

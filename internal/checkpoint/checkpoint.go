@@ -22,9 +22,10 @@
 //     returns, so a SIGKILL loses at most the trial that was still in
 //     flight. The long-running sweep service uses this mode: per-cell
 //     O(1) durability instead of an O(journal) rewrite per trial. A crash
-//     mid-append can leave a truncated final line; the loader treats an
-//     unterminated, unparsable tail as an uncommitted trial and drops it
-//     (OpenAppend additionally truncates it away before appending).
+//     mid-append can leave a truncated final line; since every committed
+//     write ends in a newline, the loader treats any unterminated tail as
+//     an uncommitted trial and drops it, parsable or not (OpenAppend
+//     additionally truncates it away before appending).
 //     Corruption anywhere before the final line is still a hard error —
 //     checkpointed work is never silently discarded.
 //
@@ -117,9 +118,9 @@ func New() *Journal {
 // Open loads the journal at path, creating an empty one (in memory — the
 // file appears at first Flush) when the file does not exist yet. A
 // malformed journal is an error, never silently truncated, with one
-// carefully scoped exception: a final line that is both unterminated (no
-// trailing newline) and unparsable is the signature of a crash mid-append
-// and is treated as an uncommitted trial — dropped, not fatal. The caller
+// carefully scoped exception: a final line without its trailing newline
+// is the signature of a crash mid-append and is treated as an uncommitted
+// trial — dropped, not fatal, even when it parses. The caller
 // should delete or move a journal corrupted anywhere else explicitly
 // rather than lose checkpointed work to a quiet reset.
 func Open(path string) (*Journal, error) {
@@ -170,8 +171,11 @@ func OpenAppend(path string) (*Journal, error) {
 }
 
 // load reads and parses the journal at path, returning the journal, the
-// byte length of the valid prefix (entries end exactly there — an
-// unterminated, unparsable tail is excluded), and any hard error.
+// byte length of the committed prefix (entries end exactly there) and any
+// hard error. Every committed write ends in a newline — RecordDurable
+// appends one, Flush encodes line by line — so an unterminated final line
+// was never acknowledged: it is excluded whether or not it parses. A torn
+// header therefore leaves an empty journal with a committed length of 0.
 func load(path string) (*Journal, int64, error) {
 	j := New()
 	j.path = path
@@ -183,51 +187,32 @@ func load(path string) (*Journal, int64, error) {
 		return nil, 0, fmt.Errorf("checkpoint: reading journal: %w", err)
 	}
 	off := 0
-	lineNo := 0
-	for off < len(data) {
+	for lineNo := 1; ; lineNo++ {
 		nl := bytes.IndexByte(data[off:], '\n')
-		terminated := nl >= 0
-		var line []byte
-		next := len(data)
-		if terminated {
-			line = data[off : off+nl]
-			next = off + nl + 1
-		} else {
-			line = data[off:]
+		if nl < 0 {
+			// Crash mid-append (or mid-header): the unterminated tail is
+			// uncommitted. Drop it; everything before it stands.
+			return j, int64(off), nil
 		}
-		lineNo++
-		if len(line) == 0 {
-			off = next
-			continue
-		}
-		if lineNo == 1 {
+		line := data[off : off+nl]
+		off += nl + 1
+		switch {
+		case lineNo == 1:
 			var hdr struct {
 				Schema string `json:"schema"`
 			}
 			if err := json.Unmarshal(line, &hdr); err != nil || hdr.Schema != schema {
-				if !terminated {
-					// The file died while the header itself was being
-					// written: nothing was ever committed.
-					return j, 0, nil
-				}
 				return nil, 0, fmt.Errorf("checkpoint: %s is not a %s journal", path, schema)
 			}
-			off = next
-			continue
-		}
-		var e Entry
-		if err := json.Unmarshal(line, &e); err != nil {
-			if !terminated {
-				// Crash mid-append: the unterminated tail is an
-				// uncommitted trial. Drop it; everything before it stands.
-				return j, int64(off), nil
+		case len(line) == 0:
+		default:
+			var e Entry
+			if err := json.Unmarshal(line, &e); err != nil {
+				return nil, 0, fmt.Errorf("checkpoint: %s line %d: %w", path, lineNo, err)
 			}
-			return nil, 0, fmt.Errorf("checkpoint: %s line %d: %w", path, lineNo, err)
+			j.record(e)
 		}
-		j.record(e)
-		off = next
 	}
-	return j, int64(len(data)), nil
 }
 
 // syncDir fsyncs a directory so a just-created or just-renamed file's

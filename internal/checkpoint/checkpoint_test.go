@@ -133,6 +133,15 @@ func TestOpenRejectsCorruptJournal(t *testing.T) {
 		t.Error("foreign schema accepted")
 	}
 
+	// The header must be the first line, not the first non-blank one.
+	blankFirst := filepath.Join(dir, "blank_first.jsonl")
+	if err := os.WriteFile(blankFirst, []byte("\n{\"schema\":\"manhattanflood/checkpoint/v1\"}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(blankFirst); err == nil {
+		t.Error("journal with a blank first line accepted")
+	}
+
 	badLine := filepath.Join(dir, "bad_line.jsonl")
 	content := "{\"schema\":\"manhattanflood/checkpoint/v1\"}\n{not json\n"
 	if err := os.WriteFile(badLine, []byte(content), 0o644); err != nil {
@@ -144,103 +153,119 @@ func TestOpenRejectsCorruptJournal(t *testing.T) {
 }
 
 // TestTruncatedTailIsUncommittedTrial is the corruption-injection test
-// for crash-mid-append: a final line without a trailing newline that does
-// not parse must be dropped as an uncommitted trial, while every
+// for crash-mid-append: a final line without a trailing newline must be
+// dropped as an uncommitted trial, whether or not it parses, while every
 // terminated line before it survives. Corruption anywhere else stays a
 // hard error (see TestOpenRejectsCorruptJournal).
 func TestTruncatedTailIsUncommittedTrial(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "journal.jsonl")
-	j, err := OpenAppend(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := j.RecordDurable(unit("E03", 0, i), Result{Completed: true, Time: 10 + i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name string
+		trim int // bytes chopped off the end of the file
+	}{
+		{"mid_entry", 9},      // inside the final entry's JSON, newline gone
+		{"before_newline", 1}, // the final entry parses, only its newline is gone
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "journal.jsonl")
+			j, err := OpenAppend(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				if err := j.RecordDurable(unit("E03", 0, i), Result{Completed: true, Time: 10 + i}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	// Inject the crash: chop the file mid-way through the last line.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut := len(data) - 9 // inside the final entry's JSON, newline gone
-	if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
-		t.Fatal(err)
-	}
+			// Inject the crash: chop the file inside the last line.
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, data[:len(data)-tc.trim], 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	re, err := Open(path)
-	if err != nil {
-		t.Fatalf("truncated tail must not be fatal: %v", err)
-	}
-	if re.Len() != 2 {
-		t.Fatalf("reloaded %d entries, want 2 (tail dropped)", re.Len())
-	}
-	if _, ok := re.Lookup(unit("E03", 0, 2)); ok {
-		t.Error("the torn trial must read as uncommitted")
-	}
+			re, err := Open(path)
+			if err != nil {
+				t.Fatalf("truncated tail must not be fatal: %v", err)
+			}
+			if re.Len() != 2 {
+				t.Fatalf("reloaded %d entries, want 2 (tail dropped)", re.Len())
+			}
+			if _, ok := re.Lookup(unit("E03", 0, 2)); ok {
+				t.Error("the torn trial must read as uncommitted")
+			}
 
-	// OpenAppend must clear the partial tail so the next append starts on
-	// a clean line boundary — the re-run of the torn trial lands exactly
-	// where the torn record was.
-	ja, err := OpenAppend(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ja.RecordDurable(unit("E03", 0, 2), Result{Completed: true, Time: 12}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ja.Close(); err != nil {
-		t.Fatal(err)
-	}
-	final, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.Len() != 3 {
-		t.Fatalf("repaired journal has %d entries, want 3", final.Len())
-	}
-	if got, ok := final.Lookup(unit("E03", 0, 2)); !ok || got.Time != 12 {
-		t.Errorf("re-recorded trial = %+v, %v", got, ok)
+			// OpenAppend must clear the partial tail so the next append
+			// starts on a clean line boundary — the re-run of the torn
+			// trial lands exactly where the torn record was.
+			ja, err := OpenAppend(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ja.RecordDurable(unit("E03", 0, 2), Result{Completed: true, Time: 12}); err != nil {
+				t.Fatal(err)
+			}
+			if err := ja.Close(); err != nil {
+				t.Fatal(err)
+			}
+			final, err := Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if final.Len() != 3 {
+				t.Fatalf("repaired journal has %d entries, want 3", final.Len())
+			}
+			if got, ok := final.Lookup(unit("E03", 0, 2)); !ok || got.Time != 12 {
+				t.Errorf("re-recorded trial = %+v, %v", got, ok)
+			}
+		})
 	}
 }
 
 // TestTruncatedHeaderIsEmptyJournal: a crash while the header itself was
-// being written leaves zero committed work — the journal loads empty.
+// being written leaves zero committed work — the journal loads empty,
+// whether the cut fell inside the header or just before its newline.
 func TestTruncatedHeaderIsEmptyJournal(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	if err := os.WriteFile(path, []byte(`{"sche`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j, err := Open(path)
-	if err != nil {
-		t.Fatalf("torn header must read as empty, got %v", err)
-	}
-	if j.Len() != 0 {
-		t.Errorf("Len = %d, want 0", j.Len())
-	}
-	// And OpenAppend must be able to rebuild it from scratch.
-	ja, err := OpenAppend(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ja.RecordDurable(unit("E03", 0, 0), Result{Completed: true, Time: 7}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ja.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.Len() != 1 {
-		t.Errorf("rebuilt journal has %d entries, want 1", re.Len())
+	for _, tc := range []struct{ name, content string }{
+		{"mid_header", `{"sche`},
+		{"before_newline", `{"schema":"manhattanflood/checkpoint/v1"}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "journal.jsonl")
+			if err := os.WriteFile(path, []byte(tc.content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			j, err := Open(path)
+			if err != nil {
+				t.Fatalf("torn header must read as empty, got %v", err)
+			}
+			if j.Len() != 0 {
+				t.Errorf("Len = %d, want 0", j.Len())
+			}
+			// And OpenAppend must be able to rebuild it from scratch.
+			ja, err := OpenAppend(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ja.RecordDurable(unit("E03", 0, 0), Result{Completed: true, Time: 7}); err != nil {
+				t.Fatal(err)
+			}
+			if err := ja.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if re.Len() != 1 {
+				t.Errorf("rebuilt journal has %d entries, want 1", re.Len())
+			}
+		})
 	}
 }
 

@@ -71,13 +71,6 @@ const (
 // state is untrustworthy — and rebuilt fresh for the next trial.
 func floodTrials(cfg Config, exp string, point int, p sim.Params, factory sim.ModelFactory,
 	trials, maxSteps int, src sourceKind, withPartition bool) (floodPoint, error) {
-	return floodTrialsOpt(cfg, exp, point, p, factory, trials, maxSteps, src, withPartition, true)
-}
-
-// floodTrialsOpt is floodTrials with pooling switchable, so the benchmark
-// harness can measure the unpooled baseline through the identical fan-out.
-func floodTrialsOpt(cfg Config, exp string, point int, p sim.Params, factory sim.ModelFactory,
-	trials, maxSteps int, src sourceKind, withPartition, pooled bool) (floodPoint, error) {
 	agg := floodPoint{Trials: trials}
 	var part *cells.Partition
 	if withPartition {
@@ -115,9 +108,6 @@ func floodTrialsOpt(cfg Config, exp string, point int, p sim.Params, factory sim
 			defer wg.Done()
 			var pool trialPool
 			for trial := range next {
-				if !pooled {
-					pool = trialPool{}
-				}
 				o := pool.runIsolated(exp, point, shard, p, factory, part, trial, maxSteps, src)
 				outcomes[trial] = o
 				if o.err == nil && unitOf != nil {
@@ -282,21 +272,6 @@ func (tp *trialPool) run(p sim.Params, factory sim.ModelFactory, part *cells.Par
 	}
 	out.res, out.err = tp.f.Run(maxSteps)
 	return out
-}
-
-// SweepTrials runs an E03-style Monte-Carlo point — n agents on the
-// standard L = sqrt(n) square at the given radius, the sweep's slow speed
-// v = 0.1, central source, no partition — and returns how many of the
-// trials completed. With pooled set it exercises the production
-// floodTrials path (one World + Flooding per worker, Reset between
-// trials); with pooled unset every trial constructs a fresh pair. The two
-// modes produce identical results; the function exists so cmd/bench can
-// report the trial-throughput gain of pooling.
-func SweepTrials(n, trials, maxSteps int, r float64, seed uint64, pooled bool) (int, error) {
-	p := sim.Params{N: n, L: math.Sqrt(float64(n)), R: r, V: 0.1, Seed: seed}
-	point, err := floodTrialsOpt(Config{}, "bench/e03", 0, p, nil, trials, maxSteps,
-		sourceCentral, false, pooled)
-	return point.Completed, err
 }
 
 // secondPhaseScale returns the Theorem 3 second-phase regressor
