@@ -70,16 +70,23 @@ func TestSteadyStateAllocs(t *testing.T) {
 		{"flood_step_4k_paused", 40, func(t *testing.T) func() {
 			return newAllocFloodWith(t, sim.Params{N: 4000, R: 4, V: 0.1, Seed: 1}, sim.PausedMRWPFactory(20), false)
 		}},
-		// The gossip completes within its warm-ups (after 28 steps), so the
-		// op steps unconditionally: a round on a completed gossip still
-		// steps the world and draws targets for every agent.
+		// A gossip still spreading through every counted round: at R = 2,
+		// V = 0.1 it completes after about 150 steps, well past the 40
+		// warm-ups and 21 runs, so the marked/newly bookkeeping of a
+		// spreading round is what gets counted. The cleanup, which runs
+		// after the measurement, holds the geometry to that.
 		{"kgossip_step_4k", 40, func(t *testing.T) func() {
 			l := math.Sqrt(4000.0)
-			world := allocWorld(t, sim.Params{N: 4000, L: l, R: 4, V: 0.3, Seed: 1})
+			world := allocWorld(t, sim.Params{N: 4000, L: l, R: 2, V: 0.1, Seed: 1})
 			g, err := core.NewKGossip(world, world.NearestAgent(geom.Pt(l/2, l/2)), 2, 99)
 			if err != nil {
 				t.Fatal(err)
 			}
+			t.Cleanup(func() {
+				if g.Done() {
+					t.Error("gossip completed before the counted rounds ended; pick a slower geometry")
+				}
+			})
 			return func() { g.Step() }
 		}},
 		{"trace_write_100k", 3, func(t *testing.T) func() {

@@ -228,23 +228,51 @@ func BenchmarkWorldReset2k(b *testing.B) {
 }
 
 // BenchmarkMobilityAdvance10k measures the raw SoA mobility advance —
-// 10000 MRWP agents through Population.StepRange, no index, no classify:
-// the pure kinematics cost that the world step builds on.
+// agents through Population.StepRange, no index, no classify: the pure
+// kinematics cost that the world step builds on, reported per agent. The
+// cases are MRWP and paused MRWP (pause 20, dirty bitmap bound as the
+// world binds it) at 10k agents, L = 100, V = 0.3, and MRWP at the
+// flood_sparse_100k geometry (100k agents, L = 2*sqrt(n), V = 0.1).
 func BenchmarkMobilityAdvance10k(b *testing.B) {
-	const n = 10000
-	model, err := mobility.NewMRWP(mobility.Config{L: 100, V: 0.3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pop := mobility.BulkStepper(model).NewPopulation(n)
-	pop.Bind(mobility.View{X: make([]float64, n), Y: make([]float64, n)})
-	for i := 0; i < n; i++ {
-		pop.InitAgent(i, rand.New(rand.NewPCG(1, uint64(i))))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pop.StepRange(0, n)
+	for _, bc := range []struct {
+		name string
+		n    int
+		cfg  mobility.Config
+		// pause is the paused-MRWP maximum pause, 0 for plain MRWP.
+		pause float64
+	}{
+		{"mrwp_10k", 10000, mobility.Config{L: 100, V: 0.3}, 0},
+		{"paused_10k", 10000, mobility.Config{L: 100, V: 0.3}, 20},
+		{"mrwp_100k_sparse", 100000, mobility.Config{L: 2 * math.Sqrt(100000), V: 0.1}, 0},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var model mobility.Model
+			var err error
+			if bc.pause > 0 {
+				model, err = mobility.NewPausedMRWP(bc.cfg, bc.pause)
+			} else {
+				model, err = mobility.NewMRWP(bc.cfg)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			n := bc.n
+			view := mobility.View{X: make([]float64, n), Y: make([]float64, n)}
+			if !model.NeverRests() {
+				view.Dirty = make([]bool, n)
+			}
+			pop := mobility.BulkStepper(model).NewPopulation(n)
+			pop.Bind(view)
+			for i := 0; i < n; i++ {
+				pop.InitAgent(i, rand.New(rand.NewPCG(1, uint64(i))))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pop.StepRange(0, n)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/agent")
+		})
 	}
 }
 
@@ -258,35 +286,41 @@ func floodStepBench(b *testing.B, n int, chaining bool) {
 // floodStepBenchWith measures one flooding step of world p from the
 // central source: a single Flooding is stepped repeatedly, and the
 // (untimed) flood restart when it completes keeps every timed iteration a
-// live transmission round. p.Seed is overwritten per flood.
+// live transmission round. One untimed flood first grows every lazily
+// sized buffer, and a restart resets the world to the next seed and the
+// flood to that world's central agent, keeping every buffer, so the timed
+// steps are the steady state: 0 allocs/op. p.Seed is overwritten per
+// flood.
 func floodStepBenchWith(b *testing.B, p sim.Params, chaining bool) {
 	b.Helper()
-	l := p.L
-	newFlood := func(seed uint64) *core.Flooding {
-		p.Seed = seed
-		w, err := sim.NewWorld(p, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var opts []core.FloodOption
-		if chaining {
-			opts = append(opts, core.WithinStepChaining(true))
-		}
-		f, err := core.NewFlooding(w, w.NearestAgent(geom.Pt(l/2, l/2)), opts...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return f
-	}
+	center := geom.Pt(p.L/2, p.L/2)
 	seed := uint64(1)
-	f := newFlood(seed)
+	p.Seed = seed
+	w, err := sim.NewWorld(p, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var opts []core.FloodOption
+	if chaining {
+		opts = append(opts, core.WithinStepChaining(true))
+	}
+	f, err := core.NewFlooding(w, w.NearestAgent(center), opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for !f.Done() {
+		f.Step()
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if f.Done() {
 			b.StopTimer()
 			seed++
-			f = newFlood(seed)
+			w.Reset(seed)
+			if err := f.Reset(w.NearestAgent(center)); err != nil {
+				b.Fatal(err)
+			}
 			b.StartTimer()
 		}
 		f.Step()

@@ -99,12 +99,13 @@ type Agent interface {
 // way-point agent resting out its pause) skips publishing — its slot
 // already holds the right coordinates — leaving its bit clear, so the
 // index can skip untouched agents entirely. Setting the bit
-// unconditionally in publish keeps the mobility inner loop store-only
-// (no load-compare per agent); the "did I move" test lives with the one
-// model that can rest, on its own cache-hot state. The simulator owns
-// the bitmap and clears it before stepping the population; agents only
-// ever write their own slot and bit, which keeps parallel stepping
-// race-free.
+// unconditionally keeps the mobility inner loop store-only (no
+// load-compare per agent), and a population whose every agent publishes
+// sets its range's bits in one pass after the loop; the "did I move"
+// test lives with the one model that can rest, on its own cache-hot
+// state. The simulator owns the bitmap and clears it before stepping the
+// population; agents only ever write their own slot and bit, which keeps
+// parallel stepping race-free.
 type View struct {
 	X, Y  []float64
 	Dirty []bool

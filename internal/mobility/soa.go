@@ -58,6 +58,20 @@ func (p *popBase) publish(i int, x, y float64) {
 	p.view.Y[i] = y
 }
 
+// markDirty sets the dirty bits of slots [lo, hi) in one pass. A
+// population whose every agent publishes on every step stores its
+// positions straight into the view and calls it once after the loop, in
+// place of a per-agent Dirty test and store.
+func (p *popBase) markDirty(lo, hi int) {
+	if p.view.Dirty == nil {
+		return
+	}
+	d := p.view.Dirty[lo:hi]
+	for i := range d {
+		d[i] = true
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Trip columns
 
@@ -309,28 +323,34 @@ func (p *mrwpPop) place(i int, lp geom.LPath, d float64) {
 // StepRange implements Population. The common case — the move stays
 // strictly inside the current leg — is pure multiply-add on six flat
 // slices plus the position stores; corner crossings, arrivals and exact
-// boundary hits fall through to stepSlow, the ported exact loop.
+// boundary hits fall through to stepSlow, the ported exact loop. Every
+// agent publishes, so the dirty bits are set in one pass after the loop.
+//
+// Every column is re-sliced to [lo, hi) and then to one shared length, so
+// the compiler proves each access in bounds and keeps the column pointers
+// in registers (TestHotLoopsBoundsCheckFree holds it to that).
 func (p *mrwpPop) StepRange(lo, hi int) {
 	v, l := p.m.cfg.V, p.m.cfg.L
-	x, y, dirty := p.view.X, p.view.Y, p.view.Dirty
-	trav := p.travelled
-	legS, legE, legT := p.legS, p.legE, p.legT
-	bx, by, dx, dy := p.legBX, p.legBY, p.legDX, p.legDY
-	for i := lo; i < hi; i++ {
-		t := trav[i] + v
-		if v < legT[i]-trav[i] && t < legE[i] {
+	trav := p.travelled[lo:hi]
+	n := len(trav)
+	legS, legE, legT := p.legS[lo:hi][:n], p.legE[lo:hi][:n], p.legT[lo:hi][:n]
+	bx, by := p.legBX[lo:hi][:n], p.legBY[lo:hi][:n]
+	dx, dy := p.legDX[lo:hi][:n], p.legDY[lo:hi][:n]
+	x, y := p.view.X[lo:hi][:n], p.view.Y[lo:hi][:n]
+	for i := range trav {
+		tr := trav[i]
+		t := tr + v
+		if v < legT[i]-tr && t < legE[i] {
 			trav[i] = t
 			u := t - legS[i]
 			pos := geom.Point{X: bx[i] + u*dx[i], Y: by[i] + u*dy[i]}.Clamp(l)
-			if dirty != nil {
-				dirty[i] = true
-			}
 			x[i] = pos.X
 			y[i] = pos.Y
 			continue
 		}
-		p.stepSlow(i)
+		p.stepSlow(lo + i)
 	}
+	p.markDirty(lo, hi)
 }
 
 // stepSlow is MRWPAgent.stepSlow on slot i: chain through corners,
@@ -416,47 +436,58 @@ func (p *rwpPop) InitAgent(i int, rng rand.Source) {
 	p.srcX[i], p.srcY[i] = src.X, src.Y
 	p.dstX[i], p.dstY[i] = dst.X, dst.Y
 	p.travelled[i] = travelled
-	p.updatePos(i)
+	pos := rwpPos(src, dst, travelled, p.m.cfg.L)
+	p.publish(i, pos.X, pos.Y)
 }
 
-// StepRange implements Population (RWPAgent.Step per slot).
+// StepRange implements Population (RWPAgent.Step per slot). Every agent
+// publishes, so the dirty bits are set in one pass after the loop.
 func (p *rwpPop) StepRange(lo, hi int) {
 	v, l := p.m.cfg.V, p.m.cfg.L
-	for i := lo; i < hi; i++ {
+	trav := p.travelled[lo:hi]
+	n := len(trav)
+	srcX, srcY := p.srcX[lo:hi][:n], p.srcY[lo:hi][:n]
+	dstX, dstY := p.dstX[lo:hi][:n], p.dstY[lo:hi][:n]
+	rngs, waypoints := p.rngs[lo:hi][:n], p.waypoints[lo:hi][:n]
+	x, y := p.view.X[lo:hi][:n], p.view.Y[lo:hi][:n]
+	for i := range trav {
+		src := geom.Point{X: srcX[i], Y: srcY[i]}
+		dst := geom.Point{X: dstX[i], Y: dstY[i]}
+		d := trav[i]
 		residual := v
 		for residual > 0 {
-			src := geom.Point{X: p.srcX[i], Y: p.srcY[i]}
-			dst := geom.Point{X: p.dstX[i], Y: p.dstY[i]}
-			length := src.Dist(dst)
-			remain := length - p.travelled[i]
+			remain := src.Dist(dst) - d
 			if residual < remain {
-				p.travelled[i] += residual
+				d += residual
 				break
 			}
 			residual -= remain
-			rng := p.rngs[i]
-			p.srcX[i], p.srcY[i] = p.dstX[i], p.dstY[i]
-			p.dstX[i] = dist.Float64(rng) * l
-			p.dstY[i] = dist.Float64(rng) * l
-			p.travelled[i] = 0
-			p.waypoints[i]++
+			rng := rngs[i]
+			src = dst
+			dst.X = dist.Float64(rng) * l
+			dst.Y = dist.Float64(rng) * l
+			d = 0
+			waypoints[i]++
 		}
-		p.updatePos(i)
+		srcX[i], srcY[i] = src.X, src.Y
+		dstX[i], dstY[i] = dst.X, dst.Y
+		trav[i] = d
+		pos := rwpPos(src, dst, d, l)
+		x[i] = pos.X
+		y[i] = pos.Y
 	}
+	p.markDirty(lo, hi)
 }
 
-// updatePos is RWPAgent.updatePos on slot i.
-func (p *rwpPop) updatePos(i int) {
-	src := geom.Point{X: p.srcX[i], Y: p.srcY[i]}
-	dst := geom.Point{X: p.dstX[i], Y: p.dstY[i]}
+// rwpPos is RWPAgent.updatePos: the point travelled along the segment
+// from src to dst, clamped to [0, l]^2.
+func rwpPos(src, dst geom.Point, travelled, l float64) geom.Point {
 	length := src.Dist(dst)
 	if length == 0 {
-		p.publish(i, src.X, src.Y)
-		return
+		return src
 	}
-	frac := p.travelled[i] / length
-	pos := src.Add(dst.Sub(src).Scale(frac)).Clamp(p.m.cfg.L)
-	p.publish(i, pos.X, pos.Y)
+	frac := travelled / length
+	return src.Add(dst.Sub(src).Scale(frac)).Clamp(l)
 }
 
 // ---------------------------------------------------------------------------
@@ -484,14 +515,17 @@ func (p *walkPop) InitAgent(i int, rng rand.Source) {
 // StepRange implements Population (WalkAgent.Step per slot).
 func (p *walkPop) StepRange(lo, hi int) {
 	v, l := p.m.cfg.V, p.m.cfg.L
-	x, y := p.view.X, p.view.Y
-	for i := lo; i < hi; i++ {
-		theta := dist.Float64(p.rngs[i]) * 2 * math.Pi
+	rngs := p.rngs[lo:hi]
+	n := len(rngs)
+	x, y := p.view.X[lo:hi][:n], p.view.Y[lo:hi][:n]
+	for i, rng := range rngs {
+		theta := dist.Float64(rng) * 2 * math.Pi
 		nx := x[i] + v*math.Cos(theta)
 		ny := y[i] + v*math.Sin(theta)
-		pos := geom.Pt(reflect(nx, l), reflect(ny, l))
-		p.publish(i, pos.X, pos.Y)
+		x[i] = reflect(nx, l)
+		y[i] = reflect(ny, l)
 	}
+	p.markDirty(lo, hi)
 }
 
 // ---------------------------------------------------------------------------
@@ -528,29 +562,37 @@ func (p *directionPop) InitAgent(i int, rng rand.Source) {
 // StepRange implements Population (DirectionAgent.Step per slot).
 func (p *directionPop) StepRange(lo, hi int) {
 	v, l := p.m.cfg.V, p.m.cfg.L
-	x, y := p.view.X, p.view.Y
-	for i := lo; i < hi; i++ {
+	remaining := p.remaining[lo:hi]
+	n := len(remaining)
+	dxs, dys := p.dx[lo:hi][:n], p.dy[lo:hi][:n]
+	rngs := p.rngs[lo:hi][:n]
+	x, y := p.view.X[lo:hi][:n], p.view.Y[lo:hi][:n]
+	for i := range remaining {
 		px, py := x[i], y[i]
+		dx, dy, rem := dxs[i], dys[i], remaining[i]
 		residual := v
 		for residual > 0 {
-			d := math.Min(residual, p.remaining[i])
-			nx, flipX := reflectDir(px+d*p.dx[i], l)
-			ny, flipY := reflectDir(py+d*p.dy[i], l)
+			d := math.Min(residual, rem)
+			nx, flipX := reflectDir(px+d*dx, l)
+			ny, flipY := reflectDir(py+d*dy, l)
 			px, py = nx, ny
 			if flipX {
-				p.dx[i] = -p.dx[i]
+				dx = -dx
 			}
 			if flipY {
-				p.dy[i] = -p.dy[i]
+				dy = -dy
 			}
 			residual -= d
-			p.remaining[i] -= d
-			if p.remaining[i] <= 0 {
-				p.dx[i], p.dy[i], p.remaining[i] = drawDirectionEpoch(p.rngs[i], l)
+			rem -= d
+			if rem <= 0 {
+				dx, dy, rem = drawDirectionEpoch(rngs[i], l)
 			}
 		}
-		p.publish(i, px, py)
+		dxs[i], dys[i], remaining[i] = dx, dy, rem
+		x[i] = px
+		y[i] = py
 	}
+	p.markDirty(lo, hi)
 }
 
 // ---------------------------------------------------------------------------
@@ -599,22 +641,37 @@ func (p *pausedPop) place(i int, lp geom.LPath, d, pause float64) {
 // directly.
 func (p *pausedPop) StepRange(lo, hi int) {
 	v, l := p.m.cfg.V, p.m.cfg.L
-	x, y := p.view.X, p.view.Y
-	trav, pauseLeft := p.travelled, p.pauseLeft
-	legS, legE, legT := p.legS, p.legE, p.legT
-	bx, by, dx, dy := p.legBX, p.legBY, p.legDX, p.legDY
-	for i := lo; i < hi; i++ {
-		t := trav[i] + v
-		if pauseLeft[i] <= 0 && v < legT[i]-trav[i] && t < legE[i] {
+	trav := p.travelled[lo:hi]
+	n := len(trav)
+	pauseLeft := p.pauseLeft[lo:hi][:n]
+	legS, legE, legT := p.legS[lo:hi][:n], p.legE[lo:hi][:n], p.legT[lo:hi][:n]
+	bx, by := p.legBX[lo:hi][:n], p.legBY[lo:hi][:n]
+	dx, dy := p.legDX[lo:hi][:n], p.legDY[lo:hi][:n]
+	x, y := p.view.X[lo:hi][:n], p.view.Y[lo:hi][:n]
+	// dirty is empty or holds exactly the n bits of the range, so the
+	// i < len(dirty) test is the nil test the compiler can also use as the
+	// bounds proof.
+	var dirty []bool
+	if p.view.Dirty != nil {
+		dirty = p.view.Dirty[lo:hi][:n]
+	}
+	for i := range trav {
+		tr := trav[i]
+		t := tr + v
+		if pauseLeft[i] <= 0 && v < legT[i]-tr && t < legE[i] {
 			trav[i] = t
 			u := t - legS[i]
 			np := geom.Point{X: bx[i] + u*dx[i], Y: by[i] + u*dy[i]}.Clamp(l)
 			if np.X != x[i] || np.Y != y[i] {
-				p.publish(i, np.X, np.Y)
+				if i < len(dirty) {
+					dirty[i] = true
+				}
+				x[i] = np.X
+				y[i] = np.Y
 			}
 			continue
 		}
-		p.stepSlow(i)
+		p.stepSlow(lo + i)
 	}
 }
 

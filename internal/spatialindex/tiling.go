@@ -376,11 +376,12 @@ func (tl *Tiling) compareScan(cells, cellOf, dst []int32) []int32 {
 // compareRange is compareScan's classify-compare over one shard
 // (pcells = fresh classification, pcellOf = stored classification).
 func (tl *Tiling) compareRange(shard, lo, hi int) {
-	cells, cellOf := tl.pcells, tl.pcellOf
+	cells := tl.pcells[lo:hi]
+	cellOf := tl.pcellOf[lo:hi][:len(cells)]
 	out := tl.shardMovers[shard]
-	for i := lo; i < hi; i++ {
-		if cells[i] != cellOf[i] {
-			out = append(out, int32(i))
+	for i, c := range cells {
+		if c != cellOf[i] {
+			out = append(out, int32(lo+i))
 		}
 	}
 	tl.shardMovers[shard] = out

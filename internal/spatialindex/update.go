@@ -191,6 +191,7 @@ func (ix *Index) updateImpl(xs, ys []float64, dirty []bool, cells []int32) {
 				ix.noteMove(id, cellOf[id], cells[id])
 			}
 		} else {
+			cellOf := cellOf[:len(cells)]
 			for i, c := range cells {
 				if old := cellOf[i]; old != c {
 					ix.noteMove(int32(i), old, c)
@@ -203,16 +204,19 @@ func (ix *Index) updateImpl(xs, ys []float64, dirty []bool, cells []int32) {
 			}
 		}
 	} else {
+		// cells is nil or holds exactly n ids, so the i < len(cells) test
+		// is the nil test the compiler can also use as the bounds proof.
 		cols32 := int32(cols)
-		for i := range xsn {
+		dirty := dirty[:n]
+		for i, x := range xsn {
 			if !dirty[i] {
 				continue
 			}
 			var c int32
-			if cells != nil {
+			if i < len(cells) {
 				c = cells[i]
 			} else {
-				c = kernel.BucketOf(xsn[i], ysn[i], invR, cols32)
+				c = kernel.BucketOf(x, ysn[i], invR, cols32)
 			}
 			if old := cellOf[i]; old != c {
 				ix.noteMove(int32(i), old, c)
