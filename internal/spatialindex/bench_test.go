@@ -152,3 +152,39 @@ func BenchmarkUpdateCells100kTiled(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/agent")
 }
+
+// BenchmarkRebuildXYCells100k is the full counting-sort rebuild at the
+// flood_sparse_100k geometry (100k points on a side of 2*sqrt(n), radius
+// 4) with the classification precomputed, flat and on a 4x4 tiling with
+// 2 workers: the ablation that shows whether a tiled index needs a sort
+// of its own.
+func BenchmarkRebuildXYCells100k(b *testing.B) {
+	const n = 100000
+	side := 2 * math.Sqrt(n)
+	xs, ys := benchXY(n, side, 1)
+	for _, bc := range []struct {
+		name           string
+		tiles, workers int
+	}{{"flat", 0, 1}, {"tiles4_w2", 4, 2}} {
+		b.Run(bc.name, func(b *testing.B) {
+			ix, err := New(side, 4)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if bc.tiles > 0 {
+				if _, err := ix.EnableTiling(bc.tiles, bc.workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+			cells := make([]int32, n)
+			ix.ClassifyInto(cells, xs, ys)
+			ix.RebuildXYCells(xs, ys, cells)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ix.RebuildXYCells(xs, ys, cells)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/agent")
+		})
+	}
+}
