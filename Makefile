@@ -62,9 +62,10 @@ test-race:
 
 # test-scale runs the opt-in 100k-agent tiled-vs-flat bit-identity smoke
 # (TestScaleBitIdentity): the small property grids cover every regime,
-# this one catches scratch-sizing and cursor bugs that only manifest
-# when each tile holds thousands of buckets. Seconds, not milliseconds,
-# hence the env gate instead of running under plain `go test ./...`.
+# this one runs the tiled flood sweep's whole-tile skips, row-fragment
+# merge and sharded delta sync when each tile holds thousands of buckets
+# and agents. Seconds, not milliseconds, hence the env gate instead of
+# running under plain `go test ./...`.
 test-scale:
 	FLOODSIM_SCALE_TEST=1 $(GO) test $(TAGFLAG) -run TestScaleBitIdentity ./internal/core/
 
@@ -137,9 +138,11 @@ test-service:
 
 # bench runs the micro-benchmarks briefly — a smoke test that they still
 # run, not a measurement (the allocation gate is TestSteadyStateAllocs,
-# under test).
+# under test). The spatialindex leg runs the 100k-agent rebuild (flat
+# and tiled) and the tiled delta sync at the flood_sparse_100k geometry.
 bench:
 	$(GO) test $(TAGFLAG) -run '^$$' -bench 'WorldStep10k|MobilityAdvance10k|FloodStep4k$$|IndexRebuild10k|IndexNeighbors10k' -benchtime 100x -benchmem .
+	$(GO) test $(TAGFLAG) -run '^$$' -bench 'RebuildXYCells100k|UpdateCells100kTiled' -benchtime 10x -benchmem ./internal/spatialindex
 
 # docs verifies that every package carries a doc comment and that the
 # links in README.md / ARCHITECTURE.md resolve.

@@ -10,7 +10,8 @@
 //	         [-tiles 0] [-workers 0] [-trace run.mft]
 //
 // -l 0 (default) uses the paper's standard L = sqrt(n). -tiles K runs
-// the tiled world (K x K tiles, bit-identical results, worthwhile from
+// the tiled world (K x K tiles whose flood sweep skips every tile with
+// no frontier; bit-identical results, worthwhile for sparse floods from
 // ~100k agents — see the 1M-agent quickstart in README.md). -trace
 // records the run to a columnar trace file replayable with cmd/traceql
 // (see README.md, "Recording and replaying runs").

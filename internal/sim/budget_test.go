@@ -102,11 +102,13 @@ func measureLayers(w *World) layerBytes {
 }
 
 // TestAgentByteBudget pins the per-agent state of the two L-path models:
-// population columns plus RNG streams at most 140 B/agent. The count sums
-// slice capacities, so it is exact rather than GC-dependent. Run with -v
-// for the per-layer table at the flood_sparse_100k geometry.
+// population columns plus RNG streams at most 140 B/agent, and at most
+// 4 B/agent of tiling scratch on a tiled world (the tiling holds its
+// geometry and the compare scan's mover lists, nothing per agent). The
+// count sums slice capacities, so it is exact rather than GC-dependent.
+// Run with -v for the per-layer table at the flood_sparse_100k geometry.
 func TestAgentByteBudget(t *testing.T) {
-	const budget = 140.0
+	const budget, tilingBudget = 140.0, 4.0
 	for _, f := range []struct {
 		name    string
 		factory ModelFactory
@@ -135,6 +137,9 @@ func TestAgentByteBudget(t *testing.T) {
 				float64(b.positions)/n, float64(b.index)/n, float64(b.tiling)/n)
 			if got := float64(b.population+b.rng) / n; got > budget {
 				t.Errorf("%s N=%d: population+RNG = %.1f B/agent, budget %v", f.name, p.N, got, budget)
+			}
+			if got := float64(b.tiling) / n; got > tilingBudget {
+				t.Errorf("%s N=%d tiles=%d: tiling scratch = %.1f B/agent, budget %v", f.name, p.N, p.Tiles, got, tilingBudget)
 			}
 		}
 	}

@@ -76,10 +76,11 @@ type Params struct {
 	// deterministic and bit-identical to sequential stepping.
 	Workers int
 	// Tiles, when positive, partitions the torus into Tiles x Tiles tiles
-	// and maintains the neighbor index with tile-parallel, cache-resident
-	// passes (spatialindex.Tiling) — the scaling mode for populations past
-	// ~10^5 agents, where the flat counting sort's working set falls out
-	// of cache. The tile count is clamped to the bucket grid. Tiled and
+	// (spatialindex.Tiling): the index shards its delta sync over the
+	// workers, and the flood sweep skips every tile with no frontier —
+	// the scaling mode for sparse floods past ~10^5 agents. Rebuilds use
+	// the flat counting sort either way. The tile count is clamped to the
+	// bucket grid. Tiled and
 	// flat worlds are bit-identical at any Tiles and Workers value (same
 	// positions, same index state, same flooding outcome); Tiles only
 	// changes how the state is computed. 0 keeps the flat index.

@@ -126,10 +126,9 @@ type Index struct {
 	settled  atomic.Bool
 	settleMu sync.Mutex
 
-	// tiling, when non-nil, reroutes the counting sort through
-	// tile-parallel passes and shards the delta path over its workers
-	// (see EnableTiling in tiling.go).
-	// The resulting index state is bit-identical either way.
+	// tiling, when non-nil, shards the delta path and settling over its
+	// workers (see EnableTiling in tiling.go). The resulting index state
+	// is bit-identical either way.
 	tiling *Tiling
 }
 
@@ -268,19 +267,7 @@ func (ix *Index) RebuildXYCells(xs, ys []float64, cells []int32) {
 	ix.ensure(n)
 	copy(ix.xs, xs)
 	copy(ix.ys, ys)
-	if tl := ix.tiling; tl != nil {
-		copy(ix.cellOf, cells)
-		tl.rebuild()
-		return
-	}
-	starts := ix.starts
-	clear(starts)
-	cellOf := ix.cellOf
-	for i, c := range cells {
-		cellOf[i] = c
-		starts[c+1]++
-	}
-	ix.finishRebuild()
+	ix.rebuildCells(cells)
 }
 
 // Rebuild re-populates the index with pts. It is the []geom.Point
@@ -298,28 +285,31 @@ func (ix *Index) Rebuild(pts []geom.Point) {
 
 // rebuildOwned runs the counting sort over the current id-indexed view
 // (the owned copies, or slices retained by Update's fallback path). The
-// classify pass is one batched kernel call straight into cellOf; the
-// count pass then reads the ids back as a sequential int32 stream.
+// classify pass is one batched kernel call straight into cellOf.
 func (ix *Index) rebuildOwned() {
 	ix.ClassifyInto(ix.cellOf, ix.xs, ix.ys)
-	if tl := ix.tiling; tl != nil {
-		tl.rebuild()
-		return
-	}
+	ix.countingSort()
+}
+
+// rebuildCells runs the counting sort from a classification the caller
+// already holds (RebuildXYCells, and Update's bails with the fresh
+// classification of every point): cells is adopted, not re-derived.
+func (ix *Index) rebuildCells(cells []int32) {
+	copy(ix.cellOf, cells)
+	ix.countingSort()
+}
+
+// countingSort is the one rebuild body, flat or tiled: with cellOf
+// holding every point's bucket, it counts the buckets into starts,
+// prefix-sums them, scatters the ids stably, and fills the CSR
+// coordinates with one sequential pass, which leaves every bucket
+// settled.
+func (ix *Index) countingSort() {
 	starts := ix.starts
 	clear(starts)
 	for _, c := range ix.cellOf {
 		starts[c+1]++
 	}
-	ix.finishRebuild()
-}
-
-// finishRebuild completes a counting sort whose classify pass has filled
-// cellOf and the per-bucket counts in starts[1:]: prefix-sum, stable id
-// scatter, and the sequential CSR coordinate fill, which leaves every
-// bucket settled.
-func (ix *Index) finishRebuild() {
-	starts := ix.starts
 	m := ix.cols * ix.cols
 	for c := 0; c < m; c++ {
 		starts[c+1] += starts[c]

@@ -177,18 +177,13 @@ func (ix *Index) updateImpl(xs, ys []float64, dirty []bool, cells []int32) {
 			// Tiled twist on pass 1: the compare scan — the only O(n) part —
 			// runs sharded and side-effect free, and the per-bucket
 			// bookkeeping replays over just the merged mover list (cheap:
-			// movers are a small minority or we bail anyway). The bail can
-			// reuse the fresh classification directly instead of
-			// re-deriving it.
+			// movers are a small minority or we bail anyway).
 			movers = tl.compareScan(cells, cellOf, movers)
-			ix.movers = movers
-			if len(movers) > maxMovers {
-				copy(cellOf, cells)
-				tl.rebuild()
-				return
-			}
-			for _, id := range movers {
-				ix.noteMove(id, cellOf[id], cells[id])
+			bailed = len(movers) > maxMovers
+			if !bailed {
+				for _, id := range movers {
+					ix.noteMove(id, cellOf[id], cells[id])
+				}
 			}
 		} else {
 			cellOf := cellOf[:len(cells)]
@@ -234,7 +229,12 @@ func (ix *Index) updateImpl(xs, ys []float64, dirty []bool, cells []int32) {
 			ix.moved[id] = false
 		}
 		ix.listEvents() // resets the counters and the event bitmap
-		ix.rebuildOwned()
+		if dirty == nil {
+			// cells is the fresh classification of every point.
+			ix.rebuildCells(cells)
+		} else {
+			ix.rebuildOwned()
+		}
 		return
 	}
 	if len(movers) > 0 {
@@ -393,11 +393,10 @@ func (ix *Index) adopt(xs, ys []float64) {
 
 // gatherRange refreshes the bucket-major coordinates of CSR range
 // [lo, hi) from the id-indexed view: cx[k] = xs[ids[k]], cy[k] =
-// ys[ids[k]]. The flat counting sort runs it over the whole CSR, and
-// settling runs it over the spans of pending buckets; only the tiled
-// rebuild scatters coordinates alongside its ids instead. One sequential
-// id stream drives two gathers per point with no data-dependent branches,
-// so the loads pipeline.
+// ys[ids[k]]. The counting sort runs it over the whole CSR, and settling
+// runs it over the spans of pending buckets. One sequential id stream
+// drives two gathers per point with no data-dependent branches, so the
+// loads pipeline.
 func (ix *Index) gatherRange(lo, hi int) {
 	xs, ys := ix.xs, ix.ys
 	ids := ix.ids[lo:hi]

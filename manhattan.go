@@ -113,11 +113,11 @@ type Config struct {
 	// bit-identical to sequential runs (agents are independent).
 	Workers int
 	// Tiles > 0 partitions the torus into Tiles x Tiles tiles: the
-	// spatial index switches to the tiled two-level counting sort and
-	// the flooding sweep to per-tile passes with whole-tile frontier
-	// skips. Results are bit-identical to the flat world at any tile
-	// count; worthwhile from ~100k agents up (see ARCHITECTURE.md,
-	// "The tiled world").
+	// flooding sweep runs per-tile passes with whole-tile frontier skips,
+	// and the spatial index shards its delta sync over the workers.
+	// Results are bit-identical to the flat world at any tile count;
+	// worthwhile for sparse floods from ~100k agents up (see
+	// ARCHITECTURE.md, "The tiled world").
 	Tiles int
 	// Pause > 0 adds Uniform(0, Pause) way-point pauses to the MRWP model
 	// (the classic RWP-literature variant). Only valid with Model == MRWP
@@ -310,8 +310,7 @@ const (
 	// SourceRandom uses agent 0 (a stationary-law random position).
 	SourceRandom
 	// SourceExplicit uses the SourceAgent field as the source agent id,
-	// with 0 allowed — unlike the legacy SourceAgent-alone override, which
-	// treats 0 as "unset" and so cannot select agent 0 explicitly.
+	// with 0 allowed.
 	SourceExplicit
 )
 
@@ -347,8 +346,8 @@ type runSpec struct {
 
 // resolveRun applies the shared defaulting rules: MaxSteps <= 0 becomes
 // DefaultMaxSteps; SourceExplicit makes sourceAgent authoritative (0
-// allowed, range-checked); otherwise a positive sourceAgent keeps its
-// legacy override meaning, and the Source placement picks the agent.
+// allowed, range-checked); otherwise the Source placement picks the agent
+// and a non-zero sourceAgent is an error, not a silent override.
 func (s *Simulation) resolveRun(rs runSpec) (source, maxSteps int, err error) {
 	maxSteps = rs.maxSteps
 	if maxSteps <= 0 {
@@ -360,12 +359,8 @@ func (s *Simulation) resolveRun(rs runSpec) (source, maxSteps int, err error) {
 		if source < 0 || source >= s.cfg.N {
 			return 0, 0, fmt.Errorf("manhattan: explicit source agent %d out of range [0, %d)", source, s.cfg.N)
 		}
-	case rs.sourceAgent > 0:
-		// Legacy override: SourceAgent alone, with 0 meaning "unset".
-		source = rs.sourceAgent
-		if source >= s.cfg.N {
-			return 0, 0, fmt.Errorf("manhattan: source agent %d out of range [0, %d)", source, s.cfg.N)
-		}
+	case rs.sourceAgent != 0:
+		return 0, 0, fmt.Errorf("manhattan: source agent %d set with source placement %v; use SourceExplicit", rs.sourceAgent, rs.source)
 	default:
 		central, corner := core.SourcePair(s.w)
 		switch rs.source {
@@ -391,13 +386,9 @@ type FloodOptions struct {
 	// Source places the initially informed agent (default SourceCenter).
 	// With SourceExplicit, SourceAgent is the source (0 allowed).
 	Source Source
-	// SourceAgent is the explicit source agent id when Source is
-	// SourceExplicit.
-	//
-	// Deprecated: when Source is not SourceExplicit, a SourceAgent > 0
-	// still overrides the placement (the pre-SourceExplicit behavior, in
-	// which agent 0 meant "unset" and was unselectable). New code should
-	// set Source: SourceExplicit, which accepts agent 0.
+	// SourceAgent is the source agent id when Source is SourceExplicit,
+	// and must be 0 otherwise: the run returns an error rather than let a
+	// stray id override the placement.
 	SourceAgent int
 	// MaxSteps bounds the run (default DefaultMaxSteps).
 	MaxSteps int

@@ -192,9 +192,9 @@ func TestFloodSourcePlacements(t *testing.T) {
 			t.Errorf("source %d: incomplete", src)
 		}
 	}
-	// Explicit agent override.
+	// Explicit source agent.
 	s, _ := New(cfg)
-	res, err := s.Flood(FloodOptions{SourceAgent: 17, MaxSteps: 50000})
+	res, err := s.Flood(FloodOptions{Source: SourceExplicit, SourceAgent: 17, MaxSteps: 50000})
 	if err != nil {
 		t.Fatal(err)
 	}

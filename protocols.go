@@ -104,8 +104,8 @@ type ProtocolOptions struct {
 	// FloodOptions.Ctx does for Flood.
 	Ctx context.Context
 	// Source, SourceAgent and MaxSteps default as in FloodOptions
-	// (resolveRun): SourceExplicit makes SourceAgent authoritative with
-	// agent 0 allowed.
+	// (resolveRun): SourceExplicit makes SourceAgent the source, with
+	// agent 0 allowed, and any other Source requires SourceAgent 0.
 	Source      Source
 	SourceAgent int
 	MaxSteps    int

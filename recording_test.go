@@ -307,8 +307,8 @@ type observerFunc func(StepView) error
 
 func (f observerFunc) ObserveStep(v StepView) error { return f(v) }
 
-// TestSourceExplicitAgentZero: the redesigned source resolution makes
-// agent 0 selectable, which the legacy SourceAgent override could not.
+// TestSourceExplicitAgentZero: SourceExplicit makes agent 0 selectable,
+// and a SourceAgent without SourceExplicit is rejected, whatever its sign.
 func TestSourceExplicitAgentZero(t *testing.T) {
 	sim, err := New(Config{N: 100, L: 10, R: 3, V: 0.3, Seed: 8})
 	if err != nil {
@@ -321,13 +321,12 @@ func TestSourceExplicitAgentZero(t *testing.T) {
 	if res.Source != 0 {
 		t.Fatalf("explicit source 0 resolved to agent %d", res.Source)
 	}
-	// Legacy override still works for positive ids.
-	res, err = sim.Flood(FloodOptions{SourceAgent: 7, MaxSteps: 100})
-	if err != nil {
-		t.Fatalf("Flood: %v", err)
-	}
-	if res.Source != 7 {
-		t.Fatalf("legacy SourceAgent 7 resolved to agent %d", res.Source)
+	// A SourceAgent without SourceExplicit no longer overrides the
+	// placement, nor is it silently ignored.
+	for _, id := range []int{7, -7} {
+		if _, err := sim.Flood(FloodOptions{SourceAgent: id, MaxSteps: 100}); err == nil {
+			t.Fatalf("SourceAgent %d without SourceExplicit accepted", id)
+		}
 	}
 	// Out-of-range explicit ids are rejected.
 	if _, err := sim.Flood(FloodOptions{Source: SourceExplicit, SourceAgent: 100}); err == nil {
