@@ -97,8 +97,10 @@ cover:
 # fuzz-short runs each fuzzer briefly past its seed corpus — a cheap
 # randomized sweep for kernel-vs-reference, trace-encoder-vs-reference
 # and trip-sampler-vs-reference divergence, for trace reader panics or
-# allocation blow-ups on hostile bytes, and for checkpoint journals that
-# OpenAppend accepts but cannot append to, on every full ci run;
+# allocation blow-ups on hostile bytes, for checkpoint journals that
+# OpenAppend accepts but cannot append to, and for journals Open loads
+# against its rule (unterminated tail dropped, earlier corruption a hard
+# error), on every full ci run;
 # `go test -fuzz <name>` without -fuzztime searches indefinitely.
 fuzz-short:
 	$(GO) test $(TAGFLAG) -run '^$$' -fuzz FuzzBucketsDifferential -fuzztime 15s ./internal/kernel/
@@ -107,6 +109,7 @@ fuzz-short:
 	$(GO) test $(TAGFLAG) -run '^$$' -fuzz FuzzAppendDeltaColumn -fuzztime 15s ./internal/tracev2/
 	$(GO) test $(TAGFLAG) -run '^$$' -fuzz FuzzTripSample -fuzztime 15s ./internal/dist/
 	$(GO) test $(TAGFLAG) -run '^$$' -fuzz FuzzOpenAppend -fuzztime 15s ./internal/checkpoint/
+	$(GO) test $(TAGFLAG) -run '^$$' -fuzz FuzzJournalLoad -fuzztime 15s ./internal/checkpoint/
 
 # FAULTTAGS appends the faultinject tag to the active variant, so the
 # fault suite can run against either kernel build.
@@ -125,9 +128,11 @@ test-fault:
 
 # test-service gates the sweep service end to end: the scheduler/HTTP
 # unit and load tests with a -race leg (concurrent admission, tenant
-# round-robin, and watchdog abandonment are exactly where races hide),
-# the faultinject variants (injected worker stalls tripping the watchdog,
-# injected panics poisoning single jobs), and the cmd/floodd e2e suite
+# round-robin, the committer and watchdog abandonment are exactly where
+# races hide), the faultinject variants (injected worker stalls tripping
+# the watchdog, injected panics poisoning single jobs, failed journal
+# commits degrading single jobs, a stalled commit holding the workers
+# back), and the cmd/floodd e2e suite
 # that SIGKILLs the real daemon mid-sweep and requires the restarted one
 # to finish with byte-identical results.
 test-service:

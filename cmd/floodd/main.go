@@ -71,13 +71,14 @@ func run() int {
 		return 1
 	}
 	srv := &http.Server{Handler: service.NewServer(sched)}
+	// Catch signals before announcing the address: a SIGTERM sent as soon
+	// as "listening" appears must drain, not kill the process.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	logger.Printf("listening on %s (state=%q workers=%d)", ln.Addr(), *stateDir, *workers)
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 
 	select {
 	case got := <-sig:

@@ -17,11 +17,13 @@
 //     complete journal or the new complete journal, never a torn one.
 //     The one-shot CLIs flush at point granularity and on shutdown.
 //
-//   - Append mode (OpenAppend + RecordDurable): every recorded unit is
-//     appended as one JSONL line and fsynced before RecordDurable
-//     returns, so a SIGKILL loses at most the trial that was still in
-//     flight. The long-running sweep service uses this mode: per-cell
-//     O(1) durability instead of an O(journal) rewrite per trial. A crash
+//   - Append mode (OpenAppend + Append/Sync): every recorded unit is
+//     appended as one JSONL line by Append, and Sync fsyncs every line
+//     appended so far; RecordDurable is the two in one call. A unit is
+//     durable once the Sync after its Append returns. The long-running
+//     sweep service uses this mode: O(1) durability per cell instead of
+//     an O(journal) rewrite per trial, with one fsync per batch of cells
+//     (Close syncs too, so lines appended before it are kept). A crash
 //     mid-append can leave a truncated final line; since every committed
 //     write ends in a newline, the loader treats any unterminated tail as
 //     an uncommitted trial and drops it, parsable or not (OpenAppend
@@ -172,8 +174,8 @@ func OpenAppend(path string) (*Journal, error) {
 
 // load reads and parses the journal at path, returning the journal, the
 // byte length of the committed prefix (entries end exactly there) and any
-// hard error. Every committed write ends in a newline — RecordDurable
-// appends one, Flush encodes line by line — so an unterminated final line
+// hard error. Every committed write ends in a newline — Append writes
+// one, Flush encodes line by line — so an unterminated final line
 // was never acknowledged: it is excluded whether or not it parses. A torn
 // header therefore leaves an empty journal with a committed length of 0.
 func load(path string) (*Journal, int64, error) {
@@ -265,20 +267,22 @@ func (j *Journal) Record(u Unit, r Result) {
 	j.record(Entry{Unit: u, Result: r})
 }
 
-// RecordDurable records a completed unit and, in append mode, commits it
-// to disk (append one line + fsync) before returning — the unit survives
-// a SIGKILL the instant this returns. Outside append mode it behaves like
-// Record. The in-memory record always succeeds even when the disk write
-// fails, so a full disk degrades durability, not correctness: the caller
-// decides whether to fail open (keep computing, warn) or stop.
-func (j *Journal) RecordDurable(u Unit, r Result) error {
+// Append records a completed unit and, in append mode, writes its line to
+// the journal file without an fsync: the line survives a crash of the
+// process but not yet a power cut, until the next Sync. Outside append
+// mode it behaves like Record. The in-memory record always succeeds even
+// when the write fails, so a full disk degrades durability, not
+// correctness: the caller decides whether to fail open (keep computing,
+// warn) or stop.
+func (j *Journal) Append(u Unit, r Result) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.record(Entry{Unit: u, Result: r})
+	e := Entry{Unit: u, Result: r}
+	j.record(e)
 	if j.f == nil {
 		return nil
 	}
-	line, err := json.Marshal(Entry{Unit: u, Result: r})
+	line, err := json.Marshal(e)
 	if err != nil {
 		return fmt.Errorf("checkpoint: encoding entry: %w", err)
 	}
@@ -286,10 +290,31 @@ func (j *Journal) RecordDurable(u Unit, r Result) error {
 	if _, err := j.f.Write(line); err != nil {
 		return fmt.Errorf("checkpoint: appending entry: %w", err)
 	}
+	return nil
+}
+
+// Sync commits every line Append has written so far with one fsync. No-op
+// outside append mode. A writer that appends a batch of units and then
+// syncs once pays one fsync per batch instead of one per unit.
+func (j *Journal) Sync() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.f == nil {
+		return nil
+	}
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("checkpoint: syncing entry: %w", err)
 	}
 	return nil
+}
+
+// RecordDurable is Append followed by Sync: in append mode the unit
+// survives a SIGKILL or a power cut the instant this returns.
+func (j *Journal) RecordDurable(u Unit, r Result) error {
+	if err := j.Append(u, r); err != nil {
+		return err
+	}
+	return j.Sync()
 }
 
 // Close releases the append-mode file handle after a final sync. No-op

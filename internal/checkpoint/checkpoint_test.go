@@ -294,6 +294,78 @@ func TestAppendSurvivesReload(t *testing.T) {
 	}
 }
 
+// TestAppendSyncMatchesRecordDurable: a batch of Appends followed by one
+// Sync writes exactly the bytes a RecordDurable per unit writes.
+func TestAppendSyncMatchesRecordDurable(t *testing.T) {
+	dir := t.TempDir()
+	perUnit, err := OpenAppend(filepath.Join(dir, "per-unit.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batched, err := OpenAppend(filepath.Join(dir, "batched.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		u, r := unit("E03", i%2, i), Result{Completed: i%3 != 0, Time: 10 + i, CZTime: -1, SuburbLag: -1, Informed: i, N: 9}
+		if err := perUnit.RecordDurable(u, r); err != nil {
+			t.Fatal(err)
+		}
+		if err := batched.Append(u, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := batched.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range []*Journal{perUnit, batched} {
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(perUnit.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(batched.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("Append+Sync wrote\n%s\nRecordDurable wrote\n%s", got, want)
+	}
+}
+
+// TestAppendThenClosePersists: Close syncs, so lines appended without a
+// Sync of their own are all there on reopen.
+func TestAppendThenClosePersists(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	j, err := OpenAppend(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := j.Append(unit("E03", 0, i), Result{Time: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Len() != 4 {
+		t.Fatalf("reopened journal has %d entries, want 4", re.Len())
+	}
+	for i := 0; i < 4; i++ {
+		if got, ok := re.Lookup(unit("E03", 0, i)); !ok || got.Time != i {
+			t.Errorf("trial %d = %+v, %v after reopen", i, got, ok)
+		}
+	}
+}
+
 // TestFlushKeepsAppendHandleUsable: a rewrite-style Flush in append mode
 // replaces the inode; subsequent appends must land in the published file.
 func TestFlushKeepsAppendHandleUsable(t *testing.T) {

@@ -15,11 +15,11 @@ import (
 // worlds (K ∈ {4, 8}, serial and sharded) must agree bit-for-bit — same
 // informed sets, same newlyInformed order — for every step of the
 // opening flood phase. The small-world property tests cover the
-// regime × tile × worker grid; this one exists because the counting
-// sort's scratch sizing, the tile-segment cursors, and the frontier
-// skips all behave differently when the working set is thousands of
-// buckets per tile, and a bug that only manifests at scale would slip
-// past the small grids.
+// regime × tile × worker grid; this one exists because the sharded
+// delta sync, the one flat counting sort that every rebuild shares, and
+// the frontier skips all behave differently when the working set is
+// thousands of buckets per tile, and a bug that only manifests at scale
+// would slip past the small grids.
 //
 // It costs seconds, not milliseconds, so it is opt-in: set
 // FLOODSIM_SCALE_TEST=1 (CI runs it via `make test-scale`).

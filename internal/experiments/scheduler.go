@@ -21,15 +21,17 @@ import (
 // same pooling and panic isolation as the in-process trial runner. One
 // runner belongs to one worker goroutine (it is not concurrency-safe);
 // across calls it keeps one pooled World + Flooding pair keyed by the
-// cell's world parameters, so consecutive cells of the same sweep point
-// hit the zero-allocation Reset path and a parameter switch rebuilds the
-// pool in place — memory stays bounded at one world per worker no matter
-// how many sweeps are in flight.
+// cell's world parameters without the seed, so consecutive cells at the
+// same point parameters hit the zero-allocation Reset path even when they
+// belong to different sweeps (different seeds; every trial reseeds the
+// world anyway), and a parameter switch rebuilds the pool in place —
+// memory stays bounded at one world per worker no matter how many sweeps
+// are in flight.
 type CellRunner struct {
 	shard    int
 	pool     trialPool
 	part     *cells.Partition
-	params   sim.Params
+	params   sim.Params // the pool's parameters, Seed cleared
 	maxSteps int
 	havePool bool
 }
@@ -57,14 +59,16 @@ func (cr *CellRunner) Run(spec SweepSpec, point, trial int) (checkpoint.Result, 
 	}
 	src, _ := sweepSource(spec.Source)
 	p := spec.pointParams(point)
-	if !cr.havePool || p != cr.params || spec.MaxSteps != cr.maxSteps {
+	key := p
+	key.Seed = 0
+	if !cr.havePool || key != cr.params || spec.MaxSteps != cr.maxSteps {
 		part, err := cells.NewPartition(p.L, p.R, p.N)
 		if err != nil {
 			return checkpoint.Result{}, fmt.Errorf("building partition: %w", err)
 		}
 		cr.pool = trialPool{}
 		cr.part = part
-		cr.params = p
+		cr.params = key
 		cr.maxSteps = spec.MaxSteps
 		cr.havePool = true
 	}

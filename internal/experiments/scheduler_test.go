@@ -53,6 +53,51 @@ func TestCellRunnerMatchesRunSweep(t *testing.T) {
 	}
 }
 
+// TestCellRunnerKeepsPoolAcrossSeeds: two sweeps that differ only in
+// Seed share the pooled world. Alternating their cells at one point must
+// give each cell the result a fresh runner gives it, and allocate no more
+// per cell than running one sweep's cells back to back (a rebuild per
+// seed switch costs a new world and flooding process).
+func TestCellRunnerKeepsPoolAcrossSeeds(t *testing.T) {
+	a := testSpec()
+	b := testSpec()
+	b.Seed = 99
+	specs := [2]SweepSpec{a, b}
+
+	runner := NewCellRunner(0)
+	for trial := 0; trial < a.Trials; trial++ {
+		for _, spec := range specs {
+			got, err := runner.Run(spec, 1, trial)
+			if err != nil {
+				t.Fatalf("seed %d trial %d: %v", spec.Seed, trial, err)
+			}
+			want, err := NewCellRunner(0).Run(spec, 1, trial)
+			if err != nil {
+				t.Fatalf("fresh runner, seed %d trial %d: %v", spec.Seed, trial, err)
+			}
+			if got != want {
+				t.Fatalf("seed %d trial %d: pooled %+v, fresh %+v", spec.Seed, trial, got, want)
+			}
+		}
+	}
+
+	cellAllocs := func(specs []SweepSpec) float64 {
+		r := NewCellRunner(0)
+		k := 0
+		return testing.AllocsPerRun(20, func() {
+			if _, err := r.Run(specs[k%len(specs)], 1, 0); err != nil {
+				t.Fatal(err)
+			}
+			k++
+		})
+	}
+	one := cellAllocs([]SweepSpec{a})
+	alternating := cellAllocs(specs[:])
+	if alternating != one {
+		t.Fatalf("alternating two seeds: %v allocs per cell, one sweep: %v", alternating, one)
+	}
+}
+
 // TestCellUnitsMatchRunSweepJournal: the units the spec hands an external
 // scheduler must be exactly the units RunSweep's own trial runner records
 // — shared journals are the resume story.

@@ -19,7 +19,10 @@
 //   - stalled or poisoned service jobs (the JobDispatch hook sleeping or
 //     panicking on the sweep service's dispatch path) — exercising the
 //     watchdog's stall detection and per-job panic isolation in
-//     internal/service.
+//     internal/service;
+//   - failed or stalled journal commits (the JournalCommit hook
+//     returning an error or blocking on the sweep service's committer) —
+//     exercising per-job fail-open and the bounded commit queue.
 //
 // Hooks are registered programmatically by tests (see Set* in the tagged
 // build); the layer deliberately has no environment-variable surface, so

@@ -18,3 +18,6 @@ func FireIndexSyncBail() bool { return false }
 
 // FireJobDispatch is a no-op in the default build.
 func FireJobDispatch(jobID string, point, trial int) {}
+
+// FireJournalCommit never fails a commit in the default build.
+func FireJournalCommit(jobID string) error { return nil }

@@ -18,6 +18,7 @@ var registry struct {
 	stall       func(shard int)
 	indexBail   func() bool
 	jobDispatch func(jobID string, point, trial int)
+	commit      func(jobID string) error
 }
 
 // SetTrialStart arms f to run at the start of every trial, inside the
@@ -59,6 +60,18 @@ func SetJobDispatch(f func(jobID string, point, trial int)) {
 	registry.mu.Unlock()
 }
 
+// SetJournalCommit arms f to run on the sweep service's committer
+// goroutine once per job per batch, just before that job's journal is
+// synced. A non-nil error from f fails the commit exactly as a failed
+// fsync would (the job turns journal_degraded); a blocking f simulates a
+// stalled disk (the bounded commit queue then holds the workers back).
+// nil disarms.
+func SetJournalCommit(f func(jobID string) error) {
+	registry.mu.Lock()
+	registry.commit = f
+	registry.mu.Unlock()
+}
+
 // Reset disarms every hook; fault-injection tests defer it.
 func Reset() {
 	registry.mu.Lock()
@@ -66,6 +79,7 @@ func Reset() {
 	registry.stall = nil
 	registry.indexBail = nil
 	registry.jobDispatch = nil
+	registry.commit = nil
 	registry.mu.Unlock()
 }
 
@@ -97,6 +111,17 @@ func FireJobDispatch(jobID string, point, trial int) {
 	if f != nil {
 		f(jobID, point, trial)
 	}
+}
+
+// FireJournalCommit runs the armed journal-commit hook; nil when disarmed.
+func FireJournalCommit(jobID string) error {
+	registry.mu.Lock()
+	f := registry.commit
+	registry.mu.Unlock()
+	if f != nil {
+		return f(jobID)
+	}
+	return nil
 }
 
 // FireIndexSyncBail consults the armed bail hook; false when disarmed.

@@ -16,4 +16,7 @@ func TestDefaultBuildIsInert(t *testing.T) {
 	if FireIndexSyncBail() {
 		t.Error("FireIndexSyncBail must report false in the default build")
 	}
+	if err := FireJournalCommit("job"); err != nil {
+		t.Errorf("FireJournalCommit = %v, want nil in the default build", err)
+	}
 }

@@ -14,14 +14,23 @@
 // to an uninterrupted run (trials are independently seeded; aggregation
 // is shared with the in-process runner). Graceful shutdown is the same
 // machinery minus the kill: stop admitting, let in-flight trials finish,
-// flush journals, report what remains.
+// wait for their cells to reach disk, close journals, report what remains.
+//
+// Workers do not wait for the fsync. Each hands its computed cell to the
+// scheduler's one committer goroutine, through a queue bounded at a few
+// cells per worker, and takes its next cell. The committer appends every
+// queued cell, fsyncs each touched journal once per batch, and only then
+// counts the batch's cells. In-memory schedulers take the same path;
+// their fsync is a no-op.
 //
 // Robustness boundaries are per job, never per process: admission control
 // bounds the queue (429 with Retry-After under load), per-job deadlines
 // and a stall watchdog fail exactly the job that breached them, a
 // panicking trial poisons only its own job while sibling tenants'
-// sweeps complete unaffected, and per-tenant round-robin keeps one noisy
-// tenant from starving the rest of the worker pool.
+// sweeps complete unaffected, a failed journal write degrades only its
+// own job to journal_degraded (results stay correct), and per-tenant
+// round-robin keeps one noisy tenant from starving the rest of the worker
+// pool.
 package service
 
 import (
@@ -147,27 +156,28 @@ type cellRef struct {
 // job is the scheduler's mutable record for one accepted spec: the spec
 // is the goal state, the journal is the durable status, and pending is
 // the reconcile diff the workers drain. All fields are guarded by the
-// scheduler's mutex except journal, which has its own.
+// scheduler's mutex except journal, which has its own; id, sweep and
+// journal never change after admission, so the committer reads them
+// without the scheduler's mutex.
 type job struct {
 	id      string
 	spec    JobSpec
 	sweep   experiments.SweepSpec
 	journal *checkpoint.Journal
 
-	state    State
-	err      error
-	pending  []cellRef // cells not yet journaled, in dispatch order
-	next     int       // index into pending of the next cell to dispatch
-	done     int       // journaled cells
-	total    int       // len(Values) * Trials
-	inflight int       // cells currently on workers
-	counted  bool      // occupies an admission slot
+	state   State
+	err     error
+	pending []cellRef // cells not yet journaled, in dispatch order
+	next    int       // index into pending of the next cell to dispatch
+	done    int       // cells whose journal lines are on disk
+	total   int       // len(Values) * Trials
+	counted bool      // occupies an admission slot
 
 	deadline   time.Time // zero = no deadline
 	finishedAt time.Time // when the job turned terminal (retention clock)
 	result     *experiments.SweepResult
 
-	// journalDegraded notes a RecordDurable failure: the job keeps
+	// journalDegraded notes a failed journal Append or Sync: the job keeps
 	// running from memory (fail open — computed results are still
 	// correct) but a restart may have to re-run the unrecorded cells.
 	journalDegraded bool

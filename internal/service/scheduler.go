@@ -63,6 +63,25 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// commitQueuePerWorker bounds the committer's queue at this many computed
+// cells per worker: a slow disk holds the workers back instead of letting
+// results that are not yet on disk pile up in memory.
+const commitQueuePerWorker = 4
+
+// finishedCell is a computed cell waiting for the committer.
+type finishedCell struct {
+	job  *job
+	cell cellRef
+	res  checkpoint.Result
+}
+
+// touchedJob is one job a commit batch wrote to, with the first error its
+// journal's Append or Sync returned.
+type touchedJob struct {
+	job *job
+	err error
+}
+
 // runningCell is the watchdog's view of one in-flight cell.
 type runningCell struct {
 	job       *job
@@ -96,12 +115,22 @@ type Scheduler struct {
 	active     int                  // live, non-abandoned workers
 	nextWorker int
 
+	// commits is the committer's queue of computed cells. uncommitted
+	// counts them plus the batch the committer is writing: cells computed
+	// but not yet on disk nor counted, at most commitQueuePerWorker per
+	// worker. commitStop tells the committer to exit; Drain sets it.
+	commits     []finishedCell
+	uncommitted int
+	commitStop  bool
+	commitCond  *sync.Cond // signals the committer
+
 	watchStop chan struct{}
 	watchOnce sync.Once
 }
 
 // New builds the scheduler, re-admits every job recorded in the state
-// directory (restart-resume), and starts the worker pool and watchdog.
+// directory (restart-resume), and starts the worker pool, the committer
+// and the watchdog.
 func New(cfg Config) (*Scheduler, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -118,6 +147,7 @@ func New(cfg Config) (*Scheduler, error) {
 		watchStop:    make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
+	s.commitCond = sync.NewCond(&s.mu)
 
 	if cfg.StateDir != "" {
 		for _, sub := range []string{"jobs", "journals"} {
@@ -135,6 +165,7 @@ func New(cfg Config) (*Scheduler, error) {
 		s.spawnWorkerLocked()
 	}
 	s.mu.Unlock()
+	go s.committer()
 	go s.watchdog()
 	return s, nil
 }
@@ -335,10 +366,10 @@ func (s *Scheduler) spawnWorkerLocked() {
 }
 
 // workerLoop is one pooled trial worker: pull a cell (respecting tenant
-// fairness, with affinity for the previous job so the pooled world's
-// zero-allocation Reset path keeps hitting), run it isolated, record it
-// durably, repeat. Exits on drain/close, or silently when the watchdog
-// has abandoned it.
+// fairness, with affinity for the previous job), run it isolated, hand it
+// to the committer, repeat. The pooled world's zero-allocation Reset path
+// keeps hitting across jobs with the same point parameters. Exits on
+// drain/close, or silently when the watchdog has abandoned it.
 func (s *Scheduler) workerLoop(id int) {
 	runner := experiments.NewCellRunner(id)
 	var affinity *job
@@ -369,7 +400,6 @@ func (s *Scheduler) nextCell(id int, affinity *job) (*job, cellRef, bool) {
 			return nil, cellRef{}, false
 		}
 		if j, c, ok := s.pickLocked(affinity); ok {
-			j.inflight++
 			if j.state == StateQueued {
 				j.state = StateRunning
 			}
@@ -444,15 +474,12 @@ func (s *Scheduler) executeCell(runner *experiments.CellRunner, j *job, c cellRe
 	return runner.Run(j.sweep, c.point, c.trial)
 }
 
-// finishCell journals the outcome durably (outside the scheduler lock —
-// the fsync must not serialize dispatch) and reconciles job state. It
-// returns false when the watchdog abandoned this worker meanwhile: the
-// result is discarded and the goroutine must exit.
+// finishCell hands a computed cell to the committer and returns without
+// waiting for the disk, unless the commit queue is full. It returns false
+// when the watchdog abandoned this worker meanwhile: the result is
+// discarded and the goroutine must exit. A failed cell fails its job here
+// and is never journaled.
 func (s *Scheduler) finishCell(id int, j *job, c cellRef, res checkpoint.Result, err error) bool {
-	var recErr error
-	if err == nil {
-		recErr = j.journal.RecordDurable(j.sweep.Unit(c.point, c.trial), res)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rc := s.running[id]
@@ -460,22 +487,103 @@ func (s *Scheduler) finishCell(id int, j *job, c cellRef, res checkpoint.Result,
 	if rc != nil && rc.abandoned {
 		return false
 	}
-	j.inflight--
 	if err != nil {
 		s.failLocked(j, err)
 		return true
 	}
-	if recErr != nil && !j.journalDegraded {
-		// Fail open: the in-memory record is intact and results stay
-		// correct; only restart-resume coverage for this job degraded.
-		j.journalDegraded = true
-		s.logf("service: job %s: checkpoint write failed, continuing from memory: %v", j.id, recErr)
+	for s.uncommitted >= commitQueuePerWorker*s.cfg.Workers && !s.commitStop {
+		s.cond.Wait()
 	}
-	j.done++
-	if j.done >= j.total && !j.state.terminal() {
-		s.completeLocked(j)
+	if s.commitStop {
+		// Drain has stopped the committer: the cell was never reported,
+		// so it is dropped and reruns after a restart.
+		return true
 	}
+	s.commits = append(s.commits, finishedCell{job: j, cell: c, res: res})
+	s.uncommitted++
+	s.commitCond.Signal()
 	return true
+}
+
+// committer is the one goroutine that makes computed cells durable. It
+// takes the whole queue, appends every cell's line, syncs each touched
+// journal once, and only then counts the cells and completes jobs: a cell
+// is in cells_done only once the fsync that covers its line has returned.
+func (s *Scheduler) committer() {
+	var batch []finishedCell
+	var touched []touchedJob
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		for len(s.commits) == 0 && !s.commitStop {
+			s.commitCond.Wait()
+		}
+		if s.commitStop {
+			return
+		}
+		batch, s.commits = s.commits, batch[:0]
+		s.mu.Unlock()
+		touched = writeBatch(batch, touched[:0])
+		s.mu.Lock()
+		if s.commitStop {
+			// Drain timed out and closed the journals while this batch was
+			// being written; none of it is known to be on disk.
+			return
+		}
+		for _, t := range touched {
+			if t.err != nil && !t.job.journalDegraded {
+				// Fail open: the in-memory record is intact and results
+				// stay correct; only restart-resume coverage for this job
+				// degraded.
+				t.job.journalDegraded = true
+				s.logf("service: job %s: checkpoint write failed, continuing from memory: %v", t.job.id, t.err)
+			}
+		}
+		for _, fc := range batch {
+			j := fc.job
+			j.done++
+			if j.done >= j.total && !j.state.terminal() {
+				s.completeLocked(j)
+			}
+		}
+		s.uncommitted -= len(batch)
+		clear(batch)
+		clear(touched)
+		s.cond.Broadcast()
+	}
+}
+
+// writeBatch appends every cell of batch to its job's journal, then syncs
+// each touched journal once. It returns the touched jobs (appended to
+// touched) with the first error each one's journal reported.
+func writeBatch(batch []finishedCell, touched []touchedJob) []touchedJob {
+	for _, fc := range batch {
+		k := 0
+		for k < len(touched) && touched[k].job != fc.job {
+			k++
+		}
+		if k == len(touched) {
+			touched = append(touched, touchedJob{job: fc.job})
+		}
+		j := fc.job
+		if err := j.journal.Append(j.sweep.Unit(fc.cell.point, fc.cell.trial), fc.res); err != nil && touched[k].err == nil {
+			touched[k].err = err
+		}
+	}
+	for k := range touched {
+		t := &touched[k]
+		var err error
+		if faultinject.Active {
+			err = faultinject.FireJournalCommit(t.job.id)
+		}
+		if err == nil {
+			err = t.job.journal.Sync()
+		}
+		if t.err == nil {
+			t.err = err
+		}
+	}
+	return touched
 }
 
 // completeLocked aggregates a fully journaled job into its final result.
@@ -552,7 +660,6 @@ func (s *Scheduler) watchdog() {
 					continue
 				}
 				rc.abandoned = true
-				rc.job.inflight--
 				s.failLocked(rc.job, fmt.Errorf("watchdog: cell point=%d trial=%d stalled for %s (limit %s)",
 					rc.cell.point, rc.cell.trial,
 					now.Sub(rc.started).Round(time.Millisecond), s.cfg.StallTimeout))
@@ -635,23 +742,28 @@ func (s *Scheduler) Draining() bool {
 }
 
 // Drain is the graceful-termination protocol: stop dispatching, let
-// in-flight trials finish (bounded by timeout — a wedged trial cannot
-// hold shutdown hostage), close every journal, and report how many jobs
-// still hold unfinished work. Those jobs resume on the next start against
-// the same state directory.
+// in-flight trials finish and the committer put their cells on disk
+// (bounded by timeout — a wedged trial or a stalled disk cannot hold
+// shutdown hostage), stop the committer, close every journal, and report
+// how many jobs still hold unfinished work. Those jobs resume on the next
+// start against the same state directory.
 func (s *Scheduler) Drain(timeout time.Duration) (remaining int) {
 	s.mu.Lock()
 	s.draining = true
 	s.cond.Broadcast()
 	deadline := time.Now().Add(timeout)
-	for s.active > 0 && time.Now().Before(deadline) {
+	for (s.active > 0 || s.uncommitted > 0) && time.Now().Before(deadline) {
 		s.mu.Unlock()
 		time.Sleep(5 * time.Millisecond)
 		s.mu.Lock()
 	}
-	if s.active > 0 {
-		s.logf("service: drain timed out with %d workers still busy", s.active)
+	if s.active > 0 || s.uncommitted > 0 {
+		s.logf("service: drain timed out with %d workers still busy and %d cells not on disk",
+			s.active, s.uncommitted)
 	}
+	s.commitStop = true
+	s.commitCond.Signal()
+	s.cond.Broadcast()
 	for _, id := range s.order {
 		j := s.jobs[id]
 		if j.state == StateQueued || j.state == StateRunning {

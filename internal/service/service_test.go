@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"manhattanflood/internal/checkpoint"
 	"manhattanflood/internal/experiments"
 )
 
@@ -319,6 +320,50 @@ func TestRestartResume(t *testing.T) {
 	}
 	if got3, ok := s3.Result(v.ID); !ok || !reflect.DeepEqual(got3, want) {
 		t.Fatalf("cold-cache result differs")
+	}
+}
+
+// TestDrainLeavesCountedCellsOnDisk: after Drain returns, every job's
+// journal, reopened from disk, holds at least the cells_done the job
+// last reported — a counted cell is never one the committer still had
+// in memory.
+func TestDrainLeavesCountedCellsOnDisk(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{Workers: 2, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for k := 0; k < 3; k++ {
+		spec := testSpec()
+		spec.Seed = uint64(70 + k)
+		spec.Trials = 24
+		spec.Tenant = fmt.Sprintf("tenant-%d", k)
+		v, _, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, v.ID)
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		if v, _ := s.Get(ids[0]); v.CellsDone > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no cells completed")
+		}
+	}
+	s.Drain(10 * time.Second)
+	defer s.Close()
+	for _, id := range ids {
+		v, _ := s.Get(id)
+		j, err := checkpoint.Open(filepath.Join(dir, "journals", id+".ckpt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.Len() < v.CellsDone {
+			t.Errorf("job %s: journal holds %d cells after Drain, job reported %d", id, j.Len(), v.CellsDone)
+		}
 	}
 }
 

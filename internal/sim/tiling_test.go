@@ -66,7 +66,8 @@ func TestTiledWorldBitIdentical(t *testing.T) {
 	}{
 		// V/R = 0.025: the index stays on the delta path (UpdateCells).
 		{"delta", Params{N: 2000, L: 40, R: 4, V: 0.1, Seed: 99}, nil},
-		// V/R = 0.2: every step re-runs the (tiled) counting sort.
+		// V/R = 0.2: every step re-runs the flat counting sort, which
+		// tiled and flat indexes share.
 		{"rebuild", Params{N: 2000, L: 40, R: 2, V: 0.4, Seed: 99}, nil},
 		// Paused model: dirty-bitmap delta path, AoS/dirty bookkeeping.
 		{"paused", Params{N: 1500, L: 40, R: 4, V: 0.1, Seed: 41}, PausedMRWPFactory(3)},

@@ -79,7 +79,7 @@ func TestTiledUpdateMatchesFlat(t *testing.T) {
 	for _, tc := range tilingGrid {
 		// maxStep 0.02 keeps movers rare (delta regime); 0.6 forces heavy
 		// mover traffic; 9.0 teleports enough points to cross the
-		// UpdateFallbackFraction bail into the tiled rebuild.
+		// UpdateFallbackFraction bail into the one flat counting sort.
 		for _, maxStep := range []float64{0.02, 0.6, 9.0} {
 			t.Run(fmt.Sprintf("k=%d/workers=%d/step=%v", tc.k, tc.workers, maxStep), func(t *testing.T) {
 				rng := rand.New(rand.NewPCG(7, uint64(maxStep*100)))
