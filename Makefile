@@ -55,10 +55,12 @@ test:
 # test-race runs the race detector over the packages whose property tests
 # exercise the parallel shard merges (tiled flood sweep, tiled index
 # passes, parallel population stepping with the fused classify writing
-# the shared cells buffer) — exactly where an
-# unsynchronized read would hide behind deterministic output.
+# the shared cells buffer) and the sweep runner's trial fan-out (workers
+# running a trial's radius lanes share the per-cell outcome slices and
+# the checkpoint journal) — exactly where an unsynchronized read would
+# hide behind deterministic output.
 test-race:
-	$(GO) test $(TAGFLAG) -race ./internal/core ./internal/sim ./internal/mobility/... ./internal/spatialindex
+	$(GO) test $(TAGFLAG) -race ./internal/core ./internal/sim ./internal/mobility/... ./internal/spatialindex ./internal/experiments
 
 # test-scale runs the opt-in 100k-agent tiled-vs-flat bit-identity smoke
 # (TestScaleBitIdentity): the small property grids cover every regime,

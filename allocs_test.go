@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"manhattanflood/internal/cells"
 	"manhattanflood/internal/core"
 	"manhattanflood/internal/geom"
 	"manhattanflood/internal/sim"
@@ -89,6 +90,14 @@ func TestSteadyStateAllocs(t *testing.T) {
 			})
 			return func() { g.Step() }
 		}},
+		// One whole trial of sweep_mc_2k's radius lanes: the world at
+		// r = 2 plus indexes bound at 4, 8 and 16 (V/R on both sides of the
+		// delta switch), each lane flooding with its own partition until
+		// done. The trial seeds cycle, so the warm-ups have grown every
+		// scratch buffer the counted trials need.
+		{"sweep_lanes_2k", 8, func(t *testing.T) func() {
+			return newLaneTrialOp(t)
+		}},
 		{"trace_write_100k", 3, func(t *testing.T) func() {
 			return newTraceWriteOp(t, 100000)
 		}},
@@ -170,6 +179,61 @@ func newAllocFloodWith(t *testing.T, p sim.Params, factory sim.ModelFactory, cha
 			}
 		}
 		f.Step()
+	}
+}
+
+// newLaneTrialOp builds a steady-state op that runs one trial of four
+// radius lanes over one pooled world (core.Lanes), the way the sweep
+// runner pools them: Reset, a source, a reset flood per lane, then world
+// steps until every lane is done.
+func newLaneTrialOp(t *testing.T) func() {
+	t.Helper()
+	const n = 2000
+	radii := []float64{2, 4, 8, 16}
+	l := math.Sqrt(n)
+	world := allocWorld(t, sim.Params{N: n, L: l, R: radii[0], V: 0.3, Seed: 1})
+	floods := make([]*core.Flooding, len(radii))
+	for k, r := range radii {
+		part, err := cells.NewPartition(l, r, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := []core.FloodOption{core.WithPartition(part)}
+		if k > 0 {
+			ix, err := world.BindIndex(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts = append(opts, core.OnIndex(ix))
+		}
+		if floods[k], err = core.NewFlooding(world, 0, opts...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lanes, err := core.NewLanes(world, floods)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := []bool{true, true, true, true}
+	trial := 0
+	return func() {
+		trial++
+		world.Reset(uint64(trial%4) + 1)
+		src, _ := core.SourcePair(world)
+		for _, f := range floods {
+			if err := f.Reset(src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := lanes.Start(100_000, run); err != nil {
+			t.Fatal(err)
+		}
+		for lanes.Due() {
+			lanes.Step()
+		}
+		if !lanes.Result(0).Completed {
+			t.Fatal("the r = 2 lane did not complete")
+		}
 	}
 }
 

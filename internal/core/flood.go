@@ -65,6 +65,15 @@
 // vector mask folded word-by-word against the bitmap. The
 // fixed point is the same epidemic closure the naive iteration computes,
 // with each agent processed once.
+//
+// # Radius lanes
+//
+// Step is the world's step plus Round, the transmission round. A flood
+// runs over the index it was built on: the world's own, or one bound to
+// the world at another radius (OnIndex, sim.World.BindIndex). Lanes
+// drives several such floods over one world — the radii of one r-sweep
+// trial, which share their trajectory — stepping the world once per time
+// unit and giving each unfinished flood its round.
 package core
 
 import (
@@ -83,7 +92,13 @@ import (
 
 // Flooding runs the paper's flooding protocol over a sim.World.
 type Flooding struct {
-	w            *sim.World
+	w *sim.World
+	// ix is the bound index the flood runs over (OnIndex); nil runs it
+	// over the world's own index, read afresh every round. shared marks a
+	// flood whose world other floods use too (a bound index, or a flood
+	// handed to NewLanes): its Lanes steps the world, Step and Run refuse.
+	ix           *spatialindex.Index
+	shared       bool
 	informed     []bool
 	uninformed   []int32 // ids of uninformed agents, ascending
 	count        int
@@ -189,6 +204,14 @@ func WithStepObserver(fn func(newly []int32) error) FloodOption {
 	return func(f *Flooding) { f.observer = fn }
 }
 
+// OnIndex runs the flood over ix, an index bound to its world at another
+// radius (sim.World.BindIndex), instead of the world's own index. The
+// world is then shared with the floods of the other radii, so this flood
+// never steps it: Step and Run refuse it, and a Lanes drives its rounds.
+func OnIndex(ix *spatialindex.Index) FloodOption {
+	return func(f *Flooding) { f.ix = ix }
+}
+
 // NewFlooding creates a flooding process over w with the given source
 // agent, which is the only informed agent at time 0.
 func NewFlooding(w *sim.World, source int, opts ...FloodOption) (*Flooding, error) {
@@ -208,6 +231,12 @@ func NewFlooding(w *sim.World, source int, opts ...FloodOption) (*Flooding, erro
 	f.evalFn = f.evalTileRange
 	for _, o := range opts {
 		o(f)
+	}
+	if f.ix != nil {
+		if f.ix.Len() != w.N() {
+			return nil, fmt.Errorf("core: index holds %d points, world has %d agents", f.ix.Len(), w.N())
+		}
+		f.shared = true
 	}
 	if f.chainWithin {
 		f.uninfBits = make([]uint64, (w.N()+63)/64)
@@ -287,10 +316,33 @@ func (f *Flooding) Series() []int { return f.series }
 func (f *Flooding) CZInformedTime() int { return f.czTime }
 
 // Step advances the world one time unit and performs one transmission
-// round. It returns the number of newly informed agents.
+// round (Round). It returns the number of newly informed agents. A flood
+// on a shared world (OnIndex, NewLanes) panics here: stepping the world
+// would move it under the other floods between their rounds.
 func (f *Flooding) Step() int {
+	if f.shared {
+		panic(panicsafe.Invariant("core", "a flood on a shared world is stepped by its Lanes, not by Step"))
+	}
 	f.w.Step()
-	ix := f.w.Index()
+	return f.Round()
+}
+
+// index returns the index the flood runs over: the bound one, or the
+// world's own.
+func (f *Flooding) index() *spatialindex.Index {
+	if f.ix != nil {
+		return f.ix
+	}
+	return f.w.Index()
+}
+
+// Round performs one transmission round over the world's current
+// positions, without advancing the world: every uninformed agent within R
+// of an agent informed before this round becomes informed. It returns the
+// number of newly informed agents. Step is the world's step plus Round;
+// Lanes calls Round once per world step for each of its floods.
+func (f *Flooding) Round() int {
+	ix := f.index()
 
 	// Per-bucket uninformed occupancy: a bucket row whose population is
 	// entirely uninformed cannot contain a transmitter.
@@ -852,6 +904,9 @@ func (f *Flooding) RunContext(ctx context.Context, maxSteps int) (Result, error)
 	if maxSteps < 0 {
 		return Result{}, fmt.Errorf("core: negative step budget %d", maxSteps)
 	}
+	if f.shared {
+		return Result{}, fmt.Errorf("core: a flood on a shared world is run by its Lanes")
+	}
 	var err error
 	// Run-start frame: before any stepping, fresh holds exactly the source,
 	// so the observer sees the initial informed set and the pre-run world
@@ -886,6 +941,12 @@ func (f *Flooding) RunContext(ctx context.Context, maxSteps int) (Result, error)
 			}
 		}
 	}
+	return f.Result(), err
+}
+
+// Result summarizes the flood at the world's current time: the flooding
+// time if every agent is informed, else the steps taken so far.
+func (f *Flooding) Result() Result {
 	res := Result{
 		Completed: f.Done(),
 		Time:      f.w.Time(),
@@ -897,7 +958,7 @@ func (f *Flooding) RunContext(ctx context.Context, maxSteps int) (Result, error)
 	if res.Completed && f.czTime >= 0 {
 		res.SuburbLag = res.Time - f.czTime
 	}
-	return res, err
+	return res
 }
 
 // SourcePair returns two deterministic source choices in w: the agent

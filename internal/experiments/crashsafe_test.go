@@ -140,7 +140,7 @@ func TestTrialPanicBecomesStructuredError(t *testing.T) {
 		return mobility.NewMRWP(cfg)
 	}
 	p := sim.Params{N: 300, L: 17.32, R: 4, V: 0.3, Seed: 42}
-	_, err := floodTrials(Config{Workers: 1}, "E99", 7, p, factory, 3, 20000, sourceCentral, false)
+	_, err := floodOne(Config{Workers: 1}, "E99", 7, p, factory, 3, 20000, sourceCentral, false)
 	if err == nil {
 		t.Fatal("want a trial panic error, got nil")
 	}

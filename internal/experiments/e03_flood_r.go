@@ -49,13 +49,16 @@ func E03FloodVsR(cfg Config) (E03Result, error) {
 
 	res := E03Result{N: n, L: l, V: v}
 	var x1, x2, y []float64
+	// Every radius floods from one seed, so the points run as the radius
+	// lanes of one world per trial.
+	points, errs := floodTrials(cfg, floodGroup{exp: "E03",
+		p:     sim.Params{N: n, L: l, V: v, Seed: cfg.Seed ^ 0xe03},
+		radii: radii, trials: trials, maxSteps: maxSteps, src: sourceCentral})
 	for i, r := range radii {
-		point, err := floodTrials(cfg, "E03", i,
-			sim.Params{N: n, L: l, R: r, V: v, Seed: cfg.Seed ^ 0xe03},
-			nil, trials, maxSteps, sourceCentral, false)
-		if err != nil {
-			return res, err
+		if errs[i] != nil {
+			return res, errs[i]
 		}
+		point := points[i]
 		tp := theory.Params{N: n, L: l, R: r, V: v}
 		p := E03Point{
 			R:          r,

@@ -52,7 +52,7 @@ func E04FloodVsV(cfg Config) (E04Result, error) {
 	res.STheta = l * l * l * logf(n) / (r * r * float64(n))
 	var invVs, ys []float64
 	for i, v := range speeds {
-		point, err := floodTrials(cfg, "E04", i,
+		point, err := floodOne(cfg, "E04", i,
 			sim.Params{N: n, L: l, R: r, V: v, Seed: cfg.Seed ^ 0xe04},
 			nil, trials, maxSteps, sourceCentral, false)
 		if err != nil {

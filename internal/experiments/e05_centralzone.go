@@ -42,7 +42,7 @@ func E05CentralZone(cfg Config) (E05Result, error) {
 
 	res := E05Result{N: n, L: l, V: v, AllWithinBound: true}
 	for i, r := range radii {
-		point, err := floodTrials(cfg, "E05", i,
+		point, err := floodOne(cfg, "E05", i,
 			sim.Params{N: n, L: l, R: r, V: v, Seed: cfg.Seed ^ 0xe05},
 			nil, trials, maxSteps, sourceCentral, true)
 		if err != nil {

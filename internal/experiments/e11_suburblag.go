@@ -46,7 +46,7 @@ func E11SuburbLag(cfg Config) (E11Result, error) {
 	pointIdx := 0
 	for _, r := range radii {
 		for _, v := range speeds {
-			point, err := floodTrials(cfg, "E11", pointIdx,
+			point, err := floodOne(cfg, "E11", pointIdx,
 				sim.Params{N: n, L: l, R: r, V: v, Seed: cfg.Seed ^ 0xe11},
 				nil, trials, maxSteps, sourceCentral, true)
 			pointIdx++

@@ -79,12 +79,12 @@ func E13PerfectSim(cfg Config) (E13Result, error) {
 	// checkpoint journal: both run identical parameters and seeds, only
 	// the init law differs, so the point index is what keeps their
 	// recorded trials apart.
-	pStat, err := floodTrials(cfg, "E13", 0, sim.Params{N: fn, L: fl, R: 5, V: 0.3, Seed: cfg.Seed ^ 0x13f},
+	pStat, err := floodOne(cfg, "E13", 0, sim.Params{N: fn, L: fl, R: 5, V: 0.3, Seed: cfg.Seed ^ 0x13f},
 		sim.MRWPFactory(), trials, maxSteps, sourceCentral, false)
 	if err != nil {
 		return res, err
 	}
-	pCold, err := floodTrials(cfg, "E13", 1, sim.Params{N: fn, L: fl, R: 5, V: 0.3, Seed: cfg.Seed ^ 0x13f},
+	pCold, err := floodOne(cfg, "E13", 1, sim.Params{N: fn, L: fl, R: 5, V: 0.3, Seed: cfg.Seed ^ 0x13f},
 		sim.MRWPFactory(mobility.WithInit(mobility.InitUniform)), trials, maxSteps, sourceCentral, false)
 	if err != nil {
 		return res, err

@@ -47,7 +47,7 @@ func E14Models(cfg Config) (E14Result, error) {
 		{"random-direction", sim.RandomDirectionFactory()},
 	}
 	for i, f := range factories {
-		point, err := floodTrials(cfg, "E14", i,
+		point, err := floodOne(cfg, "E14", i,
 			sim.Params{N: n, L: l, R: r, V: v, Seed: cfg.Seed ^ 0xe14},
 			f.factory, trials, maxSteps, sourceFirst, false)
 		if err != nil {

@@ -65,7 +65,7 @@ func E17PauseAblation(cfg Config) (E17Result, error) {
 		if pmax > 0 {
 			factory = sim.PausedMRWPFactory(pmax)
 		}
-		point, err := floodTrials(cfg, "E17", i,
+		point, err := floodOne(cfg, "E17", i,
 			sim.Params{N: n, L: l, R: r, V: v, Seed: seed},
 			factory, trials, maxSteps, sourceCentral, false)
 		if err != nil {

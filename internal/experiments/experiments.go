@@ -47,6 +47,10 @@ type Config struct {
 	// live (non-replayed) trial completes. Test seam for the
 	// kill-and-resume property tests; deliberately unexported.
 	afterTrial func()
+	// afterStep, when non-nil, runs on the worker goroutine after every
+	// world step of a trial's radius lanes. Test seam for the lane
+	// coupling oracle; deliberately unexported.
+	afterStep func(*lanePool)
 }
 
 func (c Config) out() io.Writer {

@@ -18,22 +18,22 @@ import (
 )
 
 // CellRunner executes single (point, trial) cells of sweep specs with the
-// same pooling and panic isolation as the in-process trial runner. One
-// runner belongs to one worker goroutine (it is not concurrency-safe);
-// across calls it keeps one pooled World + Flooding pair keyed by the
-// cell's world parameters without the seed, so consecutive cells at the
-// same point parameters hit the zero-allocation Reset path even when they
-// belong to different sweeps (different seeds; every trial reseeds the
-// world anyway), and a parameter switch rebuilds the pool in place —
-// memory stays bounded at one world per worker no matter how many sweeps
-// are in flight.
+// same pooling and panic isolation as the in-process trial runner: each
+// cell is a group of one lane (floodTrials' lanePool). One runner belongs
+// to one worker goroutine (it is not concurrency-safe). Across calls it
+// keeps one pooled world and flood, keyed by the cell's world parameters
+// without the seed and without R: consecutive cells at the same point
+// hit the zero-allocation Reset path even when they belong to different
+// sweeps (every trial reseeds the world anyway); a radius switch keeps
+// the population, RNG slab and positions and rebuilds only the index
+// (sim.World.SetRadius), the partition and the flood; any other
+// parameter switch rebuilds the pool. Memory stays bounded at one world
+// and one radius per worker no matter how many sweeps are in flight.
 type CellRunner struct {
-	shard    int
-	pool     trialPool
-	part     *cells.Partition
-	params   sim.Params // the pool's parameters, Seed cleared
-	maxSteps int
-	havePool bool
+	shard int
+	group floodGroup // the pooled lane's group; exp, point and seed follow each cell
+	pool  *lanePool
+	key   sim.Params // the pool's parameters, Seed and R cleared
 }
 
 // NewCellRunner returns a runner for the given worker shard index (the
@@ -60,24 +60,45 @@ func (cr *CellRunner) Run(spec SweepSpec, point, trial int) (checkpoint.Result, 
 	src, _ := sweepSource(spec.Source)
 	p := spec.pointParams(point)
 	key := p
-	key.Seed = 0
-	if !cr.havePool || key != cr.params || spec.MaxSteps != cr.maxSteps {
-		part, err := cells.NewPartition(p.L, p.R, p.N)
-		if err != nil {
-			return checkpoint.Result{}, fmt.Errorf("building partition: %w", err)
+	key.Seed, key.R = 0, 0
+	if cr.pool == nil || key != cr.key {
+		cr.group = floodGroup{radii: make([]float64, 1), withPartition: true}
+		cr.pool = newLanePool(&cr.group, make([]*cells.Partition, 1))
+		cr.key = key
+	}
+	cr.group.exp, cr.group.first, cr.group.p = spec.Experiment(), point, p
+	cr.group.trials, cr.group.maxSteps, cr.group.src = spec.Trials, spec.MaxSteps, src
+	if p.R != cr.group.radii[0] {
+		if err := cr.setRadius(p.R); err != nil {
+			cr.pool = nil
+			return checkpoint.Result{}, err
 		}
-		cr.pool = trialPool{}
-		cr.part = part
-		cr.params = key
-		cr.maxSteps = spec.MaxSteps
-		cr.havePool = true
 	}
-	o := cr.pool.runIsolated(spec.Experiment(), point, cr.shard, p, nil,
-		cr.part, trial, spec.MaxSteps, src)
-	if o.err != nil {
-		return checkpoint.Result{}, o.err
+	var out [1]trialOutcome
+	cr.pool.runTrial(cr.shard, trial, out[:])
+	if out[0].err != nil {
+		return checkpoint.Result{}, out[0].err
 	}
-	return checkpointResult(o.res), nil
+	return checkpointResult(out[0].res), nil
+}
+
+// setRadius moves the pooled lane to radius r: a new partition, and, once
+// the pool is built, the world's index moved in place (World.SetRadius)
+// and the lane's flood rebuilt over it.
+func (cr *CellRunner) setRadius(r float64) error {
+	p := cr.group.p
+	part, err := cells.NewPartition(p.L, r, p.N)
+	if err != nil {
+		return fmt.Errorf("building partition: %w", err)
+	}
+	cr.group.radii[0], cr.pool.parts[0] = r, part
+	if cr.pool.w == nil {
+		return nil
+	}
+	if err := cr.pool.w.SetRadius(r); err != nil {
+		return err
+	}
+	return cr.pool.buildLanes()
 }
 
 // AggregateSweep assembles the full sweep result from per-cell outcomes —

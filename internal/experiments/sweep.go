@@ -172,14 +172,21 @@ func (s SweepSpec) point(i int, fp floodPoint) SweepPoint {
 	}
 }
 
-// RunSweep runs the sweep through the crash-safe trial runner. Each point
-// is keyed "sweep/<param>" with its index into Values, so an attached
-// cfg.Journal checkpoints completed trials and a resumed run replays them
-// byte-identically. Per-point panic isolation: a point whose trials panic
-// records the structured *PanicError in its Err field and the sweep moves
-// on — one poisoned parameter point does not cost the rest of the sweep.
-// Cancellation and construction errors, by contrast, abort the sweep and
-// return the partial result alongside the error.
+// RunSweep runs the sweep through the crash-safe trial runner
+// (floodTrials). The points of an "r" sweep differ only in R, so they run
+// as one group: trial t floods every radius as a lane over one world. Each
+// point of a "v" or "n" sweep is a group of one. Each point is keyed
+// "sweep/<param>" with its index into Values, so an attached cfg.Journal
+// checkpoints every completed (point, trial) cell and a resumed run
+// replays them byte-identically. Per-point panic isolation: a point whose
+// trials panic records the structured *PanicError in its Err field and
+// the sweep moves on — one poisoned parameter point does not cost the
+// rest of the sweep. Cancellation and construction errors, by contrast,
+// abort the sweep and return the partial result alongside the error: the
+// points before the first point the error hit. Since the points of an
+// "r" sweep advance together, a canceled one returns no points unless
+// the journal held every cell of the leading ones; its completed cells
+// are in the journal either way.
 func RunSweep(cfg Config, spec SweepSpec) (SweepResult, error) {
 	var res SweepResult
 	if err := spec.Validate(); err != nil {
@@ -188,24 +195,33 @@ func RunSweep(cfg Config, spec SweepSpec) (SweepResult, error) {
 	src, _ := sweepSource(spec.Source)
 	exp := spec.Experiment()
 
-	for i, val := range spec.Values {
+	size := 1
+	if spec.Param == "r" {
+		size = len(spec.Values)
+	}
+	for first := 0; first < len(spec.Values); first += size {
 		if err := cfg.canceled(); err != nil {
 			return res, err
 		}
-		sp := SweepPoint{Value: val, Trials: spec.Trials}
-		point, err := floodTrials(cfg, exp, i, spec.pointParams(i),
-			nil, spec.Trials, spec.MaxSteps, src, true)
-		if err != nil {
-			var pe *PanicError
-			if errors.As(err, &pe) {
-				// The point is poisoned but diagnosable; keep sweeping.
-				sp.Err = err
-				res.Points = append(res.Points, sp)
-				continue
-			}
-			return res, err
+		g := floodGroup{exp: exp, first: first, p: spec.pointParams(first),
+			trials: spec.Trials, maxSteps: spec.MaxSteps, src: src, withPartition: true}
+		if spec.Param == "r" {
+			g.radii = spec.Values
 		}
-		res.Points = append(res.Points, spec.point(i, point))
+		points, errs := floodTrials(cfg, g)
+		for l, err := range errs {
+			i := first + l
+			if err != nil {
+				var pe *PanicError
+				if errors.As(err, &pe) {
+					// The point is poisoned but diagnosable; keep sweeping.
+					res.Points = append(res.Points, SweepPoint{Value: spec.Values[i], Trials: spec.Trials, Err: err})
+					continue
+				}
+				return res, err
+			}
+			res.Points = append(res.Points, spec.point(i, points[l]))
+		}
 	}
 	return res, nil
 }

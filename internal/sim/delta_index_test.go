@@ -12,8 +12,15 @@ import (
 // same CSR coordinate streams, same id-indexed copies and bucket map.
 func requireIndexMatchesFreshRebuild(t *testing.T, step int, w *World, ref *spatialindex.Index) {
 	t.Helper()
+	requireMatchesFreshRebuild(t, step, w, w.Index(), ref)
+}
+
+// requireMatchesFreshRebuild asserts that ix, an index the world keeps in
+// sync, is bit-identical to ref freshly rebuilt from the world's live
+// coordinates (ref must have ix's radius).
+func requireMatchesFreshRebuild(t *testing.T, step int, w *World, ix, ref *spatialindex.Index) {
+	t.Helper()
 	ref.RebuildXY(w.X(), w.Y())
-	ix := w.Index()
 	if ix.Len() != ref.Len() {
 		t.Fatalf("step %d: Len %d != %d", step, ix.Len(), ref.Len())
 	}

@@ -41,8 +41,21 @@
 // model, the population, the per-agent RNGs, the position slices, and the
 // neighbor index — and is bit-identical to constructing a new World with
 // the same parameters. Trial sweeps (internal/experiments) pool one World
-// (plus one flooding process) per worker and Reset it between trials,
-// which removes every per-trial allocation; see experiments.floodTrials.
+// (plus one flooding process per radius lane) per worker and Reset it
+// between trials, which removes every per-trial allocation; see
+// experiments.floodTrials.
+//
+// # Bound indexes
+//
+// R enters a World only through its neighbor index: the trajectories of
+// a seed are the same at every radius. So one world can serve floods at
+// several radii at once. The world's own index stays at Params().R and
+// is synced by the fused step exactly as above; BindIndex adds a further
+// index at another radius, which Step re-syncs through the
+// classify-inside Update or RebuildXY (picked by that index's own V/R
+// under the same rule) until ReleaseIndex parks it, and which Reset
+// rebuilds and re-arms. SetRadius instead moves the world's own index to
+// a new radius, keeping the population, RNG slab and positions.
 package sim
 
 import (
@@ -182,7 +195,11 @@ type World struct {
 	dirty      []bool              // agents whose position changed this step (resting models only)
 	neverRests bool                // model guarantees every agent moves every step
 	index      *spatialindex.Index
-	step       int
+	// bound are the further indexes at other radii (BindIndex): each is
+	// re-synced after every Step while live, and rebuilt and re-armed by
+	// Reset.
+	bound []boundIndex
+	step  int
 	// fan runs the parallel stepping workers and forwards their panics
 	// onto the goroutine that called Step, so a poisoned agent fails its
 	// trial with a diagnosable report instead of crashing the process. A
@@ -199,6 +216,12 @@ type World struct {
 	stepHook func()
 }
 
+// boundIndex is one BindIndex entry: the index and whether Step syncs it.
+type boundIndex struct {
+	ix   *spatialindex.Index
+	live bool
+}
+
 // NewWorld creates a world of p.N agents using the given mobility model
 // factory (nil means MRWPFactory()).
 func NewWorld(p Params, factory ModelFactory) (*World, error) {
@@ -212,18 +235,9 @@ func NewWorld(p Params, factory ModelFactory) (*World, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: building model: %w", err)
 	}
-	ix, err := spatialindex.New(p.L, p.R)
+	ix, err := newIndex(p)
 	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	if p.Tiles > 0 {
-		workers := p.Workers
-		if workers < 1 {
-			workers = 1
-		}
-		if _, err := ix.EnableTiling(p.Tiles, workers); err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
+		return nil, err
 	}
 	w := &World{
 		params:     p,
@@ -267,6 +281,92 @@ func (w *World) initAgents() {
 	}
 	w.step = 0
 	w.index.RebuildXY(w.x, w.y)
+	for i := range w.bound {
+		w.bound[i].ix.RebuildXY(w.x, w.y)
+		w.bound[i].live = true
+	}
+}
+
+// newIndex builds the world's own neighbor index for p: a grid at p.R,
+// tiled when p.Tiles is set.
+func newIndex(p Params) (*spatialindex.Index, error) {
+	ix, err := spatialindex.New(p.L, p.R)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
+	if p.Tiles > 0 {
+		workers := p.Workers
+		if workers < 1 {
+			workers = 1
+		}
+		if _, err := ix.EnableTiling(p.Tiles, workers); err != nil {
+			return nil, fmt.Errorf("sim: %w", err)
+		}
+	}
+	return ix, nil
+}
+
+// indexAt builds an index at radius r over the world's square, tiled
+// like the world's own, rebuilt from the current positions.
+func (w *World) indexAt(r float64) (*spatialindex.Index, error) {
+	p := w.params
+	p.R = r
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	ix, err := newIndex(p)
+	if err != nil {
+		return nil, err
+	}
+	ix.RebuildXY(w.x, w.y)
+	return ix, nil
+}
+
+// SetRadius moves the world's own index to radius r: Params().R becomes
+// r and a fresh index at r is built from the current positions. The
+// model, population, RNG slab and positions are kept, so a caller that
+// switches radius between trials pays one index instead of a new world.
+// Bound indexes are unaffected. The previous Index is no longer synced.
+func (w *World) SetRadius(r float64) error {
+	ix, err := w.indexAt(r)
+	if err != nil {
+		return err
+	}
+	w.index = ix
+	w.params.R = r
+	return nil
+}
+
+// BindIndex builds a further neighbor index over the world's agents at
+// radius r, rebuilt from the current positions, and binds it: every Step
+// re-syncs it until ReleaseIndex, and every Reset rebuilds and re-arms
+// it. The world's own index (Index, at Params().R) is unaffected. A bound
+// index costs its own sync per step; the choice between the delta patch
+// and the rebuild is made from its own V/R. A tiled world binds nothing
+// and returns an error.
+func (w *World) BindIndex(r float64) (*spatialindex.Index, error) {
+	if w.params.Tiles > 0 {
+		return nil, fmt.Errorf("sim: a tiled world cannot bind a further index")
+	}
+	ix, err := w.indexAt(r)
+	if err != nil {
+		return nil, err
+	}
+	w.bound = append(w.bound, boundIndex{ix: ix, live: true})
+	return ix, nil
+}
+
+// ReleaseIndex stops syncing the bound index ix until the next Reset,
+// which rebuilds it and syncs it again: a flood that has finished its
+// trial stops costing the world anything. ix goes stale at the next Step
+// and must not be read until then. Indexes the world does not hold bound
+// are ignored.
+func (w *World) ReleaseIndex(ix *spatialindex.Index) {
+	for i := range w.bound {
+		if w.bound[i].ix == ix {
+			w.bound[i].live = false
+		}
+	}
 }
 
 // Reset re-draws every agent from the given seed in place, reusing the
@@ -275,7 +375,8 @@ func (w *World) initAgents() {
 // NewWorld with the same parameters and that seed: Reset(s) followed by
 // any step sequence yields exactly the trajectories of a new world seeded
 // s. Time restarts at 0. Previously returned Positions snapshots are
-// unaffected; the live X/Y slices and the Index are rebuilt in place.
+// unaffected; the live X/Y slices, the Index and every bound index are
+// rebuilt in place, and released bound indexes are synced again.
 func (w *World) Reset(seed uint64) {
 	w.params.Seed = seed
 	// InitAgent re-draws slot i in place from the reseeded stream,
@@ -319,6 +420,11 @@ func (w *World) Step() {
 		w.stepPopRange(0, 0, n)
 	}
 	w.syncIndex()
+	for i := range w.bound {
+		if b := &w.bound[i]; b.live {
+			w.syncBound(b.ix)
+		}
+	}
 	w.step++
 	if w.stepHook != nil {
 		w.stepHook()
@@ -366,42 +472,71 @@ func (w *World) stepPopRange(_, lo, hi int) {
 
 // syncIndex re-synchronizes the neighbor index with the stepped positions,
 // choosing between the delta patch and the full counting-sort rebuild by
-// predicted mover fraction (movers ~= moving agents * V/R). Both paths
-// produce bit-identical index state — which is exactly what the
-// fault-injection hook below exercises: under `-tags faultinject` a test
-// can force any step onto the full rebuild (the delta path's bail
-// destination) and assert results do not change. Compiled out otherwise.
+// predicted mover fraction (deltaSync). Both paths produce bit-identical
+// index state — which is exactly what the fault-injection hook below
+// exercises: under `-tags faultinject` a test can force any step onto the
+// full rebuild (the delta path's bail destination) and assert results do
+// not change. Compiled out otherwise.
 func (w *World) syncIndex() {
 	if faultinject.Active && faultinject.FireIndexSyncBail() {
 		w.index.RebuildXY(w.x, w.y)
 		return
 	}
-	vOverR := w.params.V / w.params.R
+	delta := w.deltaSync(w.params.R)
 	if w.neverRests {
 		// Fused population step: every bucket id is already in cells,
 		// computed chunk-by-chunk while the coordinates were cache-hot.
 		// Both consumers are bit-identical to their classify-inside
-		// twins; with every agent moving, V/R alone picks the cheaper one.
-		if vOverR <= deltaUpdateMaxMoverFraction {
+		// twins.
+		if delta {
 			w.index.UpdateCells(w.x, w.y, w.cells, nil)
 		} else {
 			w.index.RebuildXYCells(w.x, w.y, w.cells)
 		}
 		return
 	}
-	if vOverR <= deltaUpdateMaxMoverFraction {
-		// Slow agents: the delta patch wins even if everyone moved. The
-		// dirty bitmap (exact, since every position write flows through
-		// the population's view) lets the index skip resting agents
-		// entirely.
+	if delta {
+		// The dirty bitmap (exact, since every position write flows
+		// through the population's view) lets the index skip resting
+		// agents entirely.
 		w.index.Update(w.x, w.y, w.dirty)
 		return
 	}
-	// Fast agents: only worth patching when enough of the population sat
-	// out the step (way-point pauses). Estimate the moving fraction from a
-	// strided sample of the dirty bitmap — the decision has a 2x margin
-	// either way, so a rough estimate suffices and the common
-	// everyone-moves case does not pay a full O(n) scan.
+	w.index.RebuildXY(w.x, w.y)
+}
+
+// syncBound re-synchronizes a bound index (BindIndex). The fused cells
+// buffer holds the own index's bucket ids, which differ at another
+// radius, so a bound index classifies inside its sync; deltaSync picks
+// the path from its own V/R, and the fault hook can force the rebuild
+// here too.
+func (w *World) syncBound(ix *spatialindex.Index) {
+	if (faultinject.Active && faultinject.FireIndexSyncBail()) || !w.deltaSync(ix.Radius()) {
+		ix.RebuildXY(w.x, w.y)
+		return
+	}
+	ix.Update(w.x, w.y, w.dirty)
+}
+
+// deltaSync is the delta/rebuild rule of every index the world syncs:
+// whether an index at radius r takes the delta patch this step. The
+// predicted mover fraction is the moving fraction times V/R. Slow agents
+// (V/R at or under deltaUpdateMaxMoverFraction) take the patch even if
+// everyone moved. When every agent moves every step (NeverRests), V/R
+// alone decides. Fast agents that can rest take the patch only when
+// enough of the population sat out the step (way-point pauses): the
+// moving fraction is estimated from a strided sample of the dirty bitmap
+// — the decision has a 2x margin either way, so a rough estimate
+// suffices and the common everyone-moves case does not pay a full O(n)
+// scan.
+func (w *World) deltaSync(r float64) bool {
+	vOverR := w.params.V / r
+	if vOverR <= deltaUpdateMaxMoverFraction {
+		return true
+	}
+	if w.neverRests {
+		return false
+	}
 	n := len(w.dirty)
 	const stride = 16
 	moving := 0
@@ -412,11 +547,7 @@ func (w *World) syncIndex() {
 			moving++
 		}
 	}
-	if float64(moving)*vOverR <= deltaUpdateMaxMoverFraction*float64(sampled) {
-		w.index.Update(w.x, w.y, w.dirty)
-	} else {
-		w.index.RebuildXY(w.x, w.y)
-	}
+	return float64(moving)*vOverR <= deltaUpdateMaxMoverFraction*float64(sampled)
 }
 
 // Position returns agent i's current position.
