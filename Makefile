@@ -145,10 +145,11 @@ test-service:
 
 # bench runs the micro-benchmarks briefly — a smoke test that they still
 # run, not a measurement (the allocation gate is TestSteadyStateAllocs,
-# under test). The spatialindex leg runs the 100k-agent rebuild (flat
+# under test). CellRunnerLanes2k prices a floodd cell run alone against
+# the same cell run as a radius lane of its trial. The spatialindex leg runs the 100k-agent rebuild (flat
 # and tiled) and the tiled delta sync at the flood_sparse_100k geometry.
 bench:
-	$(GO) test $(TAGFLAG) -run '^$$' -bench 'WorldStep10k|MobilityAdvance10k|FloodStep4k$$|IndexRebuild10k|IndexNeighbors10k' -benchtime 100x -benchmem .
+	$(GO) test $(TAGFLAG) -run '^$$' -bench 'WorldStep10k|MobilityAdvance10k|FloodStep4k$$|IndexRebuild10k|IndexNeighbors10k|CellRunnerLanes2k' -benchtime 100x -benchmem .
 	$(GO) test $(TAGFLAG) -run '^$$' -bench 'RebuildXYCells100k|UpdateCells100kTiled' -benchtime 10x -benchmem ./internal/spatialindex
 
 # docs verifies that every package carries a doc comment and that the

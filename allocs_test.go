@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"manhattanflood/internal/cells"
+	"manhattanflood/internal/checkpoint"
 	"manhattanflood/internal/core"
+	"manhattanflood/internal/experiments"
 	"manhattanflood/internal/geom"
 	"manhattanflood/internal/sim"
 	"manhattanflood/internal/spatialindex"
@@ -97,6 +99,13 @@ func TestSteadyStateAllocs(t *testing.T) {
 		// scratch buffer the counted trials need.
 		{"sweep_lanes_2k", 8, func(t *testing.T) func() {
 			return newLaneTrialOp(t)
+		}},
+		// floodd's dispatch unit at floodd_durable's shape: one trial of
+		// r in {2, 4} at n = 2000 as the two lanes of a CellRunner, the
+		// units alternating between two jobs that differ only in seed.
+		// Each of the 16 (job, trial) units runs once in the warm-ups.
+		{"cellrunner_lanes_2k", 16, func(t *testing.T) func() {
+			return newCellRunnerLanesOp(t)
 		}},
 		{"trace_write_100k", 3, func(t *testing.T) func() {
 			return newTraceWriteOp(t, 100000)
@@ -232,6 +241,36 @@ func newLaneTrialOp(t *testing.T) func() {
 			lanes.Step()
 		}
 		if !lanes.Result(0).Completed {
+			t.Fatal("the r = 2 lane did not complete")
+		}
+	}
+}
+
+// flooddUnitSpec is one floodd_durable job: an r sweep of 2000 agents
+// over r = 2 and 4, eight trials.
+func flooddUnitSpec(seed uint64) experiments.SweepSpec {
+	return experiments.SweepSpec{Param: "r", Values: []float64{2, 4}, N: 2000, V: 0.3,
+		Trials: 8, MaxSteps: 100_000, Seed: seed, Source: "center"}
+}
+
+// newCellRunnerLanesOp builds a steady-state op that runs one floodd
+// unit — a trial of both radii as lanes — on one CellRunner, cycling
+// through the trials of two interleaved jobs.
+func newCellRunnerLanesOp(t *testing.T) func() {
+	t.Helper()
+	jobs := [2]experiments.SweepSpec{flooddUnitSpec(1), flooddUnitSpec(2)}
+	runner := experiments.NewCellRunner(0)
+	run := []bool{true, true}
+	out := make([]checkpoint.Result, 2)
+	k := 0
+	return func() {
+		spec := jobs[k%2]
+		trial := k / 2 % spec.Trials
+		k++
+		if err := runner.RunLanes(spec, 0, trial, run, out); err != nil {
+			t.Fatal(err)
+		}
+		if !out[0].Completed {
 			t.Fatal("the r = 2 lane did not complete")
 		}
 	}

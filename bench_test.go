@@ -13,6 +13,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"manhattanflood/internal/checkpoint"
 	"manhattanflood/internal/core"
 	"manhattanflood/internal/experiments"
 	"manhattanflood/internal/geom"
@@ -194,6 +195,48 @@ func BenchmarkWorldStep10k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.Step()
+	}
+}
+
+// BenchmarkCellRunnerLanes2k measures floodd's compute per cell at
+// floodd_durable's shape (n = 2000, r in {2, 4}, eight trials), with the
+// ops alternating between two jobs that differ only in seed. per_cell
+// runs a trial's two cells one at a time (CellRunner.Run: a Reset and a
+// trajectory per cell, and a radius switch between cells); per_unit runs
+// them as the two lanes of one unit (CellRunner.RunLanes: one Reset, one
+// trajectory), the way floodd dispatches an r sweep.
+func BenchmarkCellRunnerLanes2k(b *testing.B) {
+	jobs := [2]experiments.SweepSpec{flooddUnitSpec(1), flooddUnitSpec(2)}
+	for _, bc := range []struct {
+		name  string
+		lanes bool
+	}{
+		{"per_cell", false},
+		{"per_unit", true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			runner := experiments.NewCellRunner(0)
+			run := []bool{true, true}
+			out := make([]checkpoint.Result, len(run))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				spec := jobs[i%2]
+				trial := i / 2 % spec.Trials
+				if bc.lanes {
+					if err := runner.RunLanes(spec, 0, trial, run, out); err != nil {
+						b.Fatal(err)
+					}
+					continue
+				}
+				for point := range spec.Values {
+					if _, err := runner.Run(spec, point, trial); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(run)), "ns/cell")
+		})
 	}
 }
 

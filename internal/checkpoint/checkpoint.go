@@ -40,6 +40,7 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -109,7 +110,13 @@ type Journal struct {
 	entries []Entry
 	index   map[Unit]int
 	f       *os.File // non-nil in append mode
+	// released marks a journal Release let go of: it holds no entries and
+	// takes no more.
+	released bool
 }
+
+// errReleased is what Append and Flush report on a released journal.
+var errReleased = errors.New("checkpoint: journal released")
 
 // New returns an in-memory journal (no backing file; Flush is a no-op).
 // Tests and one-shot runs use it to exercise resume logic without disk.
@@ -260,10 +267,13 @@ func (j *Journal) Lookup(u Unit) (Result, bool) {
 // persist). Re-recording an already-present unit overwrites its outcome —
 // outcomes are deterministic per unit, so this only matters for journals
 // shared across incompatible code versions, where last-write-wins is as
-// good a rule as any.
+// good a rule as any. A released journal ignores it.
 func (j *Journal) Record(u Unit, r Result) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.released {
+		return
+	}
 	j.record(Entry{Unit: u, Result: r})
 }
 
@@ -277,6 +287,9 @@ func (j *Journal) Record(u Unit, r Result) {
 func (j *Journal) Append(u Unit, r Result) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.released {
+		return errReleased
+	}
 	e := Entry{Unit: u, Result: r}
 	j.record(e)
 	if j.f == nil {
@@ -337,6 +350,27 @@ func (j *Journal) Close() error {
 	return nil
 }
 
+// Release lets go of a journal its writer is done with: the append-mode
+// file handle is closed without the final sync Close does, and the
+// in-memory entries are dropped. It is for a writer whose every Append
+// was already followed by a Sync: the file then holds every entry, and a
+// later Open or OpenAppend loads them again. Afterwards the journal is
+// empty, Append and a file-backed Flush fail, Record is ignored and Close is a no-op.
+func (j *Journal) Release() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.entries, j.index, j.released = nil, nil, true
+	if j.f == nil {
+		return nil
+	}
+	err := j.f.Close()
+	j.f = nil
+	if err != nil {
+		return fmt.Errorf("checkpoint: closing journal: %w", err)
+	}
+	return nil
+}
+
 func (j *Journal) record(e Entry) {
 	if i, ok := j.index[e.Unit]; ok {
 		j.entries[i] = e
@@ -388,6 +422,9 @@ func (j *Journal) Flush() error {
 	defer j.mu.Unlock()
 	if j.path == "" {
 		return nil
+	}
+	if j.released {
+		return errReleased
 	}
 	entries := append([]Entry(nil), j.entries...)
 	sortEntries(entries)

@@ -366,6 +366,51 @@ func TestAppendThenClosePersists(t *testing.T) {
 	}
 }
 
+// TestReleaseDropsEntriesKeepsFile: a released journal closes its file
+// and forgets its entries, refuses further appends and rewrites, and the
+// file still holds every synced line for the next open.
+func TestReleaseDropsEntriesKeepsFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	j, err := OpenAppend(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := j.Append(unit("E03", 0, i), Result{Time: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if j.Len() != 0 {
+		t.Fatalf("released journal still holds %d entries", j.Len())
+	}
+	if _, ok := j.Lookup(unit("E03", 0, 0)); ok {
+		t.Fatal("released journal still answers a lookup")
+	}
+	if err := j.Append(unit("E03", 0, 9), Result{}); err == nil {
+		t.Fatal("Append after Release: want an error")
+	}
+	if err := j.Flush(); err == nil {
+		t.Fatal("Flush after Release: want an error, not an empty rewrite")
+	}
+	j.Record(unit("E03", 0, 9), Result{})
+	if err := j.Close(); err != nil {
+		t.Fatalf("Close after Release: %v", err)
+	}
+	re, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Len() != 3 {
+		t.Fatalf("reopened journal has %d entries, want 3", re.Len())
+	}
+}
+
 // TestFlushKeepsAppendHandleUsable: a rewrite-style Flush in append mode
 // replaces the inode; subsequent appends must land in the published file.
 func TestFlushKeepsAppendHandleUsable(t *testing.T) {

@@ -12,6 +12,7 @@ import (
 	"manhattanflood/internal/core"
 	"manhattanflood/internal/faultinject"
 	"manhattanflood/internal/sim"
+	"manhattanflood/internal/spatialindex"
 	"manhattanflood/internal/stats"
 )
 
@@ -299,6 +300,7 @@ type lanePool struct {
 	g      *floodGroup
 	parts  []*cells.Partition // per lane; nil entries without a partition
 	w      *sim.World
+	bound  []*spatialindex.Index // the indexes the lanes bound to w
 	floods []*core.Flooding
 	lanes  *core.Lanes
 	run    []bool // lanes running the current trial
@@ -419,17 +421,31 @@ func (lp *lanePool) build(seed uint64) error {
 }
 
 // buildLanes builds one flood per lane over the pooled world: on the
-// world's own index at its radius, on a bound index at any other. The
-// floods start from agent 0; every trial resets them to its source.
+// world's own index at its radius, on a bound index at any other. A lane
+// takes over an index an earlier build bound at its radius, one lane per
+// index, and the indexes no lane takes are unbound: the world holds one
+// bound index per lane off its own radius, whatever radii the pool
+// served before. The floods start from agent 0; every trial resets them
+// to its source.
 func (lp *lanePool) buildLanes() error {
+	spare := lp.bound
+	lp.bound = nil
 	floods := make([]*core.Flooding, len(lp.g.radii))
 	for l, r := range lp.g.radii {
 		opts := []core.FloodOption{core.WithPartition(lp.parts[l])}
 		if r != lp.w.Params().R {
-			ix, err := lp.w.BindIndex(r)
-			if err != nil {
-				return err
+			k := slices.IndexFunc(spare, func(ix *spatialindex.Index) bool { return ix.Radius() == r })
+			var ix *spatialindex.Index
+			if k >= 0 {
+				ix = spare[k]
+				spare = slices.Delete(spare, k, k+1)
+			} else {
+				var err error
+				if ix, err = lp.w.BindIndex(r); err != nil {
+					return err
+				}
 			}
+			lp.bound = append(lp.bound, ix)
 			opts = append(opts, core.OnIndex(ix))
 		}
 		f, err := core.NewFlooding(lp.w, 0, opts...)
@@ -437,6 +453,9 @@ func (lp *lanePool) buildLanes() error {
 			return err
 		}
 		floods[l] = f
+	}
+	for _, ix := range spare {
+		lp.w.UnbindIndex(ix)
 	}
 	lanes, err := core.NewLanes(lp.w, floods)
 	if err != nil {
@@ -484,7 +503,7 @@ func (lp *lanePool) failRunning(out []trialOutcome, err error) {
 
 // discard drops the pooled world and lanes; the next trial rebuilds them.
 func (lp *lanePool) discard() {
-	lp.w, lp.floods, lp.lanes, lp.poisoned = nil, nil, nil, false
+	lp.w, lp.bound, lp.floods, lp.lanes, lp.poisoned = nil, nil, nil, nil, false
 }
 
 // secondPhaseScale returns the Theorem 3 second-phase regressor

@@ -3,6 +3,8 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -164,5 +166,109 @@ func TestCellRunnerKeepsWorldAcrossRadii(t *testing.T) {
 	t.Logf("allocs per cell: same point %v, radius switch %v, full rebuild %v", same, radius, rebuild)
 	if radius >= rebuild {
 		t.Fatalf("a radius switch allocates %v per cell, no less than a full rebuild (%v)", radius, rebuild)
+	}
+}
+
+// RunLanes over chunks of a sweep wider than MaxLanes, with lanes left
+// out, radius sets changing between calls and a v sweep's single cell in
+// between: every running lane's cell equals a fresh runner's Run of it,
+// a lane left out is not flooded and its outcome is not written, and the
+// runner never holds more than MaxLanes-1 bound indexes.
+func TestRunLanesMatchesRun(t *testing.T) {
+	// The first chunk holds R = 5 twice (two lanes, two bound indexes);
+	// the second repeats the first chunk's smallest radius.
+	wide := SweepSpec{Param: "r", Values: []float64{2, 2.5, 3, 5, 4, 5, 6, 8, 2, 12}, N: 600, V: 0.3,
+		Trials: 3, MaxSteps: 100_000, Seed: 11, Source: "center"}
+	vsweep := SweepSpec{Param: "v", Values: []float64{0.2}, N: 600, R: 3, Trials: 3,
+		MaxSteps: 100_000, Seed: 12, Source: "corner"}
+	type call struct {
+		spec  SweepSpec
+		first int
+		run   []bool
+	}
+	all := func(n int) []bool {
+		run := make([]bool, n)
+		for l := range run {
+			run[l] = true
+		}
+		return run
+	}
+	calls := []call{
+		{wide, 0, all(MaxLanes)},
+		{wide, MaxLanes, all(len(wide.Values) - MaxLanes)}, // radii 2 and 12
+		{wide, 0, []bool{false, true, true, false, true, true, true, false}},
+		{vsweep, 0, all(1)},
+		{wide, 3, []bool{true, false, true}},
+		{wide, 0, all(MaxLanes)},
+	}
+	runner := NewCellRunner(0)
+	const unwritten = -7
+	for trial := 0; trial < wide.Trials; trial++ {
+		for k, c := range calls {
+			out := make([]checkpoint.Result, len(c.run))
+			for l := range out {
+				out[l].Time = unwritten
+			}
+			if err := runner.RunLanes(c.spec, c.first, trial, c.run, out); err != nil {
+				t.Fatalf("call %d trial %d: %v", k, trial, err)
+			}
+			for l, ran := range c.run {
+				if !ran {
+					if out[l].Time != unwritten || runner.pool.run[l] {
+						t.Fatalf("call %d trial %d: lane %d was left out but ran", k, trial, l)
+					}
+					continue
+				}
+				want, err := NewCellRunner(0).Run(c.spec, c.first+l, trial)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out[l] != want {
+					t.Fatalf("call %d trial %d lane %d: %+v, Run gives %+v", k, trial, l, out[l], want)
+				}
+			}
+			// The world's own count, read past the export boundary: an
+			// index the pool dropped but the world still syncs shows here.
+			held := reflect.ValueOf(runner.pool.w).Elem().FieldByName("bound").Len()
+			if n := len(runner.pool.bound); n > MaxLanes-1 || held != n {
+				t.Fatalf("call %d trial %d: the world holds %d bound indexes, the lanes read %d, want at most %d",
+					k, trial, held, n, MaxLanes-1)
+			}
+		}
+	}
+}
+
+// RunLanes refuses what a unit may not be: more lanes than the cap,
+// several lanes of a sweep whose points differ in more than R, and
+// outcome slots that do not match the lanes.
+func TestRunLanesRejectsBadUnits(t *testing.T) {
+	spec := testSpec()
+	runner := NewCellRunner(0)
+	wide := spec
+	wide.Values = make([]float64, MaxLanes+1)
+	for i := range wide.Values {
+		wide.Values[i] = 3 + float64(i)
+	}
+	vsweep := spec
+	vsweep.Param, vsweep.Values = "v", []float64{0.2, 0.3}
+	for _, c := range []struct {
+		name string
+		spec SweepSpec
+		run  []bool
+		out  int
+		want string
+	}{
+		{"over the cap", wide, make([]bool, MaxLanes+1), MaxLanes + 1, "lanes"},
+		{"v sweep lanes", vsweep, []bool{true, true}, 2, "r sweep"},
+		{"outcome slots", spec, []bool{true, true}, 1, "outcomes"},
+		{"past the points", spec, []bool{true, true, true}, 3, "out of range"},
+	} {
+		err := runner.RunLanes(c.spec, 0, 0, c.run, make([]checkpoint.Result, c.out))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one mentioning %q", c.name, err, c.want)
+		}
+	}
+	if _, err := runner.Run(spec, 1, 0); err != nil {
+		t.Fatalf("runner unusable after refused units: %v", err)
 	}
 }

@@ -1,39 +1,53 @@
 package experiments
 
-// Scheduler seams: cell-granular access to the crash-safe sweep runner
-// for external schedulers — concretely the multi-tenant sweep service
-// (internal/service), which interleaves cells of many tenants' sweeps
-// over a shared worker pool instead of running one sweep start-to-finish.
-// The contract mirrors floodTrials exactly: same derived seeds, same
-// checkpoint units, same panic isolation, same aggregation — so a sweep
-// assembled one cell at a time, in any order, with any worker count,
-// produces byte-identical results to RunSweep.
+// Scheduler seams: cell- and trial-granular access to the crash-safe
+// sweep runner for external schedulers — concretely the multi-tenant
+// sweep service (internal/service), which interleaves the trials of many
+// tenants' sweeps over a shared worker pool instead of running one sweep
+// start-to-finish. The contract mirrors floodTrials exactly: same derived
+// seeds, same checkpoint units, same panic isolation, same aggregation —
+// so a sweep assembled one cell or one trial's lanes at a time, in any
+// order, with any worker count, produces byte-identical results to
+// RunSweep.
 
 import (
 	"fmt"
+	"slices"
 
 	"manhattanflood/internal/cells"
 	"manhattanflood/internal/checkpoint"
 	"manhattanflood/internal/sim"
 )
 
-// CellRunner executes single (point, trial) cells of sweep specs with the
-// same pooling and panic isolation as the in-process trial runner: each
-// cell is a group of one lane (floodTrials' lanePool). One runner belongs
-// to one worker goroutine (it is not concurrency-safe). Across calls it
-// keeps one pooled world and flood, keyed by the cell's world parameters
-// without the seed and without R: consecutive cells at the same point
-// hit the zero-allocation Reset path even when they belong to different
-// sweeps (every trial reseeds the world anyway); a radius switch keeps
-// the population, RNG slab and positions and rebuilds only the index
-// (sim.World.SetRadius), the partition and the flood; any other
-// parameter switch rebuilds the pool. Memory stays bounded at one world
-// and one radius per worker no matter how many sweeps are in flight.
+// MaxLanes caps the radius lanes one CellRunner.RunLanes call floods
+// together. A runner keeps a bound index, a partition and a flood per
+// lane, so the cap bounds a worker's memory at one world plus
+// MaxLanes-1 bound indexes (ARCHITECTURE.md, "Radius lanes").
+const MaxLanes = 8
+
+// CellRunner executes the cells of sweep specs with the same pooling and
+// panic isolation as the in-process trial runner. A call runs one trial
+// of up to MaxLanes consecutive points as the radius lanes of one world
+// (floodTrials' lanePool): one Reset, one world step per time unit, one
+// flood round per unfinished lane. One runner belongs to one worker
+// goroutine (it is not concurrency-safe). Across calls it keeps one
+// pooled world with its lanes, keyed by the world parameters without the
+// seed and without R: consecutive calls over the same points hit the
+// zero-allocation Reset path even when they belong to different sweeps
+// (every trial reseeds the world anyway). A change of radii keeps the
+// population, RNG slab and positions: the world's own index moves to the
+// smallest radius (sim.World.SetRadius), the bound indexes still in use
+// are kept and the rest unbound, and the partitions and floods are
+// rebuilt. Any other parameter switch rebuilds the pool. Memory stays
+// bounded at one world and MaxLanes radii per worker no matter how many
+// sweeps are in flight.
 type CellRunner struct {
 	shard int
-	group floodGroup // the pooled lane's group; exp, point and seed follow each cell
+	group floodGroup // the pool's group; exp, first, p and seed follow each call
 	pool  *lanePool
 	key   sim.Params // the pool's parameters, Seed and R cleared
+	param string     // the sweep axis group.exp was made from
+	outs  [MaxLanes]trialOutcome
 }
 
 // NewCellRunner returns a runner for the given worker shard index (the
@@ -43,62 +57,128 @@ func NewCellRunner(shard int) *CellRunner {
 	return &CellRunner{shard: shard}
 }
 
-// Run executes one cell of the spec and returns its durable outcome.
-// A panic anywhere inside the trial is recovered into a *PanicError
-// carrying (experiment, point, trial, seed, shard) — the caller decides
-// how far the poison spreads; the runner itself discards its pooled world
-// and rebuilds on the next call. Run never panics for trial-level
-// failures.
+// Run executes one cell of the spec and returns its durable outcome: the
+// one-lane case of RunLanes. A panic anywhere inside the trial is
+// recovered into a *PanicError carrying (experiment, point, trial, seed,
+// shard) — the caller decides how far the poison spreads; the runner
+// itself discards its pooled world and rebuilds on the next call. Run
+// never panics for trial-level failures.
 func (cr *CellRunner) Run(spec SweepSpec, point, trial int) (checkpoint.Result, error) {
+	var out [1]checkpoint.Result
+	err := cr.RunLanes(spec, point, trial, []bool{true}, out[:])
+	return out[0], err
+}
+
+// RunLanes runs trial `trial` of the points first, ..., first+len(run)-1
+// of spec as radius lanes over one world: lane l floods point first+l if
+// run[l] is set and sits the trial out otherwise (its cell is already
+// recorded), and out[l] receives a running lane's outcome. Every cell's
+// outcome is bit-identical to Run of that cell alone. Several lanes need
+// an "r" sweep — the points of the other axes follow different
+// trajectories — and at most MaxLanes of them. The error is the first
+// failed running lane's, in lane order: a spec or range error, a
+// construction error, or a recovered *PanicError naming the lane's
+// point; out is then unspecified, and after a panic the pool is rebuilt
+// on the next call.
+func (cr *CellRunner) RunLanes(spec SweepSpec, first, trial int, run []bool, out []checkpoint.Result) error {
 	if err := spec.Validate(); err != nil {
-		return checkpoint.Result{}, err
+		return err
 	}
-	if point < 0 || point >= len(spec.Values) || trial < 0 || trial >= spec.Trials {
-		return checkpoint.Result{}, fmt.Errorf("experiments: cell (%d,%d) out of range for %d points x %d trials",
-			point, trial, len(spec.Values), spec.Trials)
+	n := len(run)
+	switch {
+	case n < 1 || n > MaxLanes || len(out) != n:
+		return fmt.Errorf("experiments: %d lanes with %d outcomes, want 1 to %d of each", n, len(out), MaxLanes)
+	case n > 1 && spec.Param != "r":
+		return fmt.Errorf("experiments: %d lanes of a %q sweep; only the points of an r sweep share a trajectory", n, spec.Param)
+	case first < 0 || first+n > len(spec.Values) || trial < 0 || trial >= spec.Trials:
+		return fmt.Errorf("experiments: cells (%d..%d,%d) out of range for %d points x %d trials",
+			first, first+n-1, trial, len(spec.Values), spec.Trials)
 	}
 	src, _ := sweepSource(spec.Source)
-	p := spec.pointParams(point)
+	p := spec.pointParams(first)
 	key := p
 	key.Seed, key.R = 0, 0
 	if cr.pool == nil || key != cr.key {
-		cr.group = floodGroup{radii: make([]float64, 1), withPartition: true}
-		cr.pool = newLanePool(&cr.group, make([]*cells.Partition, 1))
-		cr.key = key
+		cr.group = floodGroup{withPartition: true}
+		cr.pool = newLanePool(&cr.group, nil)
+		cr.key, cr.param = key, ""
 	}
-	cr.group.exp, cr.group.first, cr.group.p = spec.Experiment(), point, p
-	cr.group.trials, cr.group.maxSteps, cr.group.src = spec.Trials, spec.MaxSteps, src
-	if p.R != cr.group.radii[0] {
-		if err := cr.setRadius(p.R); err != nil {
+	g := &cr.group
+	if spec.Param != cr.param {
+		g.exp, cr.param = spec.Experiment(), spec.Param
+	}
+	g.first, g.p = first, p
+	g.trials, g.maxSteps, g.src = spec.Trials, spec.MaxSteps, src
+	if !cr.hasRadii(spec, first, n) {
+		if err := cr.setRadii(spec, first, n); err != nil {
 			cr.pool = nil
-			return checkpoint.Result{}, err
+			return err
 		}
 	}
-	var out [1]trialOutcome
-	cr.pool.runTrial(cr.shard, trial, out[:])
-	if out[0].err != nil {
-		return checkpoint.Result{}, out[0].err
+	outs := cr.outs[:n]
+	for l := range outs {
+		outs[l] = trialOutcome{journaled: !run[l]}
 	}
-	return checkpointResult(out[0].res), nil
+	cr.pool.runTrial(cr.shard, trial, outs)
+	for l, o := range outs {
+		if !run[l] {
+			continue
+		}
+		if o.err != nil {
+			return o.err
+		}
+		out[l] = checkpointResult(o.res)
+	}
+	return nil
 }
 
-// setRadius moves the pooled lane to radius r: a new partition, and, once
-// the pool is built, the world's index moved in place (World.SetRadius)
-// and the lane's flood rebuilt over it.
-func (cr *CellRunner) setRadius(r float64) error {
-	p := cr.group.p
-	part, err := cells.NewPartition(p.L, r, p.N)
-	if err != nil {
-		return fmt.Errorf("building partition: %w", err)
+// hasRadii reports whether the pool's lanes are at the radii of points
+// first..first+n-1 already.
+func (cr *CellRunner) hasRadii(spec SweepSpec, first, n int) bool {
+	radii := cr.group.radii
+	if len(radii) != n {
+		return false
 	}
-	cr.group.radii[0], cr.pool.parts[0] = r, part
-	if cr.pool.w == nil {
+	for l, r := range radii {
+		if r != spec.pointParams(first+l).R {
+			return false
+		}
+	}
+	return true
+}
+
+// setRadii moves the pool's lanes to the radii of points
+// first..first+n-1: a partition per lane, kept from the previous lanes
+// where a radius repeats, and, once the pool's world is built, its own
+// index moved to the smallest radius (World.SetRadius) and the lanes
+// rebuilt over it (lanePool.buildLanes, which keeps the bound indexes a
+// lane still reads and unbinds the rest).
+func (cr *CellRunner) setRadii(spec SweepSpec, first, n int) error {
+	g, lp := &cr.group, cr.pool
+	radii := make([]float64, n)
+	parts := make([]*cells.Partition, n)
+	for l := range radii {
+		radii[l] = spec.pointParams(first + l).R
+		if k := slices.Index(g.radii, radii[l]); k >= 0 {
+			parts[l] = lp.parts[k]
+			continue
+		}
+		part, err := cells.NewPartition(g.p.L, radii[l], g.p.N)
+		if err != nil {
+			return fmt.Errorf("building partition: %w", err)
+		}
+		parts[l] = part
+	}
+	g.radii, lp.parts, lp.run = radii, parts, make([]bool, n)
+	if lp.w == nil {
 		return nil
 	}
-	if err := cr.pool.w.SetRadius(r); err != nil {
-		return err
+	if r := slices.Min(radii); r != lp.w.Params().R {
+		if err := lp.w.SetRadius(r); err != nil {
+			return err
+		}
 	}
-	return cr.pool.buildLanes()
+	return lp.buildLanes()
 }
 
 // AggregateSweep assembles the full sweep result from per-cell outcomes —

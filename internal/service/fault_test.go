@@ -244,9 +244,9 @@ func TestJournalCommitFailureFailsOpen(t *testing.T) {
 }
 
 // TestStalledCommitHoldsWorkersBack: while the committer is stuck on the
-// disk, workers fill the bounded commit queue and then stop taking cells
-// (each holds the one it computed), and no cell is counted, since none
-// is known to be on disk. Once the disk answers, the job completes with
+// disk, workers fill the bounded commit queue and then stop taking units
+// (each holds the one it computed: a trial of both radii), and no cell is
+// counted, since none is known to be on disk. Once the disk answers, the job completes with
 // every cell journaled and RunSweep's result.
 func TestStalledCommitHoldsWorkersBack(t *testing.T) {
 	defer faultinject.Reset()
@@ -291,8 +291,11 @@ func TestStalledCommitHoldsWorkersBack(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if want := int64(commitQueuePerWorker*workers + workers); last != want {
-		t.Fatalf("workers took %d cells with the commit stalled, want %d (the queue bound plus one held per worker)", last, want)
+	// The spec's two radii fill whole units of two cells into a queue
+	// bound of 8 cells, so the queue stops at the bound exactly.
+	unitCells := len(spec.Values)
+	if want := int64(commitQueuePerWorker*workers + workers*unitCells); last != want {
+		t.Fatalf("workers took %d cells with the commit stalled, want %d (the queue bound plus one unit held per worker)", last, want)
 	}
 	jv, _ := s.Get(v.ID)
 	onDisk, err := checkpoint.Open(filepath.Join(dir, "journals", v.ID+".ckpt"))

@@ -16,12 +16,25 @@
 // machinery minus the kill: stop admitting, let in-flight trials finish,
 // wait for their cells to reach disk, close journals, report what remains.
 //
-// Workers do not wait for the fsync. Each hands its computed cell to the
-// scheduler's one committer goroutine, through a queue bounded at a few
-// cells per worker, and takes its next cell. The committer appends every
-// queued cell, fsyncs each touched journal once per batch, and only then
-// counts the batch's cells. In-memory schedulers take the same path;
-// their fsync is a no-op.
+// Workers claim a job's cells in dispatch units. An r sweep's unit is
+// one trial of up to experiments.MaxLanes (8) consecutive points, the
+// cells of it not journaled yet, flooded as radius lanes over one world:
+// one Reset and one trajectory for all of them. A v or n sweep's unit is
+// one cell, since its points follow different trajectories. Every cell
+// of a unit keeps its own journal line and its own count in cells_done.
+// Two things are measured in units, not cells: the stall watchdog times
+// a unit, which lasts as long as its longest lane, and tenant
+// round-robin hands out one unit per turn, so an r-sweep tenant gets up
+// to 8 cells of compute per turn where a v or n sweep tenant gets one.
+//
+// Workers do not wait for the fsync. Each hands its computed unit's cells
+// to the scheduler's one committer goroutine, through a queue bounded at
+// a few cells per worker, and takes its next unit. The committer appends
+// every queued cell, fsyncs each touched journal once per batch, and only
+// then counts the batch's cells. A job the batch completes has its
+// journal closed and its entries dropped; its result is served from
+// memory. In-memory schedulers take the same path; their fsync is a
+// no-op.
 //
 // Robustness boundaries are per job, never per process: admission control
 // bounds the queue (429 with Retry-After under load), per-job deadlines
@@ -147,11 +160,25 @@ func (s State) terminal() bool {
 	return s == StateCompleted || s == StateFailed || s == StateCanceled
 }
 
-// cellRef names one dispatchable (point, trial) work unit of a job.
+// cellRef names one (point, trial) cell of a job.
 type cellRef struct {
 	point int
 	trial int
 }
+
+// unitRef names one dispatch unit of a job: trial `trial` of the points
+// first, ..., first+lanes-1, which a worker floods together as radius
+// lanes over one world (experiments.CellRunner.RunLanes). A v or n
+// sweep's unit is a single cell.
+type unitRef struct {
+	first int
+	lanes int // at most experiments.MaxLanes, which fits run
+	trial int
+	run   uint32 // bit l: point first+l's cell is not journaled yet and runs
+}
+
+// runs reports whether lane l of the unit runs.
+func (u unitRef) runs(l int) bool { return u.run&(1<<l) != 0 }
 
 // job is the scheduler's mutable record for one accepted spec: the spec
 // is the goal state, the journal is the durable status, and pending is
@@ -167,8 +194,8 @@ type job struct {
 
 	state   State
 	err     error
-	pending []cellRef // cells not yet journaled, in dispatch order
-	next    int       // index into pending of the next cell to dispatch
+	pending []unitRef // units with cells not yet journaled, in dispatch order
+	next    int       // index into pending of the next unit to dispatch
 	done    int       // cells whose journal lines are on disk
 	total   int       // len(Values) * Trials
 	counted bool      // occupies an admission slot

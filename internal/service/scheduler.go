@@ -44,9 +44,11 @@ type Config struct {
 	// DefaultTimeout is the per-job deadline applied when a spec does not
 	// set its own (0 = none).
 	DefaultTimeout time.Duration
-	// StallTimeout is the watchdog threshold: a single trial on a worker
-	// for longer than this fails its job and the wedged worker is
-	// replaced (0 = watchdog stall detection off).
+	// StallTimeout is the watchdog threshold: a single dispatch unit on a
+	// worker for longer than this fails its job and the wedged worker is
+	// replaced (0 = watchdog stall detection off). A unit runs one trial
+	// of up to experiments.MaxLanes points of an r sweep as radius lanes,
+	// so it lasts as long as its longest lane.
 	StallTimeout time.Duration
 	// StateDir makes jobs durable: specs under <dir>/jobs, per-job
 	// checkpoint journals under <dir>/journals. Empty runs in memory.
@@ -65,7 +67,10 @@ type Config struct {
 
 // commitQueuePerWorker bounds the committer's queue at this many computed
 // cells per worker: a slow disk holds the workers back instead of letting
-// results that are not yet on disk pile up in memory.
+// results that are not yet on disk pile up in memory. A finished unit
+// enters whole once the queue has room for one cell, so the queue holds
+// at most a unit's cells less one past the bound, and a unit wider than
+// the bound still gets in.
 const commitQueuePerWorker = 4
 
 // finishedCell is a computed cell waiting for the committer.
@@ -82,10 +87,10 @@ type touchedJob struct {
 	err error
 }
 
-// runningCell is the watchdog's view of one in-flight cell.
-type runningCell struct {
+// runningUnit is the watchdog's view of one in-flight unit.
+type runningUnit struct {
 	job       *job
-	cell      cellRef
+	unit      unitRef
 	started   time.Time
 	abandoned bool // watchdog gave up on this worker; result is discarded
 }
@@ -111,7 +116,7 @@ type Scheduler struct {
 	draining bool
 	closed   bool
 
-	running    map[int]*runningCell // worker id -> in-flight cell
+	running    map[int]*runningUnit // worker id -> in-flight unit
 	active     int                  // live, non-abandoned workers
 	nextWorker int
 
@@ -143,7 +148,7 @@ func New(cfg Config) (*Scheduler, error) {
 		jobs:         make(map[string]*job),
 		knownTenants: make(map[string]bool),
 		queues:       make(map[string][]*job),
-		running:      make(map[int]*runningCell),
+		running:      make(map[int]*runningUnit),
 		watchStop:    make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -255,10 +260,16 @@ func (s *Scheduler) Submit(spec JobSpec) (JobView, bool, error) {
 }
 
 // admitLocked creates the job record: durable spec + journal when a state
-// dir is configured, the reconcile diff (pending = spec cells minus
-// journaled cells), and either immediate completion (fully journaled —
-// a content-addressed cache hit across restarts) or a slot in its
-// tenant's queue.
+// dir is configured, the reconcile diff (pending = the units holding spec
+// cells that are not journaled), and either immediate completion (fully
+// journaled — a content-addressed cache hit across restarts) or a slot in
+// its tenant's queue.
+//
+// An r sweep's unit is one trial of up to experiments.MaxLanes
+// consecutive points, its lanes; a wider sweep splits into chunks of
+// points, queued chunk-major, so the consecutive units a worker takes
+// share their radii and its pooled lanes. A v or n sweep's unit is one
+// cell, queued point-major.
 func (s *Scheduler) admitLocked(spec JobSpec, resumed bool) (*job, error) {
 	id := spec.ID()
 	sw := spec.sweep()
@@ -292,12 +303,23 @@ func (s *Scheduler) admitLocked(spec JobSpec, resumed bool) (*job, error) {
 	if d > 0 {
 		j.deadline = time.Now().Add(d)
 	}
-	for point := 0; point < sw.Points(); point++ {
+	width := 1
+	if sw.Param == "r" {
+		width = experiments.MaxLanes
+	}
+	for first := 0; first < sw.Points(); first += width {
+		lanes := min(width, sw.Points()-first)
 		for trial := 0; trial < sw.Trials; trial++ {
-			if _, ok := journal.Lookup(sw.Unit(point, trial)); ok {
-				j.done++
-			} else {
-				j.pending = append(j.pending, cellRef{point, trial})
+			u := unitRef{first: first, lanes: lanes, trial: trial}
+			for l := 0; l < lanes; l++ {
+				if _, ok := journal.Lookup(sw.Unit(first+l, trial)); ok {
+					j.done++
+				} else {
+					u.run |= 1 << l
+				}
+			}
+			if u.run != 0 {
+				j.pending = append(j.pending, u)
 			}
 		}
 	}
@@ -305,6 +327,12 @@ func (s *Scheduler) admitLocked(spec JobSpec, resumed bool) (*job, error) {
 	s.order = append(s.order, id)
 	if j.done >= j.total {
 		s.completeLocked(j)
+		// Nothing is left to append: let go of the file and the entries.
+		// Only a restart (or a journal whose record went missing) admits
+		// a complete job, so closing here holds up no worker.
+		if err := journal.Release(); err != nil {
+			s.logf("service: job %s: releasing journal: %v", id, err)
+		}
 		return j, nil
 	}
 	j.counted = true
@@ -365,16 +393,19 @@ func (s *Scheduler) spawnWorkerLocked() {
 	go s.workerLoop(id)
 }
 
-// workerLoop is one pooled trial worker: pull a cell (respecting tenant
-// fairness, with affinity for the previous job), run it isolated, hand it
-// to the committer, repeat. The pooled world's zero-allocation Reset path
-// keeps hitting across jobs with the same point parameters. Exits on
-// drain/close, or silently when the watchdog has abandoned it.
+// workerLoop is one pooled trial worker: pull a unit (respecting tenant
+// fairness, with affinity for the previous job), run its cells as lanes
+// isolated, hand them to the committer, repeat. The pooled world's
+// zero-allocation Reset path keeps hitting across jobs with the same
+// point parameters. Exits on drain/close, or silently when the watchdog
+// has abandoned it.
 func (s *Scheduler) workerLoop(id int) {
 	runner := experiments.NewCellRunner(id)
+	run := make([]bool, experiments.MaxLanes)
+	out := make([]checkpoint.Result, experiments.MaxLanes)
 	var affinity *job
 	for {
-		j, c, ok := s.nextCell(id, affinity)
+		j, u, ok := s.nextUnit(id, affinity)
 		if !ok {
 			s.mu.Lock()
 			s.active--
@@ -383,39 +414,41 @@ func (s *Scheduler) workerLoop(id int) {
 			return
 		}
 		affinity = j
-		res, err := s.executeCell(runner, j, c)
-		if !s.finishCell(id, j, c, res, err) {
+		err := s.executeUnit(runner, j, u, run[:u.lanes], out[:u.lanes])
+		if !s.finishUnit(id, j, u, out, err) {
 			return // abandoned: the watchdog already replaced this worker
 		}
 	}
 }
 
-// nextCell blocks until a cell is available (returned with the running
+// nextUnit blocks until a unit is available (returned with the running
 // marker set for the watchdog) or the scheduler stops dispatching.
-func (s *Scheduler) nextCell(id int, affinity *job) (*job, cellRef, bool) {
+func (s *Scheduler) nextUnit(id int, affinity *job) (*job, unitRef, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
 		if s.closed || s.draining {
-			return nil, cellRef{}, false
+			return nil, unitRef{}, false
 		}
-		if j, c, ok := s.pickLocked(affinity); ok {
+		if j, u, ok := s.pickLocked(affinity); ok {
 			if j.state == StateQueued {
 				j.state = StateRunning
 			}
-			s.running[id] = &runningCell{job: j, cell: c, started: time.Now()}
-			return j, c, true
+			s.running[id] = &runningUnit{job: j, unit: u, started: time.Now()}
+			return j, u, true
 		}
 		s.cond.Wait()
 	}
 }
 
-// pickLocked chooses the next cell: round-robin across tenants; within
+// pickLocked chooses the next unit: round-robin across tenants; within
 // the chosen tenant, the worker's affinity job if it belongs there and
-// still has undispatched cells, else the tenant's oldest runnable job.
-// Jobs past their deadline are failed here (and by the watchdog sweep for
-// jobs no dispatch ever reaches).
-func (s *Scheduler) pickLocked(affinity *job) (*job, cellRef, bool) {
+// still has undispatched units, else the tenant's oldest runnable job.
+// A turn is one unit, so an r-sweep tenant gets up to
+// experiments.MaxLanes cells of compute per turn where a v or n sweep
+// tenant gets one. Jobs past their deadline are failed here (and by the
+// watchdog sweep for jobs no dispatch ever reaches).
+func (s *Scheduler) pickLocked(affinity *job) (*job, unitRef, bool) {
 	n := len(s.tenantOrder)
 	now := time.Now()
 	for k := 0; k < n; k++ {
@@ -445,41 +478,48 @@ func (s *Scheduler) pickLocked(affinity *job) (*job, cellRef, bool) {
 			!affinity.state.terminal() && affinity.next < len(affinity.pending) {
 			j = affinity
 		}
-		c := j.pending[j.next]
+		u := j.pending[j.next]
 		j.next++
 		if j.next >= len(j.pending) {
 			s.removeFromQueueLocked(j)
 		}
 		s.rr = (s.rr + k + 1) % n
-		return j, c, true
+		return j, u, true
 	}
-	return nil, cellRef{}, false
+	return nil, unitRef{}, false
 }
 
-// executeCell fires the server-layer fault hook and runs the cell. The
-// recover here is the service's own isolation boundary: the trial runner
-// already converts trial panics into errors, so anything recovered here
-// came from the dispatch path itself (e.g. an injected server-layer
-// fault) — it fails this job only, like any other cell error.
-func (s *Scheduler) executeCell(runner *experiments.CellRunner, j *job, c cellRef) (res checkpoint.Result, err error) {
+// executeUnit fires the server-layer fault hook once per running cell and
+// runs the unit's cells as radius lanes, leaving lane l's outcome in
+// out[l]. The recover here is the service's own isolation boundary: the
+// trial runner already converts trial panics into errors, so anything
+// recovered here came from the dispatch path itself (e.g. an injected
+// server-layer fault) — it fails this job only, like any other cell
+// error.
+func (s *Scheduler) executeUnit(runner *experiments.CellRunner, j *job, u unitRef, run []bool, out []checkpoint.Result) (err error) {
+	c := cellRef{u.first, u.trial}
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("service: job %s cell point=%d trial=%d panicked at dispatch: %v",
 				j.id, c.point, c.trial, r)
 		}
 	}()
-	if faultinject.Active {
-		faultinject.FireJobDispatch(j.id, c.point, c.trial)
+	for l := range run {
+		run[l] = u.runs(l)
+		if run[l] && faultinject.Active {
+			c.point = u.first + l
+			faultinject.FireJobDispatch(j.id, c.point, c.trial)
+		}
 	}
-	return runner.Run(j.sweep, c.point, c.trial)
+	return runner.RunLanes(j.sweep, u.first, u.trial, run, out)
 }
 
-// finishCell hands a computed cell to the committer and returns without
-// waiting for the disk, unless the commit queue is full. It returns false
-// when the watchdog abandoned this worker meanwhile: the result is
-// discarded and the goroutine must exit. A failed cell fails its job here
-// and is never journaled.
-func (s *Scheduler) finishCell(id int, j *job, c cellRef, res checkpoint.Result, err error) bool {
+// finishUnit hands a computed unit's cells to the committer and returns
+// without waiting for the disk, unless the commit queue is full. It
+// returns false when the watchdog abandoned this worker meanwhile: the
+// results are discarded and the goroutine must exit. A failed unit fails
+// its job here and none of its cells is journaled.
+func (s *Scheduler) finishUnit(id int, j *job, u unitRef, out []checkpoint.Result, err error) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rc := s.running[id]
@@ -495,12 +535,16 @@ func (s *Scheduler) finishCell(id int, j *job, c cellRef, res checkpoint.Result,
 		s.cond.Wait()
 	}
 	if s.commitStop {
-		// Drain has stopped the committer: the cell was never reported,
-		// so it is dropped and reruns after a restart.
+		// Drain has stopped the committer: the cells were never reported,
+		// so they are dropped and rerun after a restart.
 		return true
 	}
-	s.commits = append(s.commits, finishedCell{job: j, cell: c, res: res})
-	s.uncommitted++
+	for l := 0; l < u.lanes; l++ {
+		if u.runs(l) {
+			s.commits = append(s.commits, finishedCell{job: j, cell: cellRef{u.first + l, u.trial}, res: out[l]})
+			s.uncommitted++
+		}
+	}
 	s.commitCond.Signal()
 	return true
 }
@@ -509,9 +553,14 @@ func (s *Scheduler) finishCell(id int, j *job, c cellRef, res checkpoint.Result,
 // takes the whole queue, appends every cell's line, syncs each touched
 // journal once, and only then counts the cells and completes jobs: a cell
 // is in cells_done only once the fsync that covers its line has returned.
+// A job the batch completed has its journal released outside the lock:
+// the file closed without another fsync (the batch's covered every line)
+// and the entries dropped, since the job serves its result from memory
+// and a restart reloads the file.
 func (s *Scheduler) committer() {
 	var batch []finishedCell
 	var touched []touchedJob
+	var completed []*job
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
@@ -544,12 +593,26 @@ func (s *Scheduler) committer() {
 			j.done++
 			if j.done >= j.total && !j.state.terminal() {
 				s.completeLocked(j)
+				if j.state == StateCompleted {
+					completed = append(completed, j)
+				}
 			}
 		}
 		s.uncommitted -= len(batch)
 		clear(batch)
 		clear(touched)
 		s.cond.Broadcast()
+		if len(completed) > 0 {
+			s.mu.Unlock()
+			for _, j := range completed {
+				if err := j.journal.Release(); err != nil {
+					s.logf("service: job %s: releasing journal: %v", j.id, err)
+				}
+			}
+			clear(completed)
+			completed = completed[:0]
+			s.mu.Lock()
+		}
 	}
 }
 
@@ -637,8 +700,8 @@ func (s *Scheduler) removeFromQueueLocked(j *job) {
 	}
 }
 
-// watchdog periodically (a) fails jobs whose single trial has been wedged
-// on a worker past StallTimeout, abandoning and replacing that worker so
+// watchdog periodically (a) fails jobs whose unit has been wedged on a
+// worker past StallTimeout, abandoning and replacing that worker so
 // pool capacity survives, (b) sweeps deadlines for jobs dispatch never
 // reaches, and (c) garbage-collects terminal jobs older than Retain —
 // memory and state directory both, so the job table stays bounded on a
@@ -660,8 +723,9 @@ func (s *Scheduler) watchdog() {
 					continue
 				}
 				rc.abandoned = true
-				s.failLocked(rc.job, fmt.Errorf("watchdog: cell point=%d trial=%d stalled for %s (limit %s)",
-					rc.cell.point, rc.cell.trial,
+				u := rc.unit
+				s.failLocked(rc.job, fmt.Errorf("watchdog: unit points=%d..%d trial=%d stalled for %s (limit %s)",
+					u.first, u.first+u.lanes-1, u.trial,
 					now.Sub(rc.started).Round(time.Millisecond), s.cfg.StallTimeout))
 				// The wedged goroutine is written off (its eventual result
 				// is discarded); a fresh worker keeps the pool at size.

@@ -54,7 +54,7 @@
 // index at another radius, which Step re-syncs through the
 // classify-inside Update or RebuildXY (picked by that index's own V/R
 // under the same rule) until ReleaseIndex parks it, and which Reset
-// rebuilds and re-arms. SetRadius instead moves the world's own index to
+// rebuilds and re-arms; UnbindIndex drops it for good. SetRadius instead moves the world's own index to
 // a new radius, keeping the population, RNG slab and positions.
 package sim
 
@@ -62,6 +62,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 
 	"manhattanflood/internal/faultinject"
 	"manhattanflood/internal/geom"
@@ -367,6 +368,14 @@ func (w *World) ReleaseIndex(ix *spatialindex.Index) {
 			w.bound[i].live = false
 		}
 	}
+}
+
+// UnbindIndex drops the bound index ix for good: no later Step syncs it
+// and no Reset rebuilds it, so a caller that moves its lanes to other
+// radii keeps the world's bound indexes down to the ones its lanes read.
+// Indexes the world does not hold bound are ignored.
+func (w *World) UnbindIndex(ix *spatialindex.Index) {
+	w.bound = slices.DeleteFunc(w.bound, func(b boundIndex) bool { return b.ix == ix })
 }
 
 // Reset re-draws every agent from the given seed in place, reusing the
