@@ -148,9 +148,14 @@ test-service:
 # under test). CellRunnerLanes2k prices a floodd cell run alone against
 # the same cell run as a radius lane of its trial. The spatialindex leg runs the 100k-agent rebuild (flat
 # and tiled) and the tiled delta sync at the flood_sparse_100k geometry.
+# The trace legs run the delta-frame writer and the delta-column encode
+# kernel on both of its paths, so the native leg executes the BMI2
+# assembly where the CPU has it.
 bench:
 	$(GO) test $(TAGFLAG) -run '^$$' -bench 'WorldStep10k|MobilityAdvance10k|FloodStep4k$$|IndexRebuild10k|IndexNeighbors10k|CellRunnerLanes2k' -benchtime 100x -benchmem .
 	$(GO) test $(TAGFLAG) -run '^$$' -bench 'RebuildXYCells100k|UpdateCells100kTiled' -benchtime 10x -benchmem ./internal/spatialindex
+	$(GO) test $(TAGFLAG) -run '^$$' -bench 'WriteStepDelta20k' -benchtime 100x -benchmem ./internal/tracev2
+	$(GO) test $(TAGFLAG) -run '^$$' -bench 'PutDeltaVarints20k' -benchtime 100x ./internal/kernel
 
 # docs verifies that every package carries a doc comment and that the
 # links in README.md / ARCHITECTURE.md resolve.

@@ -71,7 +71,7 @@ func BucketOf(x, y, invR float64, cols int32) int32 {
 // Buckets fills dst[k] with BucketOf(xs[k], ys[k], invR, cols) for every
 // lane of the span — the batched classify pass of the SoA world step.
 // dst must hold at least len(xs) entries; exactly that many are written.
-// Like Mask it dispatches to the AVX2 implementation on capable amd64
+// Like MaskWord it dispatches to the AVX2 implementation on capable amd64
 // hosts (2 multiplies, 4 ordered min/max clamps, 2 truncating converts
 // and one integer multiply-add per lane) and to the pure-Go reference
 // loop elsewhere, under `-tags purego`, or after a GODEBUG=mfkernel=

@@ -3,6 +3,7 @@
 package kernel
 
 import (
+	"encoding/binary"
 	"os"
 	"strings"
 	"sync/atomic"
@@ -18,10 +19,15 @@ var avx2Available = detectAVX2()
 // verdict, minus the GODEBUG=mfkernel=generic override.
 var defaultAVX2 = avx2Available && !godebugForcesGeneric(os.Getenv("GODEBUG"))
 
-// useAVX2 is the runtime switch Mask consults on every call. Atomic so
-// SetGeneric may flip it while concurrent sweep shards are querying —
-// both paths produce bit-identical masks, so a mid-flight flip is
-// harmless (and property-tested).
+// fastBMI2 is the one-time CPUID verdict for the delta-varint kernel:
+// BMI2 and LZCNT present, and PDEP not microcoded. Immutable after init.
+var fastBMI2 = detectFastBMI2()
+
+// useAVX2 is the runtime switch every kernel consults on every call; the
+// delta-varint kernel additionally needs fastBMI2. Atomic so SetGeneric
+// may flip it while concurrent sweep shards are querying — both paths
+// produce bit-identical output, so a mid-flight flip is harmless (and
+// property-tested).
 var useAVX2 atomic.Bool
 
 func init() {
@@ -66,6 +72,44 @@ func detectAVX2() bool {
 	return ebx7&(1<<5) != 0 // AVX2
 }
 
+// detectFastBMI2 checks CPUID for BMI2 (leaf 7 EBX bit 8) and LZCNT
+// (leaf 0x80000001 ECX bit 5) — without the latter the LZCNT encoding
+// silently executes as BSR — and rules out the CPUs whose PDEP is
+// microcoded (see slowPDEP).
+func detectFastBMI2() bool {
+	maxLeaf, vb, vc, vd := cpuidex(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	if _, ebx7, _, _ := cpuidex(7, 0); ebx7&(1<<8) == 0 {
+		return false
+	}
+	if maxExt, _, _, _ := cpuidex(0x80000000, 0); maxExt < 0x80000001 {
+		return false
+	}
+	if _, _, ecx, _ := cpuidex(0x80000001, 0); ecx&(1<<5) == 0 {
+		return false
+	}
+	var vendor [12]byte
+	binary.LittleEndian.PutUint32(vendor[0:], vb)
+	binary.LittleEndian.PutUint32(vendor[4:], vd)
+	binary.LittleEndian.PutUint32(vendor[8:], vc)
+	eax1, _, _, _ := cpuidex(1, 0)
+	family := eax1 >> 8 & 0xF
+	if family == 0xF {
+		family += eax1 >> 20 & 0xFF
+	}
+	return !slowPDEP(string(vendor[:]), family)
+}
+
+// slowPDEP reports whether a CPU of the given CPUID vendor and family
+// implements PDEP in microcode: AMD before Zen 3 (family 0x19) and the
+// Zen-derived Hygon parts take tens to hundreds of cycles per PDEP, far
+// slower than the portable loop.
+func slowPDEP(vendor string, family uint32) bool {
+	return (vendor == "AuthenticAMD" || vendor == "HygonGenuine") && family < 0x19
+}
+
 // cpuidex executes CPUID with the given leaf and subleaf.
 //
 //go:noescape
@@ -84,25 +128,12 @@ func xgetbv0() (eax, edx uint32)
 //go:noescape
 func maskAVX2(dst *uint64, xs, ys *float64, px, py, r2 float64, n int)
 
-// maskInto dispatches one span's mask computation to the selected
-// implementation. The assembly path covers the largest multiple of four
-// lanes; the reference loop finishes the tail in place.
-func maskInto(dst []uint64, xs, ys []float64, px, py, r2 float64) {
-	n := len(xs)
-	if n >= 16 && useAVX2.Load() {
-		n4 := n &^ 3
-		maskAVX2(&dst[0], &xs[0], &ys[0], px, py, r2, n4)
-		maskGenericRange(dst, xs, ys, px, py, r2, n4, n)
-		return
-	}
-	maskGenericRange(dst, xs, ys, px, py, r2, 0, n)
-}
-
 // MaskWord returns the radius-test bitmask of a span of at most 64
 // lanes as a single word — the buffer-free fast path for CSR row spans,
 // which almost always fit one word. Bit k (k < len(xs)) is set iff lane
-// k is within r2 of (px, py); higher bits are zero. Same bit-identity
-// contract as Mask. len(xs) must be <= 64.
+// k is within r2 of (px, py); higher bits are zero. The lanes are
+// bit-identical to maskWordGeneric, the reference, on every input.
+// len(xs) must be <= 64.
 func MaskWord(xs, ys []float64, px, py, r2 float64) uint64 {
 	n := len(xs)
 	if n > 64 {
@@ -144,8 +175,44 @@ func bucketsInto(dst []int32, xs, ys []float64, invR float64, cols int32) {
 	bucketsGenericRange(dst, xs, ys, invR, cm1, cols, 0, n)
 }
 
-// Path reports which implementation Mask currently uses: "avx2" or
-// "generic".
+// putDeltaVarintsBMI2 is the assembly delta-varint kernel: it encodes
+// cur[0:n) into dst as putDeltaVarintsGeneric does, stopping before the
+// first zig-zag delta of 2^56 or more, and returns the bytes written and
+// the values encoded. LZCNT indexes varintCont and varintLen, one PDEP
+// spreads the 7-bit groups and one 8-byte store writes each value. n
+// must be positive, dst must hold 8*n bytes and prev n words.
+//
+//go:noescape
+func putDeltaVarintsBMI2(dst *byte, cur *float64, prev *uint64, n int) (nb, nv int)
+
+// varintCont and varintLen are the assembly kernel's tables, indexed by
+// the leading-zero count lz of a zig-zag delta u < 2^56 (lz in 8..64):
+// the varint's continuation bits (0x80 on every byte but the last) and
+// its length in bytes, (bits.Len64(u|1)+6)/7. Entries below 8 are
+// unused.
+var varintCont, varintLen = varintTables()
+
+func varintTables() (cont, length [65]uint64) {
+	for lz := 8; lz <= 64; lz++ {
+		k := max(1, (64-lz+6)/7)
+		cont[lz] = 0x8080808080808080 & (1<<(8*k-8) - 1)
+		length[lz] = uint64(k)
+	}
+	return cont, length
+}
+
+// putDeltaVarintsInto dispatches one delta column to the selected
+// implementation.
+func putDeltaVarintsInto(dst []byte, cur []float64, prev []uint64) (nb, nv int) {
+	if fastBMI2 && useAVX2.Load() {
+		return putDeltaVarintsBMI2(&dst[0], &cur[0], &prev[0], len(cur))
+	}
+	return putDeltaVarintsGeneric(dst, cur, prev)
+}
+
+// Path reports which implementation the package's kernels currently use:
+// "avx2" (the assembly kernels; the delta-varint one only on CPUs with
+// a fast BMI2) or "generic".
 func Path() string {
 	if useAVX2.Load() {
 		return "avx2"

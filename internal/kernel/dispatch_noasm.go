@@ -4,13 +4,6 @@ package kernel
 
 import "manhattanflood/internal/panicsafe"
 
-// maskInto dispatches one span's mask computation. Without the assembly
-// kernel (non-amd64, or the purego build tag) the reference loop is the
-// only implementation.
-func maskInto(dst []uint64, xs, ys []float64, px, py, r2 float64) {
-	maskGenericRange(dst, xs, ys, px, py, r2, 0, len(xs))
-}
-
 // MaskWord returns the radius-test bitmask of a span of at most 64
 // lanes as a single word; bit k (k < len(xs)) is set iff lane k is
 // within r2 of (px, py). On this build it is the reference loop.
@@ -28,7 +21,13 @@ func bucketsInto(dst []int32, xs, ys []float64, invR float64, cols int32) {
 	bucketsGenericRange(dst, xs, ys, invR, float64(cols-1), cols, 0, len(xs))
 }
 
-// Path reports which implementation Mask currently uses; always
+// putDeltaVarintsInto dispatches one delta column. Without the assembly
+// kernel the word-at-a-time loop is the only implementation.
+func putDeltaVarintsInto(dst []byte, cur []float64, prev []uint64) (nb, nv int) {
+	return putDeltaVarintsGeneric(dst, cur, prev)
+}
+
+// Path reports which implementation the package's kernels use; always
 // "generic" on this build.
 func Path() string { return "generic" }
 

@@ -1,23 +1,30 @@
-// Package kernel is the repository's single distance-test code path: a
-// batched fixed-radius test over the spatial index's CSR coordinate spans.
-// Every consumer that asks "is point j within radius R of point i" — the
-// flooding sweep, the within-step chaining closure, the infection tree,
-// the meeting detector, the protocol variants, and the disk graph — asks
-// it through this package.
+// Package kernel holds the engine's batched loops over flat float64
+// columns, each a portable Go reference plus an amd64 assembly path:
 //
-// # The operation
+//   - the fixed-radius test over the spatial index's CSR coordinate
+//     spans (MaskWord, AnyHit, VisitHits). Every consumer that asks "is
+//     point j within radius R of point i" — the flooding sweep, the
+//     within-step chaining closure, the infection tree, the meeting
+//     detector, the protocol variants, and the disk graph — asks it
+//     through this package;
+//   - the uniform-grid classify (Buckets, bucket.go);
+//   - the trace writer's delta-column encode (PutDeltaVarints,
+//     varint.go).
 //
-// Mask consumes one CSR row span (two flat float64 coordinate streams, a
-// query point and a squared radius) and produces a hit bitmask: bit k is
-// set iff (xs[k]-px)^2 + (ys[k]-py)^2 <= r2. Consumers fold that mask
-// against a per-position state bitmap (informed, uninformed, active,
-// from-Central-Zone...) with WindowAt, or use the AnyHit/VisitHits
-// conveniences that fuse the mask computation, the fold and the bit
-// iteration without any heap scratch.
+// # The radius test
+//
+// MaskWord consumes one CSR row span of at most 64 lanes (two flat
+// float64 coordinate streams, a query point and a squared radius) and
+// produces a hit bitmask: bit k is set iff (xs[k]-px)^2 + (ys[k]-py)^2
+// <= r2. Consumers fold that mask against a per-position state bitmap
+// (informed, uninformed, active, from-Central-Zone...) with WindowAt, or
+// use the AnyHit/VisitHits conveniences that fuse the mask computation,
+// the fold and the bit iteration over spans of any length without any
+// heap scratch.
 //
 // # Implementation selection and the bit-identity invariant
 //
-// The portable pure-Go loop (maskGenericRange) is the reference
+// The portable pure-Go loop (maskWordGeneric) is the reference
 // implementation and the only one on non-amd64 targets and under the
 // `purego` build tag. On amd64 without that tag, an AVX2 assembly kernel
 // is selected at runtime by CPUID feature detection (AVX2 plus
@@ -27,10 +34,13 @@
 // mask is bit-identical to the reference on every input, including NaN
 // and infinite coordinates and distances exactly equal to r2. Nothing
 // downstream needs to know which path ran; property and fuzz tests pin
-// the equivalence.
+// the equivalence. The classify and delta-encode kernels keep the same
+// contract with their own references; the delta encode's assembly also
+// needs BMI2 and LZCNT and a CPU whose PDEP is not microcoded.
 //
 // Setting `GODEBUG=mfkernel=generic` (or building with `-tags purego`)
-// forces the reference path; SetGeneric flips it at runtime for tests.
+// forces the reference paths; SetGeneric flips them at runtime for
+// tests.
 //
 // # Adaptive folding
 //
@@ -43,11 +53,7 @@
 // not depend on the route taken.
 package kernel
 
-import (
-	"math/bits"
-
-	"manhattanflood/internal/panicsafe"
-)
+import "math/bits"
 
 // sparsePerWord is the adaptive cutoff of the filtered helpers: below
 // this many candidate bits per 64-lane window the per-set-bit scalar
@@ -58,7 +64,7 @@ const sparsePerWord = 8
 func Words(n int) int { return (n + 63) >> 6 }
 
 // Hit is the scalar one-point radius test, performing exactly the
-// arithmetic the batched Mask performs per lane: (x-px)^2 + (y-py)^2 <=
+// arithmetic the batched MaskWord performs per lane: (x-px)^2 + (y-py)^2 <=
 // r2 in float64, no FMA contraction. The explicit float64 conversions
 // force the intermediate rounding the Go spec otherwise lets a compiler
 // fuse away (gc emits FMA for bare x*y + z on arm64 and friends), so
@@ -67,42 +73,6 @@ func Hit(x, y, px, py, r2 float64) bool {
 	dx := x - px
 	dy := y - py
 	return float64(dx*dx)+float64(dy*dy) <= r2
-}
-
-// Mask fills dst with the radius-test bitmask of the span: bit k of dst
-// (0 <= k < len(xs)) is set iff (xs[k]-px)^2 + (ys[k]-py)^2 <= r2. The
-// comparison is ordered, so lanes with NaN coordinates are misses —
-// identical to the Go `<=` the reference loop uses. dst must hold at
-// least Words(len(xs)) words; exactly that many are written, and bits at
-// or beyond len(xs) in the final word are zero.
-func Mask(dst []uint64, xs, ys []float64, px, py, r2 float64) {
-	n := len(xs)
-	if len(ys) != n {
-		// Programmer-error panic: never recovered into a silent fallback
-		// (see panicsafe's package comment).
-		panic(panicsafe.Invariant("kernel", "coordinate spans disagree: len(xs)=%d len(ys)=%d", n, len(ys)))
-	}
-	d := dst[:Words(n)]
-	clear(d)
-	if n == 0 {
-		return
-	}
-	maskInto(d, xs, ys, px, py, r2)
-}
-
-// maskGenericRange is the portable reference implementation: it ORs the
-// hit bits of lanes [lo, hi) into dst. Everything else in the package —
-// the assembly path included — must be bit-identical to this loop. The
-// explicit float64 conversions forbid FMA contraction (see Hit), keeping
-// the reference itself identical across architectures.
-func maskGenericRange(dst []uint64, xs, ys []float64, px, py, r2 float64, lo, hi int) {
-	for k := lo; k < hi; k++ {
-		dx := xs[k] - px
-		dy := ys[k] - py
-		if float64(dx*dx)+float64(dy*dy) <= r2 {
-			dst[uint(k)>>6] |= 1 << (uint(k) & 63)
-		}
-	}
 }
 
 // maskWordGeneric is the reference for MaskWord: the hit bits of lanes

@@ -144,6 +144,35 @@ func TestPanicPoisonsOnlyItsJob(t *testing.T) {
 	}
 }
 
+// TestFailedJobClosesItsJournal: a job poisoned by a dispatch panic
+// releases its journal once its other in-flight unit (two workers) has
+// been journaled, so the open descriptor count returns to where it was
+// before the job was submitted.
+func TestFailedJobClosesItsJournal(t *testing.T) {
+	defer faultinject.Reset()
+	openFDs := fdCounter(t)
+	poisoned := testSpec()
+	poisoned.Seed = 34
+	faultinject.SetJobDispatch(func(jobID string, point, trial int) {
+		if jobID == poisoned.ID() && trial == 1 {
+			panic("injected dispatch fault")
+		}
+	})
+	s := newScheduler(t, Config{Workers: 2, StateDir: t.TempDir()})
+	base := openFDs()
+	v, _, err := s.Submit(poisoned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fv := waitState(t, s, v.ID); fv.State != StateFailed || fv.JournalDegraded {
+		t.Fatalf("poisoned job: %+v, want failed with an intact journal", fv)
+	}
+	waitFDs(t, openFDs, base, "a failed job")
+	if fv, _ := s.Get(v.ID); fv.JournalDegraded {
+		t.Fatalf("poisoned job's journal degraded: released before its in-flight cells were journaled")
+	}
+}
+
 // TestTrialPanicInsideRunnerAlsoIsolates: a panic inside the trial body
 // (the experiments-layer TrialStart hook, not the dispatch hook) surfaces
 // through CellRunner as a structured error and fails only that job.

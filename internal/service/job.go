@@ -208,6 +208,12 @@ type job struct {
 	// running from memory (fail open — computed results are still
 	// correct) but a restart may have to re-run the unrecorded cells.
 	journalDegraded bool
+
+	// busy counts the job's units running on workers plus its cells
+	// queued for the committer; released is set once a terminal job with
+	// busy == 0 has its journal queued for release.
+	busy     int
+	released bool
 }
 
 // view renders the job for API responses.

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -112,16 +113,7 @@ func TestPartialTrialResume(t *testing.T) {
 // long-lived daemon does not run into the descriptor limit one finished
 // job at a time.
 func TestCompletedJobsCloseTheirJournals(t *testing.T) {
-	if _, err := os.Stat("/proc/self/fd"); err != nil {
-		t.Skip("no /proc/self/fd to count open files")
-	}
-	openFDs := func() int {
-		des, err := os.ReadDir("/proc/self/fd")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(des) - 1 // ReadDir's own descriptor
-	}
+	openFDs := fdCounter(t)
 	s := newScheduler(t, Config{Workers: 2, StateDir: t.TempDir()})
 	base := openFDs()
 	const jobs = 24
@@ -140,16 +132,73 @@ func TestCompletedJobsCloseTheirJournals(t *testing.T) {
 			t.Fatalf("job %d: completed without a result", k)
 		}
 	}
-	// The committer releases a journal just after it reports the job
-	// complete; give the last one a moment.
+	waitFDs(t, openFDs, base, fmt.Sprintf("%d completed jobs", jobs))
+	if got := len(s.List()); got != jobs {
+		t.Fatalf("%d jobs in the table, want all %d (retention is off)", got, jobs)
+	}
+}
+
+// Canceled jobs release their journals too, but only once the unit a
+// worker was running for them has finished and its cells are journaled:
+// a journal released sooner would fail that append and mark the job's
+// journal degraded.
+func TestCanceledJobsCloseTheirJournals(t *testing.T) {
+	openFDs := fdCounter(t)
+	s := newScheduler(t, Config{Workers: 1, StateDir: t.TempDir()})
+	base := openFDs()
+	const jobs = 20
+	for k := 0; k < jobs; k++ {
+		spec := testSpec()
+		spec.Seed = uint64(950 + k)
+		v, _, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Let the worker pick up a unit of every other job first.
+		for k%2 == 0 {
+			if cv, _ := s.Get(v.ID); cv.State != StateQueued {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if cv, ok := s.Cancel(v.ID); !ok || !cv.State.terminal() {
+			t.Fatalf("job %d: cancel left %+v", k, cv)
+		}
+	}
+	waitFDs(t, openFDs, base, fmt.Sprintf("%d canceled jobs", jobs))
+	for _, v := range s.List() {
+		if v.JournalDegraded {
+			t.Fatalf("job %s: journal degraded: released before its in-flight cells were journaled", v.ID)
+		}
+	}
+}
+
+// fdCounter returns a function counting this process's open file
+// descriptors, skipping the test where /proc/self/fd is missing.
+func fdCounter(t *testing.T) func() int {
+	t.Helper()
+	if _, err := os.Stat("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd to count open files")
+	}
+	return func() int {
+		des, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(des) - 1 // ReadDir's own descriptor
+	}
+}
+
+// waitFDs fails unless the open descriptor count falls back to base. The
+// committer releases a terminal job's journal just after the job turns
+// terminal; give the last one a moment.
+func waitFDs(t *testing.T, openFDs func() int, base int, after string) {
+	t.Helper()
 	n := openFDs()
 	for deadline := time.Now().Add(5 * time.Second); n > base && time.Now().Before(deadline); n = openFDs() {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if n > base {
-		t.Fatalf("%d open descriptors after %d completed jobs, %d before", n, jobs, base)
-	}
-	if got := len(s.List()); got != jobs {
-		t.Fatalf("%d jobs in the table, want all %d (retention is off)", got, jobs)
+		t.Fatalf("%d open descriptors after %s, %d before", n, after, base)
 	}
 }

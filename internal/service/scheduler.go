@@ -129,6 +129,11 @@ type Scheduler struct {
 	commitStop  bool
 	commitCond  *sync.Cond // signals the committer
 
+	// releases queues the journals of terminal jobs that nothing appends
+	// to any more (see releaseWhenIdleLocked); the committer releases
+	// them outside the lock.
+	releases []*job
+
 	watchStop chan struct{}
 	watchOnce sync.Once
 }
@@ -326,13 +331,10 @@ func (s *Scheduler) admitLocked(spec JobSpec, resumed bool) (*job, error) {
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	if j.done >= j.total {
+		// Nothing is left to append: completing queues the journal for
+		// release. Only a restart (or a journal whose record went
+		// missing) admits a complete job.
 		s.completeLocked(j)
-		// Nothing is left to append: let go of the file and the entries.
-		// Only a restart (or a journal whose record went missing) admits
-		// a complete job, so closing here holds up no worker.
-		if err := journal.Release(); err != nil {
-			s.logf("service: job %s: releasing journal: %v", id, err)
-		}
 		return j, nil
 	}
 	j.counted = true
@@ -435,6 +437,7 @@ func (s *Scheduler) nextUnit(id int, affinity *job) (*job, unitRef, bool) {
 				j.state = StateRunning
 			}
 			s.running[id] = &runningUnit{job: j, unit: u, started: time.Now()}
+			j.busy++
 			return j, u, true
 		}
 		s.cond.Wait()
@@ -525,9 +528,10 @@ func (s *Scheduler) finishUnit(id int, j *job, u unitRef, out []checkpoint.Resul
 	rc := s.running[id]
 	delete(s.running, id)
 	if rc != nil && rc.abandoned {
-		return false
+		return false // the watchdog dropped the unit's hold on the job
 	}
 	if err != nil {
+		j.busy--
 		s.failLocked(j, err)
 		return true
 	}
@@ -537,12 +541,16 @@ func (s *Scheduler) finishUnit(id int, j *job, u unitRef, out []checkpoint.Resul
 	if s.commitStop {
 		// Drain has stopped the committer: the cells were never reported,
 		// so they are dropped and rerun after a restart.
+		j.busy--
 		return true
 	}
+	// The unit's hold on the job passes to its queued cells.
+	j.busy--
 	for l := 0; l < u.lanes; l++ {
 		if u.runs(l) {
 			s.commits = append(s.commits, finishedCell{job: j, cell: cellRef{u.first + l, u.trial}, res: out[l]})
 			s.uncommitted++
+			j.busy++
 		}
 	}
 	s.commitCond.Signal()
@@ -553,18 +561,18 @@ func (s *Scheduler) finishUnit(id int, j *job, u unitRef, out []checkpoint.Resul
 // takes the whole queue, appends every cell's line, syncs each touched
 // journal once, and only then counts the cells and completes jobs: a cell
 // is in cells_done only once the fsync that covers its line has returned.
-// A job the batch completed has its journal released outside the lock:
-// the file closed without another fsync (the batch's covered every line)
-// and the entries dropped, since the job serves its result from memory
-// and a restart reloads the file.
+// It also releases the journals queued by releaseWhenIdleLocked, outside
+// the lock: the file closed without another fsync (every batch synced
+// the lines it appended) and the entries dropped, since a completed job
+// serves its result from memory and a restart reloads the file.
 func (s *Scheduler) committer() {
 	var batch []finishedCell
 	var touched []touchedJob
-	var completed []*job
+	var released []*job
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		for len(s.commits) == 0 && !s.commitStop {
+		for len(s.commits) == 0 && len(s.releases) == 0 && !s.commitStop {
 			s.commitCond.Wait()
 		}
 		if s.commitStop {
@@ -591,29 +599,43 @@ func (s *Scheduler) committer() {
 		for _, fc := range batch {
 			j := fc.job
 			j.done++
+			j.busy--
 			if j.done >= j.total && !j.state.terminal() {
 				s.completeLocked(j)
-				if j.state == StateCompleted {
-					completed = append(completed, j)
-				}
 			}
+			s.releaseWhenIdleLocked(j)
 		}
 		s.uncommitted -= len(batch)
 		clear(batch)
 		clear(touched)
 		s.cond.Broadcast()
-		if len(completed) > 0 {
+		if len(s.releases) > 0 {
+			released, s.releases = s.releases, released[:0]
 			s.mu.Unlock()
-			for _, j := range completed {
+			for _, j := range released {
 				if err := j.journal.Release(); err != nil {
 					s.logf("service: job %s: releasing journal: %v", j.id, err)
 				}
 			}
-			clear(completed)
-			completed = completed[:0]
+			clear(released)
 			s.mu.Lock()
 		}
 	}
+}
+
+// releaseWhenIdleLocked queues j's journal for the committer to release
+// once j is terminal and none of its units is running or has cells
+// queued for the committer: nothing appends to the journal after that.
+// A canceled or failed job may still have a unit in flight (Cancel lets
+// it finish and journal its cells), so the unit's last cell leaving the
+// commit queue is what releases it. Caller holds s.mu.
+func (s *Scheduler) releaseWhenIdleLocked(j *job) {
+	if j.busy > 0 || !j.state.terminal() || j.released {
+		return
+	}
+	j.released = true
+	s.releases = append(s.releases, j)
+	s.commitCond.Signal()
 }
 
 // writeBatch appends every cell of batch to its job's journal, then syncs
@@ -687,6 +709,7 @@ func (s *Scheduler) finalizeLocked(j *job, state State, err error) {
 		j.counted = false
 		s.admitted--
 	}
+	s.releaseWhenIdleLocked(j)
 	s.cond.Broadcast()
 }
 
@@ -723,6 +746,7 @@ func (s *Scheduler) watchdog() {
 					continue
 				}
 				rc.abandoned = true
+				rc.job.busy-- // its result will be discarded, never journaled
 				u := rc.unit
 				s.failLocked(rc.job, fmt.Errorf("watchdog: unit points=%d..%d trial=%d stalled for %s (limit %s)",
 					u.first, u.first+u.lanes-1, u.trial,

@@ -8,7 +8,11 @@ import (
 
 // NewWorld must allocate no heap object per agent: the per-agent RNG
 // streams live by value in one slab and the populations keep flat
-// columns, so the allocation count is the same at any N.
+// columns, so the allocation count is the same at any N. Each count is
+// the minimum over several AllocsPerRun passes: allocations the runtime
+// makes on its own land in some passes only (a single pass read one
+// object more at one N in every isolated run under GOGC=20), while an
+// allocation NewWorld makes shows in every pass.
 func TestNewWorldAllocsIndependentOfN(t *testing.T) {
 	for _, f := range []struct {
 		name    string
@@ -18,11 +22,15 @@ func TestNewWorldAllocsIndependentOfN(t *testing.T) {
 		{"mrwp-paused", PausedMRWPFactory(10)},
 	} {
 		allocs := func(n int) float64 {
-			return testing.AllocsPerRun(3, func() {
-				if _, err := NewWorld(Params{N: n, L: 60, R: 4, V: 0.3, Seed: 1}, f.factory); err != nil {
-					t.Fatal(err)
-				}
-			})
+			best := math.Inf(1)
+			for range 5 {
+				best = min(best, testing.AllocsPerRun(3, func() {
+					if _, err := NewWorld(Params{N: n, L: 60, R: 4, V: 0.3, Seed: 1}, f.factory); err != nil {
+						t.Fatal(err)
+					}
+				}))
+			}
+			return best
 		}
 		small, large := allocs(1000), allocs(16000)
 		if small != large {

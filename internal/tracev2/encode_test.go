@@ -8,6 +8,8 @@ import (
 	"math/rand/v2"
 	"slices"
 	"testing"
+
+	"manhattanflood/internal/kernel"
 )
 
 // appendDeltaColumnRef is the byte-at-a-time encoder appendDeltaColumn
@@ -22,19 +24,26 @@ func appendDeltaColumnRef(b []byte, cur []float64, prev []uint64) []byte {
 	return b
 }
 
-// checkDeltaColumn encodes cur against prev with both encoders, each
-// appending to its own copy of prefix, and fails unless the bytes and the
-// updated prev columns agree.
+// checkDeltaColumn encodes cur against prev with the reference and with
+// appendDeltaColumn on both kernel paths (the assembly kernel where the
+// CPU has it, then the forced portable loop), each appending to its own
+// copy of prefix, and fails unless the bytes and the updated prev
+// columns agree.
 func checkDeltaColumn(t *testing.T, prefix []byte, prev []uint64, cur []float64) {
 	t.Helper()
-	wantPrev, gotPrev := slices.Clone(prev), slices.Clone(prev)
+	defer kernel.SetGeneric(false)
+	wantPrev := slices.Clone(prev)
 	want := appendDeltaColumnRef(slices.Clone(prefix), cur, wantPrev)
-	got := appendDeltaColumn(slices.Clone(prefix), cur, gotPrev)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("prefix %d B, prev %#x, cur %#x:\n got %x\nwant %x", len(prefix), prev, bitsOf(cur), got, want)
-	}
-	if !slices.Equal(gotPrev, wantPrev) {
-		t.Fatalf("prev after encoding = %#x, want %#x", gotPrev, wantPrev)
+	for _, generic := range []bool{false, true} {
+		kernel.SetGeneric(generic)
+		gotPrev := slices.Clone(prev)
+		got := appendDeltaColumn(slices.Clone(prefix), cur, gotPrev)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("path %s, prefix %d B, prev %#x, cur %#x:\n got %x\nwant %x", kernel.Path(), len(prefix), prev, bitsOf(cur), got, want)
+		}
+		if !slices.Equal(gotPrev, wantPrev) {
+			t.Fatalf("path %s: prev after encoding = %#x, want %#x", kernel.Path(), gotPrev, wantPrev)
+		}
 	}
 }
 
@@ -47,7 +56,7 @@ func bitsOf(col []float64) []uint64 {
 }
 
 // TestAppendDeltaColumnMatchesReference covers every varint length at
-// both ends (2^(7k)-1 and 2^(7k)), the word path's edge at 2^56, deltas
+// both ends (2^(7k)-1 and 2^(7k)), the kernel's hand-off at 2^56, deltas
 // that wrap int64, and the float bit patterns that arithmetic on values
 // would mangle, one value per column and all of them in one column,
 // appended to buffers with and without a prefix.
@@ -97,8 +106,8 @@ func TestAppendDeltaColumnMatchesReference(t *testing.T) {
 	checkDeltaColumn(t, nil, nil, nil)
 }
 
-// FuzzAppendDeltaColumn compares appendDeltaColumn with the reference on
-// arbitrary columns: data is read as (prev, cur) bit-pattern pairs, 16
+// FuzzAppendDeltaColumn compares appendDeltaColumn on both kernel paths
+// with the reference on arbitrary columns: data is read as (prev, cur) bit-pattern pairs, 16
 // bytes each, and prefix is the length of the buffer the column appends
 // to.
 func FuzzAppendDeltaColumn(f *testing.F) {

@@ -53,6 +53,16 @@
 // and high mantissa bits, so typical deltas fit 5-7 varint bytes instead
 // of 8 raw ones; a zero delta, e.g. a paused agent, is 1 byte).
 //
+// # Encoding
+//
+// The delta columns are most of the writer's work. appendDeltaColumn
+// hands each to kernel.PutDeltaVarints: a BMI2 assembly loop (LZCNT for
+// the length, one PDEP for the 7-bit spread, one 8-byte store per value)
+// on amd64 CPUs with a fast PDEP, a word-at-a-time Go loop elsewhere,
+// under -tags purego and after GODEBUG=mfkernel=generic. Both write
+// exactly binary.AppendUvarint's bytes, so the trace does not depend on
+// the path: RunInfo.KernelPath is provenance, not semantics.
+//
 // # Torn tails and corruption
 //
 // The format follows internal/checkpoint's crash discipline: a trailing
@@ -69,8 +79,9 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"math/bits"
 	"slices"
+
+	"manhattanflood/internal/kernel"
 )
 
 // Schema is the RunInfo schema identifier of this format version.
@@ -321,45 +332,27 @@ func (t *Writer) WriteStep(step int, x, y []float64, informed []bool, newly []in
 
 // appendDeltaColumn encodes cur as zig-zag varints of the bit-pattern
 // difference from prev, updating prev to cur's bits in the same pass. The
-// bytes are exactly binary.AppendUvarint's, produced a word at a time:
-// the column's worst case (binary.MaxVarintLen64 per value) is reserved
-// once, and a delta below 2^56 (at most 8 varint bytes) is spread into
-// one uint64, given its continuation bits and stored whole, the cursor
-// advancing by its length; the store's spare high bytes are zero and the
-// next value overwrites them. Each value advances the cursor by at most
-// MaxVarintLen64, so every 8-byte store ends inside the reservation. The
-// rare delta of 2^56 or more (9-10 bytes) goes through
-// binary.PutUvarint.
+// bytes are exactly binary.AppendUvarint's. The column's worst case
+// (binary.MaxVarintLen64 per value) is reserved once, and
+// kernel.PutDeltaVarints encodes each run of deltas below 2^56 a word per
+// value — the BMI2 assembly kernel where the CPU has a fast one, the
+// word-at-a-time Go loop elsewhere. The rare delta of 2^56 or more
+// (9-10 bytes) that ends a run goes through binary.PutUvarint. Each value
+// advances the cursor by at most MaxVarintLen64, so the kernel's 8-byte
+// stores always end inside the reservation.
 func appendDeltaColumn(b []byte, cur []float64, prev []uint64) []byte {
 	n := len(b)
 	b = slices.Grow(b, len(cur)*binary.MaxVarintLen64)
 	out := b[:cap(b)]
 	prev = prev[:len(cur)]
-	for i, v := range cur {
-		p := math.Float64bits(v)
-		u := zigzag(int64(p) - int64(prev[i]))
-		prev[i] = p
-		if u >= 1<<56 {
-			n += binary.PutUvarint(out[n:], u)
-			continue
+	for i := 0; ; i++ {
+		nb, nv := kernel.PutDeltaVarints(out[n:], cur[i:], prev[i:])
+		n, i = n+nb, i+nv
+		if i == len(cur) {
+			return b[:n]
 		}
-		k := (bits.Len64(u|1) + 6) / 7
-		// Continuation bits on bytes 0..k-2. k <= 8, so the &63 only
-		// tells the compiler the shift is in range.
-		cont := uint64(0x8080808080808080) & (1<<((8*k-8)&63) - 1)
-		binary.LittleEndian.PutUint64(out[n:], spread7(u)|cont)
-		n += k
+		p := math.Float64bits(cur[i])
+		n += binary.PutUvarint(out[n:], zigzag(int64(p)-int64(prev[i])))
+		prev[i] = p
 	}
-	return b[:n]
-}
-
-// spread7 moves the eight 7-bit groups of u < 2^56 into the low seven
-// bits of the result's eight bytes, the least significant group in the
-// lowest byte: the varint payload without its continuation bits. Each
-// level halves the group width: 28-bit halves to 32-bit lanes, 14-bit
-// quarters to 16-bit lanes, 7-bit groups to bytes.
-func spread7(u uint64) uint64 {
-	u = u&0x0000_0000_0FFF_FFFF | (u&0x00FF_FFFF_F000_0000)<<4
-	u = u&0x0000_3FFF_0000_3FFF | (u&0x0FFF_C000_0FFF_C000)<<2
-	return u&0x007F_007F_007F_007F | (u&0x3F80_3F80_3F80_3F80)<<1
 }

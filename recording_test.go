@@ -2,12 +2,15 @@ package manhattan
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand/v2"
 	"testing"
+
+	"manhattanflood/internal/kernel"
 )
 
 // capturingRecorder records the trace and simultaneously snapshots every
@@ -188,6 +191,66 @@ func TestRecordTornTail(t *testing.T) {
 	corrupt[len(corrupt)/2] ^= 0x10
 	if _, err := OpenReplay(bytes.NewReader(corrupt)); err == nil {
 		t.Fatal("mid-file corruption not detected")
+	}
+}
+
+// TestRecordDowngradeMidFloodSameBytes pins the trace writer's half of
+// the kernel bit-identity contract: a paused flood recorded on the
+// assembly encode path, on the portable one, and with SetGeneric flipped
+// halfway through the flood writes the same frames byte for byte. Only
+// the header differs, by its kernel_path provenance field. Where the CPU
+// lacks the assembly kernels (or under -tags purego) all three take the
+// portable path and the test is a determinism check.
+func TestRecordDowngradeMidFloodSameBytes(t *testing.T) {
+	defer kernel.SetGeneric(false)
+	cfg := Config{N: 800, L: 28.3, R: 1, V: 0.1, Pause: 4, Seed: 17}
+	record := func(generic bool, flipAt int) (frames []byte, n int) {
+		t.Helper()
+		kernel.SetGeneric(generic)
+		sim, err := New(cfg)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		var buf bytes.Buffer
+		rec, err := NewRecorder(&buf, sim, RecordOptions{})
+		if err != nil {
+			t.Fatalf("NewRecorder: %v", err)
+		}
+		sim.Attach(observerFunc(func(v StepView) error {
+			if rec.Frames() == flipAt {
+				kernel.SetGeneric(true)
+			}
+			return rec.ObserveStep(v)
+		}))
+		_, err = sim.Flood(FloodOptions{Source: SourceCorner, MaxSteps: 400})
+		sim.Detach()
+		if err != nil {
+			t.Fatalf("Flood: %v", err)
+		}
+		data := buf.Bytes()
+		return data[len("MFTRACE2")+4+int(binary.LittleEndian.Uint32(data[8:])):], rec.Frames()
+	}
+	generic, n := record(true, -1)
+	if n < 100 {
+		t.Fatalf("only %d frames; want a flood long enough to flip mid-run", n)
+	}
+	t.Logf("%d frames, flipped at %d", n, n/2)
+	active, _ := record(false, -1)
+	mixed, _ := record(false, n/2)
+	if kernel.Path() != "generic" {
+		t.Fatalf("SetGeneric(true) at frame %d did not take: path %s", n/2, kernel.Path())
+	}
+	for _, c := range []struct {
+		name string
+		got  []byte
+	}{{"active path", active}, {"flipped at frame " + fmt.Sprint(n/2), mixed}} {
+		if !bytes.Equal(c.got, generic) {
+			i := 0
+			for i < min(len(c.got), len(generic)) && c.got[i] == generic[i] {
+				i++
+			}
+			t.Fatalf("%s: frames differ from the generic-only recording at byte %d of %d/%d", c.name, i, len(c.got), len(generic))
+		}
 	}
 }
 
