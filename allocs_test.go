@@ -44,6 +44,16 @@ func TestSteadyStateAllocs(t *testing.T) {
 		// The pooled-trial reset: every agent re-drawn from its reseeded
 		// stream in place. A per-agent heap object (a rand.Rand wrapper
 		// that escapes, a compiled path) shows up here.
+		// The facade's Step with an observer attached: the position-only
+		// view goes to the observer by value, with no copy of the columns.
+		{"sim_step_observed_10k", 30, func(t *testing.T) func() {
+			s, err := New(Config{N: 10000, L: 100, R: 4, V: 0.3, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Attach(nopObserver{})
+			return s.Step
+		}},
 		{"world_reset_2k", 3, func(t *testing.T) func() {
 			world := allocWorld(t, sim.Params{N: 2000, L: math.Sqrt(2000), R: 4, V: 0.3, Seed: 1})
 			seed := uint64(1)
@@ -193,8 +203,8 @@ func newAllocFloodWith(t *testing.T, p sim.Params, factory sim.ModelFactory, cha
 
 // newLaneTrialOp builds a steady-state op that runs one trial of four
 // radius lanes over one pooled world (core.Lanes), the way the sweep
-// runner pools them: Reset, a source, a reset flood per lane, then world
-// steps until every lane is done.
+// runner pools them: Reset, a source, a reset flood per lane, then
+// core.Run of the lanes until every lane is done.
 func newLaneTrialOp(t *testing.T) func() {
 	t.Helper()
 	const n = 2000
@@ -234,11 +244,11 @@ func newLaneTrialOp(t *testing.T) func() {
 				t.Fatal(err)
 			}
 		}
-		if err := lanes.Start(100_000, run); err != nil {
+		if err := lanes.Start(run); err != nil {
 			t.Fatal(err)
 		}
-		for lanes.Due() {
-			lanes.Step()
+		if err := core.Run(nil, lanes, 100_000, nil); err != nil {
+			t.Fatal(err)
 		}
 		if !lanes.Result(0).Completed {
 			t.Fatal("the r = 2 lane did not complete")
@@ -317,3 +327,8 @@ func newTraceWriteOp(t *testing.T, n int) func() {
 		}
 	}
 }
+
+// nopObserver accepts every view.
+type nopObserver struct{}
+
+func (nopObserver) ObserveStep(StepView) error { return nil }

@@ -9,12 +9,13 @@
 // Full-size runs take minutes; -quick completes in seconds at reduced
 // statistical power.
 //
-// The suite is crash-safe. SIGINT/SIGTERM — or an expired -timeout —
-// drains gracefully: in-flight
-// trials finish, the checkpoint journal (if -checkpoint is set) is
-// flushed, and the process exits nonzero with a hint to rerun with
-// -resume — which replays the recorded trials and reproduces the
-// interrupted run's numbers byte-identically.
+// The suite is crash-safe. With -checkpoint, every trial is appended to
+// the journal as it finishes, so even a SIGKILL keeps the completed
+// trials. SIGINT/SIGTERM — or an expired -timeout — drains gracefully:
+// in-flight trials finish, the journal is synced and closed, and the
+// process exits nonzero with a hint to rerun with -resume — which replays
+// the recorded trials and reproduces the interrupted run's numbers
+// byte-identically.
 package main
 
 import (
@@ -63,7 +64,7 @@ func main() {
 			}
 		}
 		var err error
-		journal, err = checkpoint.Open(*ckptPath)
+		journal, err = checkpoint.OpenAppend(*ckptPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
@@ -95,8 +96,8 @@ func main() {
 	err := run(cfg, *only)
 
 	if journal != nil {
-		if ferr := journal.Flush(); ferr != nil {
-			fmt.Fprintln(os.Stderr, "experiments: flushing checkpoint:", ferr)
+		if cerr := journal.Close(); cerr != nil {
+			fmt.Fprintln(os.Stderr, "experiments: closing checkpoint:", cerr)
 		}
 	}
 	if err != nil {

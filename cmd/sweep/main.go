@@ -12,10 +12,12 @@
 // flag is ignored. Output columns: value, mean T, ci95, CZ time, suburb
 // lag, L/R, second-phase term, completed/trials.
 //
-// The sweep is crash-safe. SIGINT/SIGTERM — or an expired -timeout —
-// drains gracefully: in-flight trials finish, the checkpoint journal (if
-// -checkpoint is set) is flushed, completed points are printed, and the
-// process exits nonzero with a hint to rerun with -resume. A resumed
+// The sweep is crash-safe. With -checkpoint, every trial is appended to
+// the journal as it finishes, so even a SIGKILL keeps the completed
+// trials. SIGINT/SIGTERM — or an expired -timeout — drains gracefully:
+// in-flight trials finish, the journal is synced and closed, completed
+// points are printed, and the process exits nonzero with a hint to rerun
+// with -resume. A resumed
 // sweep replays recorded trials from the journal and produces
 // byte-identical TSV to an uninterrupted run. -resume refuses (exit 2) a
 // journal recorded under different sweep flags.
@@ -88,7 +90,7 @@ func main() {
 			}
 		}
 		var err error
-		journal, err = checkpoint.Open(*ckptPath)
+		journal, err = checkpoint.OpenAppend(*ckptPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "sweep:", err)
 			os.Exit(1)
@@ -119,11 +121,11 @@ func main() {
 	cfg := experiments.Config{Ctx: ctx, Journal: journal, Workers: *workers}
 	res, runErr := experiments.RunSweep(cfg, spec)
 
-	// Whatever happened, persist the journal first: the recorded trials
-	// are what makes -resume cheap.
+	// Every finished trial is already appended to the journal; Close
+	// syncs it and reports a write that failed along the way.
 	if journal != nil {
-		if err := journal.Flush(); err != nil {
-			fmt.Fprintln(os.Stderr, "sweep: flushing checkpoint:", err)
+		if err := journal.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "sweep: closing checkpoint:", err)
 		}
 	}
 

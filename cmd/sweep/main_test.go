@@ -193,3 +193,66 @@ func TestTimeoutDrainsAndResumes(t *testing.T) {
 		t.Fatalf("resumed TSV differs from uninterrupted run\ngot: %s\nwant: %s", got, want)
 	}
 }
+
+// TestSIGKILLThenResumeByteIdentical: a checkpointed sweep appends every
+// trial to its journal as the trial finishes, so a SIGKILL — no drain, no
+// exit path — keeps the trials completed so far, and the resumed run
+// prints the uninterrupted TSV byte for byte.
+func TestSIGKILLThenResumeByteIdentical(t *testing.T) {
+	if runtime.GOOS == "windows" {
+		t.Skip("POSIX signal semantics required")
+	}
+	bin := buildSweep(t)
+	// About a second at one worker: the kill lands after the first
+	// trial, long before the last.
+	args := []string{"-param", "r", "-values", "2,4", "-n", "1000",
+		"-trials", "800", "-seed", "3", "-workers", "1"}
+	const cells = 2 * 800
+	want, stderr, code := runSweep(t, bin, args...)
+	if code != 0 {
+		t.Fatalf("baseline: code=%d stderr=%s", code, stderr)
+	}
+
+	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
+	cmd := exec.Command(bin, append(append([]string{}, args...), "-checkpoint", ckpt)...)
+	if err := cmd.Start(); err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	// entries counts the journal's complete entry lines (the header is
+	// the first line).
+	entries := func() int {
+		data, err := os.ReadFile(ckpt)
+		if err != nil {
+			return 0
+		}
+		return max(bytes.Count(data, []byte("\n"))-1, 0)
+	}
+	for entries() == 0 {
+		select {
+		case err := <-exited:
+			t.Fatalf("the sweep exited (%v) before its journal held an entry: trials are not journaled as they finish", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	_ = cmd.Process.Signal(syscall.SIGKILL)
+	<-exited
+	if ws, ok := cmd.ProcessState.Sys().(syscall.WaitStatus); !ok || !ws.Signaled() {
+		t.Fatalf("the sweep exited (%v) before the SIGKILL landed: its journal held no entry until the sweep was done", cmd.ProcessState)
+	}
+	if n := entries(); n >= cells {
+		t.Fatalf("the killed sweep journaled %d of %d cells: it was not killed mid-run", n, cells)
+	}
+
+	got, stderr, code := runSweep(t, bin, append(append([]string{}, args...), "-checkpoint", ckpt, "-resume")...)
+	if code != 0 {
+		t.Fatalf("resume: code=%d stderr=%s", code, stderr)
+	}
+	if !bytes.Contains(stderr, []byte("resuming")) {
+		t.Errorf("resume did not report recorded trials:\n%s", stderr)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("resumed TSV differs from uninterrupted run\ngot: %s\nwant: %s", got, want)
+	}
+}

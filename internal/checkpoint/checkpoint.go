@@ -7,29 +7,19 @@
 // integer fields the aggregation consumes, and integers round-trip JSON
 // exactly.
 //
-// Durability discipline, two modes:
-//
-//   - Rewrite mode (Open + Flush): the journal lives in memory and Flush
-//     writes the complete journal to a temporary file in the destination
-//     directory, fsyncs it, renames it into place, and fsyncs the parent
-//     directory so the rename itself survives a power cut. The rename is
-//     atomic on POSIX filesystems — readers observe either the old
-//     complete journal or the new complete journal, never a torn one.
-//     The one-shot CLIs flush at point granularity and on shutdown.
-//
-//   - Append mode (OpenAppend + Append/Sync): every recorded unit is
-//     appended as one JSONL line by Append, and Sync fsyncs every line
-//     appended so far; RecordDurable is the two in one call. A unit is
-//     durable once the Sync after its Append returns. The long-running
-//     sweep service uses this mode: O(1) durability per cell instead of
-//     an O(journal) rewrite per trial, with one fsync per batch of cells
-//     (Close syncs too, so lines appended before it are kept). A crash
-//     mid-append can leave a truncated final line; since every committed
-//     write ends in a newline, the loader treats any unterminated tail as
-//     an uncommitted trial and drops it, parsable or not (OpenAppend
-//     additionally truncates it away before appending).
-//     Corruption anywhere before the final line is still a hard error —
-//     checkpointed work is never silently discarded.
+// Durability discipline, one mode (OpenAppend + Append/Sync): every
+// recorded unit is appended as one JSONL line by Append, as the unit
+// finishes, so it survives a crash of the process (SIGKILL included) at
+// once; Sync fsyncs every line appended so far, so it survives a power
+// cut too, and RecordDurable is the two in one call. The one-shot CLIs
+// append each trial and sync once, at Close; the long-running sweep
+// service syncs once per batch of cells. A crash mid-append can leave a
+// truncated final line; since every committed write ends in a newline,
+// the loader treats any unterminated tail as an uncommitted trial and
+// drops it, parsable or not (OpenAppend additionally truncates it away
+// before appending). Corruption anywhere before the final line is still a
+// hard error — checkpointed work is never silently discarded. Open loads
+// a journal without writing to it.
 //
 // File format (versioned, line-oriented JSON): the first line is a header
 // object {"schema":"manhattanflood/checkpoint/v1"}; every following line
@@ -101,32 +91,32 @@ type Entry struct {
 }
 
 // Journal is a concurrency-safe set of completed units. The zero value is
-// not usable; construct with New (in-memory only), Open (backed by a
-// file, rewrite mode) or OpenAppend (backed by a file, durable-append
-// mode).
+// not usable; construct with New (in-memory only), Open (loaded from a
+// file, not written back) or OpenAppend (backed by a file it appends to).
 type Journal struct {
 	mu      sync.Mutex
 	path    string // empty for in-memory journals
 	entries []Entry
 	index   map[Unit]int
-	f       *os.File // non-nil in append mode
+	f       *os.File // non-nil once opened by OpenAppend, until Close
+	// werr is the first failed write of an Append, which Close reports.
+	werr error
 	// released marks a journal Release let go of: it holds no entries and
 	// takes no more.
 	released bool
 }
 
-// errReleased is what Append and Flush report on a released journal.
+// errReleased is what Append reports on a released journal.
 var errReleased = errors.New("checkpoint: journal released")
 
-// New returns an in-memory journal (no backing file; Flush is a no-op).
-// Tests and one-shot runs use it to exercise resume logic without disk.
+// New returns an in-memory journal with no backing file. Tests and the
+// service's in-memory mode use it to exercise resume logic without disk.
 func New() *Journal {
 	return &Journal{index: make(map[Unit]int)}
 }
 
-// Open loads the journal at path, creating an empty one (in memory — the
-// file appears at first Flush) when the file does not exist yet. A
-// malformed journal is an error, never silently truncated, with one
+// Open loads the journal at path, or returns an empty one when the file
+// does not exist yet; it never writes to the file. A malformed journal is an error, never silently truncated, with one
 // carefully scoped exception: a final line without its trailing newline
 // is the signature of a crash mid-append and is treated as an uncommitted
 // trial — dropped, not fatal, even when it parses. The caller
@@ -182,8 +172,7 @@ func OpenAppend(path string) (*Journal, error) {
 // load reads and parses the journal at path, returning the journal, the
 // byte length of the committed prefix (entries end exactly there) and any
 // hard error. Every committed write ends in a newline — Append writes
-// one, Flush encodes line by line — so an unterminated final line
-// was never acknowledged: it is excluded whether or not it parses. A torn
+// one per line — so an unterminated final line was never acknowledged: it is excluded whether or not it parses. A torn
 // header therefore leaves an empty journal with a committed length of 0.
 func load(path string) (*Journal, int64, error) {
 	j := New()
@@ -224,8 +213,8 @@ func load(path string) (*Journal, int64, error) {
 	}
 }
 
-// syncDir fsyncs a directory so a just-created or just-renamed file's
-// directory entry survives a power cut. No-op on Windows, where
+// syncDir fsyncs a directory so a just-created file's directory entry
+// survives a power cut. No-op on Windows, where
 // directories cannot be opened for syncing.
 func syncDir(dir string) error {
 	if runtime.GOOS == "windows" {
@@ -263,27 +252,18 @@ func (j *Journal) Lookup(u Unit) (Result, bool) {
 	return j.entries[i].Result, true
 }
 
-// Record adds a completed unit to the journal (in memory; call Flush to
-// persist). Re-recording an already-present unit overwrites its outcome —
-// outcomes are deterministic per unit, so this only matters for journals
-// shared across incompatible code versions, where last-write-wins is as
-// good a rule as any. A released journal ignores it.
-func (j *Journal) Record(u Unit, r Result) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.released {
-		return
-	}
-	j.record(Entry{Unit: u, Result: r})
-}
-
-// Append records a completed unit and, in append mode, writes its line to
-// the journal file without an fsync: the line survives a crash of the
-// process but not yet a power cut, until the next Sync. Outside append
-// mode it behaves like Record. The in-memory record always succeeds even
-// when the write fails, so a full disk degrades durability, not
-// correctness: the caller decides whether to fail open (keep computing,
-// warn) or stop.
+// Append records a completed unit and, on a journal opened by OpenAppend,
+// writes its line to the journal file without an fsync: the line survives
+// a crash of the process but not yet a power cut, until the next Sync.
+// On other journals it records the unit in memory only. Re-recording an
+// already-present unit overwrites its outcome — outcomes are
+// deterministic per unit, so this only matters for journals shared across
+// incompatible code versions, where last-write-wins is as good a rule as
+// any. The in-memory record always
+// succeeds even when the write fails, so a full disk degrades durability,
+// not correctness: the caller decides whether to fail open (keep
+// computing, warn) or stop. Close reports the first failed write again,
+// so a caller that fails open still learns of it.
 func (j *Journal) Append(u Unit, r Result) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -301,13 +281,17 @@ func (j *Journal) Append(u Unit, r Result) error {
 	}
 	line = append(line, '\n')
 	if _, err := j.f.Write(line); err != nil {
-		return fmt.Errorf("checkpoint: appending entry: %w", err)
+		err = fmt.Errorf("checkpoint: appending entry: %w", err)
+		if j.werr == nil {
+			j.werr = err
+		}
+		return err
 	}
 	return nil
 }
 
 // Sync commits every line Append has written so far with one fsync. No-op
-// outside append mode. A writer that appends a batch of units and then
+// on a journal without a file to append to. A writer that appends a batch of units and then
 // syncs once pays one fsync per batch instead of one per unit.
 func (j *Journal) Sync() error {
 	j.mu.Lock()
@@ -321,8 +305,8 @@ func (j *Journal) Sync() error {
 	return nil
 }
 
-// RecordDurable is Append followed by Sync: in append mode the unit
-// survives a SIGKILL or a power cut the instant this returns.
+// RecordDurable is Append followed by Sync: on a journal opened by
+// OpenAppend the unit survives a power cut the instant this returns.
 func (j *Journal) RecordDurable(u Unit, r Result) error {
 	if err := j.Append(u, r); err != nil {
 		return err
@@ -330,8 +314,9 @@ func (j *Journal) RecordDurable(u Unit, r Result) error {
 	return j.Sync()
 }
 
-// Close releases the append-mode file handle after a final sync. No-op
-// for in-memory and rewrite-mode journals.
+// Close releases the file handle of a journal opened by OpenAppend after a
+// final sync, and reports the first Append whose write failed, if one did.
+// No-op for other journals and on a second call.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -341,6 +326,9 @@ func (j *Journal) Close() error {
 	syncErr := j.f.Sync()
 	closeErr := j.f.Close()
 	j.f = nil
+	if j.werr != nil {
+		return j.werr
+	}
 	if syncErr != nil {
 		return fmt.Errorf("checkpoint: syncing journal on close: %w", syncErr)
 	}
@@ -350,12 +338,12 @@ func (j *Journal) Close() error {
 	return nil
 }
 
-// Release lets go of a journal its writer is done with: the append-mode
-// file handle is closed without the final sync Close does, and the
-// in-memory entries are dropped. It is for a writer whose every Append
-// was already followed by a Sync: the file then holds every entry, and a
-// later Open or OpenAppend loads them again. Afterwards the journal is
-// empty, Append and a file-backed Flush fail, Record is ignored and Close is a no-op.
+// Release lets go of a journal its writer is done with: the file handle is
+// closed without the final sync Close does, and the in-memory entries are
+// dropped. It is for a writer whose every Append was already followed by
+// a Sync: the file then holds every entry, and a later Open or OpenAppend
+// loads them again. Afterwards the journal is empty, Append fails and
+// Close is a no-op.
 func (j *Journal) Release() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -408,72 +396,4 @@ func sortEntries(out []Entry) {
 		}
 		return ua.Spec < ub.Spec
 	})
-}
-
-// Flush persists the journal: the complete contents are written to a
-// temporary file next to the destination, fsynced, renamed into place,
-// and the parent directory is fsynced so the rename itself is durable —
-// a crash at any instant leaves either the old complete journal or the
-// new complete journal on disk. No-op for in-memory journals. In append
-// mode the backing handle is reopened onto the renamed file (the rename
-// replaced the inode the old handle pointed at).
-func (j *Journal) Flush() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.path == "" {
-		return nil
-	}
-	if j.released {
-		return errReleased
-	}
-	entries := append([]Entry(nil), j.entries...)
-	sortEntries(entries)
-	dir := filepath.Dir(j.path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(j.path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("checkpoint: creating temp journal: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := fmt.Fprintf(tmp, "{\"schema\":%q}\n", schema); err != nil {
-		tmp.Close()
-		return fmt.Errorf("checkpoint: writing journal: %w", err)
-	}
-	enc := json.NewEncoder(tmp)
-	for _, e := range entries {
-		if err := enc.Encode(e); err != nil {
-			tmp.Close()
-			return fmt.Errorf("checkpoint: writing journal: %w", err)
-		}
-	}
-	// Sync before the rename: the rename must never become visible ahead
-	// of the data it points at.
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("checkpoint: syncing journal: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("checkpoint: closing journal: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), j.path); err != nil {
-		return fmt.Errorf("checkpoint: publishing journal: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		return err
-	}
-	if j.f != nil {
-		// The rename orphaned the inode behind the append handle; reopen
-		// onto the published file and continue appending at its end.
-		old := j.f
-		f, err := os.OpenFile(j.path, os.O_RDWR, 0o644)
-		if err != nil {
-			return fmt.Errorf("checkpoint: reopening journal after flush: %w", err)
-		}
-		if _, err := f.Seek(0, 2); err != nil {
-			f.Close()
-			return fmt.Errorf("checkpoint: seeking reopened journal: %w", err)
-		}
-		j.f = f
-		old.Close()
-	}
-	return nil
 }

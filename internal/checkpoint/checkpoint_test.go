@@ -20,7 +20,9 @@ func TestRecordLookupRoundTrip(t *testing.T) {
 		t.Fatal("empty journal claims a unit")
 	}
 	want := Result{Completed: true, Time: 123, CZTime: 40, SuburbLag: 83, Informed: 800, N: 800}
-	j.Record(u, want)
+	if err := j.Append(u, want); err != nil {
+		t.Fatal(err)
+	}
 	got, ok := j.Lookup(u)
 	if !ok || got != want {
 		t.Fatalf("Lookup = %+v, %v; want %+v", got, ok, want)
@@ -36,18 +38,24 @@ func TestRecordLookupRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFlushAndReopen(t *testing.T) {
+func TestAppendAndReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := Open(path)
+	j, err := OpenAppend(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := Result{Completed: true, Time: 10, CZTime: -1, SuburbLag: -1, Informed: 5, N: 5}
-	// Record out of order; the file must come out sorted.
-	j.Record(unit("E04", 0, 1), res)
-	j.Record(unit("E03", 0, 0), res)
-	j.Record(unit("E03", 0, 1), Result{Completed: false, Time: 99, CZTime: -1, SuburbLag: -1, Informed: 3, N: 5})
-	if err := j.Flush(); err != nil {
+	// Append out of order; the reloaded entries must come out sorted.
+	for _, e := range []Entry{
+		{unit("E04", 0, 1), res},
+		{unit("E03", 0, 0), res},
+		{unit("E03", 0, 1), Result{Completed: false, Time: 99, CZTime: -1, SuburbLag: -1, Informed: 3, N: 5}},
+	} {
+		if err := j.Append(e.Unit, e.Result); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -77,38 +85,6 @@ func TestFlushAndReopen(t *testing.T) {
 	}
 }
 
-func TestFlushIsAtomicReplacement(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "journal.jsonl")
-	j, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Record(unit("E03", 0, 0), Result{Completed: true, Time: 1})
-	if err := j.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	j.Record(unit("E03", 0, 1), Result{Completed: true, Time: 2})
-	if err := j.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// No temp droppings survive a successful flush.
-	matches, err := filepath.Glob(filepath.Join(dir, "*.tmp*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) != 0 {
-		t.Errorf("temp files left behind: %v", matches)
-	}
-	re, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.Len() != 2 {
-		t.Errorf("second flush lost entries: %d", re.Len())
-	}
-}
-
 func TestOpenMissingFileIsEmpty(t *testing.T) {
 	j, err := Open(filepath.Join(t.TempDir(), "nope.jsonl"))
 	if err != nil {
@@ -116,10 +92,6 @@ func TestOpenMissingFileIsEmpty(t *testing.T) {
 	}
 	if j.Len() != 0 {
 		t.Errorf("Len = %d", j.Len())
-	}
-	// In-memory journal Flush is a no-op.
-	if err := New().Flush(); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -270,7 +242,8 @@ func TestTruncatedHeaderIsEmptyJournal(t *testing.T) {
 }
 
 // TestAppendSurvivesReload: RecordDurable commits each unit on its own;
-// no Flush required for the units to be visible to a reloading process.
+// no Close is required for the units to be visible to a reloading
+// process.
 func TestAppendSurvivesReload(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	j, err := OpenAppend(path)
@@ -281,7 +254,7 @@ func TestAppendSurvivesReload(t *testing.T) {
 	if err := j.RecordDurable(unit("E03", 1, 0), want); err != nil {
 		t.Fatal(err)
 	}
-	// Deliberately no Flush, no Close: simulate SIGKILL by reloading now.
+	// Deliberately no Close: simulate SIGKILL by reloading now.
 	re, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -367,7 +340,7 @@ func TestAppendThenClosePersists(t *testing.T) {
 }
 
 // TestReleaseDropsEntriesKeepsFile: a released journal closes its file
-// and forgets its entries, refuses further appends and rewrites, and the
+// and forgets its entries, refuses further appends, and the
 // file still holds every synced line for the next open.
 func TestReleaseDropsEntriesKeepsFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
@@ -395,10 +368,6 @@ func TestReleaseDropsEntriesKeepsFile(t *testing.T) {
 	if err := j.Append(unit("E03", 0, 9), Result{}); err == nil {
 		t.Fatal("Append after Release: want an error")
 	}
-	if err := j.Flush(); err == nil {
-		t.Fatal("Flush after Release: want an error, not an empty rewrite")
-	}
-	j.Record(unit("E03", 0, 9), Result{})
 	if err := j.Close(); err != nil {
 		t.Fatalf("Close after Release: %v", err)
 	}
@@ -411,40 +380,14 @@ func TestReleaseDropsEntriesKeepsFile(t *testing.T) {
 	}
 }
 
-// TestFlushKeepsAppendHandleUsable: a rewrite-style Flush in append mode
-// replaces the inode; subsequent appends must land in the published file.
-func TestFlushKeepsAppendHandleUsable(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := OpenAppend(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.RecordDurable(unit("E03", 0, 0), Result{Time: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.RecordDurable(unit("E03", 0, 1), Result{Time: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 (post-flush append lost?)", re.Len())
-	}
-}
-
 func TestRerecordOverwrites(t *testing.T) {
 	j := New()
 	u := unit("E03", 0, 0)
-	j.Record(u, Result{Time: 1})
-	j.Record(u, Result{Time: 2})
+	for _, r := range []Result{{Time: 1}, {Time: 2}} {
+		if err := j.Append(u, r); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if j.Len() != 1 {
 		t.Fatalf("Len = %d", j.Len())
 	}
@@ -461,7 +404,9 @@ func TestConcurrentRecord(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				j.Record(unit("E03", w, i), Result{Time: i})
+				if err := j.Append(unit("E03", w, i), Result{Time: i}); err != nil {
+					t.Error(err)
+				}
 			}
 		}(w)
 	}

@@ -69,14 +69,14 @@ func FuzzOpenAppend(f *testing.F) {
 	})
 }
 
-// FuzzJournalLoad opens arbitrary bytes as a rewrite-mode journal and
-// holds Open to the loader's rule, restated here: only the
-// newline-terminated prefix is committed, so an unterminated tail is
-// dropped whatever it holds; in that prefix the first line must be the
-// schema header and every later non-empty line one entry, else Open is a
-// hard error. An accepted journal holds exactly the committed entries
-// (a re-recorded unit keeps its last outcome) and keeps them across a
-// Flush and reopen.
+// FuzzJournalLoad opens arbitrary bytes with Open and holds it to the
+// loader's rule, restated here: only the newline-terminated prefix is
+// committed, so an unterminated tail is dropped whatever it holds; in
+// that prefix the first line must be the schema header and every later
+// non-empty line one entry, else Open is a hard error. An accepted
+// journal holds exactly the committed entries (a re-recorded unit keeps
+// its last outcome), and appending them to a fresh journal through
+// OpenAppend and reopening it gives them back.
 func FuzzJournalLoad(f *testing.F) {
 	valid := fuzzHeader + fuzzEntry + `{"experiment":"E03","point":1,"trial":0,"seed":3,"result":{"time":4}}` + "\n"
 	unterminated := `{"experiment":"E03","point":2,"trial":0,"seed":5,"result":{"time":9}}`
@@ -107,14 +107,24 @@ func FuzzJournalLoad(f *testing.F) {
 			t.Fatalf("Open rejected a journal whose committed prefix is well formed: %v", err)
 		}
 		sameEntries(t, "Open", j.Entries(), want)
-		if err := j.Flush(); err != nil {
-			t.Fatalf("Flush: %v", err)
-		}
-		re, err := Open(path)
+		copyPath := filepath.Join(t.TempDir(), "copy.jsonl")
+		w, err := OpenAppend(copyPath)
 		if err != nil {
-			t.Fatalf("reopening after Flush: %v", err)
+			t.Fatalf("OpenAppend: %v", err)
 		}
-		sameEntries(t, "Flush and reopen", re.Entries(), want)
+		for _, e := range j.Entries() {
+			if err := w.Append(e.Unit, e.Result); err != nil {
+				t.Fatalf("Append: %v", err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		re, err := Open(copyPath)
+		if err != nil {
+			t.Fatalf("reopening the appended copy: %v", err)
+		}
+		sameEntries(t, "append and reopen", re.Entries(), want)
 	})
 }
 

@@ -39,7 +39,7 @@
 //
 // The ids that hear a transmitter are collected in bucket-major order —
 // deterministic, though not ascending; all downstream state (informed
-// flags, counts, series, zone tracking) is order-independent.
+// flags, counts, zone tracking) is order-independent.
 //
 // The world's shape picks how the sweep runs. A flat world sweeps every
 // bucket in one pass on the stepping goroutine; there, sim.Params.Workers
@@ -74,12 +74,19 @@
 // drives several such floods over one world — the radii of one r-sweep
 // trial, which share their trajectory — stepping the world once per time
 // unit and giving each unfinished flood its round.
+//
+// # One step loop
+//
+// Every process here — Flooding, TreeFlooding, ParsimoniousFlooding,
+// KGossip and Lanes — steps in synchronous time units and stops when
+// every agent is informed or the step budget is spent. Run is that loop,
+// written once: it checks the context and calls an after-step callback
+// at every step boundary, which is where callers record, observe or
+// abort.
 package core
 
 import (
-	"context"
 	"fmt"
-	"math"
 	"math/bits"
 
 	"manhattanflood/internal/cells"
@@ -96,18 +103,16 @@ type Flooding struct {
 	// ix is the bound index the flood runs over (OnIndex); nil runs it
 	// over the world's own index, read afresh every round. shared marks a
 	// flood whose world other floods use too (a bound index, or a flood
-	// handed to NewLanes): its Lanes steps the world, Step and Run refuse.
-	ix           *spatialindex.Index
-	shared       bool
-	informed     []bool
-	uninformed   []int32 // ids of uninformed agents, ascending
-	count        int
-	source       int
-	chainWithin  bool
-	part         *cells.Partition
-	czTime       int // first step with every CZ cell informed; -1 until then
-	series       []int
-	recordSeries bool
+	// handed to NewLanes): its Lanes steps the world, and Step refuses.
+	ix          *spatialindex.Index
+	shared      bool
+	informed    []bool
+	uninformed  []int32 // ids of uninformed agents, ascending
+	count       int
+	source      int
+	chainWithin bool
+	part        *cells.Partition
+	czTime      int // first step with every CZ cell informed; -1 until then
 
 	newlyInformed []int32                    // scratch: ids informed by this step's round, bucket-major (deterministic, not sorted)
 	bucketUninf   []int32                    // scratch: per-bucket uninformed occupancy
@@ -143,7 +148,7 @@ type Flooding struct {
 
 	// fresh holds the ids informed during the previous Step (sweep hits
 	// plus chained-in agents; the source after a reset): what
-	// LastStepNewlyInformed and the step observer report.
+	// LastStepNewlyInformed reports.
 	fresh []int32
 
 	// fan runs the tiled sweep's workers and forwards their panics onto
@@ -155,14 +160,6 @@ type Flooding struct {
 	fan    panicsafe.Fanout
 	planFn func(shard, lo, hi int)
 	evalFn func(shard, lo, hi int)
-
-	// observer, when set (WithStepObserver), is invoked by Run/RunContext
-	// after every completed flooding step with the ids informed during
-	// that step. See the option for the full contract. obsStarted records
-	// that the run-start frame (the source as the sole fresh agent) has
-	// been emitted, so a continued RunContext does not replay it.
-	observer   func(newly []int32) error
-	obsStarted bool
 }
 
 // FloodOption customizes a Flooding run.
@@ -183,31 +180,10 @@ func WithPartition(p *cells.Partition) FloodOption {
 	return func(f *Flooding) { f.part = p }
 }
 
-// WithSeries records the informed-agent count after every step,
-// retrievable via Series.
-func WithSeries(on bool) FloodOption {
-	return func(f *Flooding) { f.recordSeries = on }
-}
-
-// WithStepObserver registers fn to be invoked by Run/RunContext after
-// every completed flooding step (world advance + transmission round +
-// chaining closure), with the ids informed during that step in their
-// deterministic discovery order — sweep hits in bucket-major order, then
-// chained-in agents in BFS order. The slice is reused by the next step;
-// observers must not retain it. A non-nil error aborts the run at that
-// step boundary: RunContext returns the partial Result together with the
-// observer's error, leaving the flooding state consistent (the step that
-// was observed has fully happened). This is the recording seam the public
-// trace recorder hangs off; it deliberately fires per completed step, not
-// inside the sweep, so the zero-allocation inner loops stay untouched.
-func WithStepObserver(fn func(newly []int32) error) FloodOption {
-	return func(f *Flooding) { f.observer = fn }
-}
-
 // OnIndex runs the flood over ix, an index bound to its world at another
 // radius (sim.World.BindIndex), instead of the world's own index. The
 // world is then shared with the floods of the other radii, so this flood
-// never steps it: Step and Run refuse it, and a Lanes drives its rounds.
+// never steps it: Step refuses it, and a Lanes drives its rounds.
 func OnIndex(ix *spatialindex.Index) FloodOption {
 	return func(f *Flooding) { f.ix = ix }
 }
@@ -246,12 +222,11 @@ func NewFlooding(w *sim.World, source int, opts ...FloodOption) (*Flooding, erro
 }
 
 // Reset restarts the flooding process from scratch with the given source,
-// reusing every internal buffer: only that agent is informed, the series
-// restarts, and zone tracking re-arms. It is the pooling companion of
-// sim.World.Reset — call it after resetting (or otherwise re-preparing)
-// the world, and the pair behaves bit-identically to a freshly constructed
-// World + Flooding. The option set (chaining, partition, series) carries
-// over from construction.
+// reusing every internal buffer: only that agent is informed, and zone
+// tracking re-arms. It is the pooling companion of sim.World.Reset — call
+// it after resetting (or otherwise re-preparing) the world, and the pair
+// behaves bit-identically to a freshly constructed World + Flooding. The
+// option set (chaining, partition) carries over from construction.
 func (f *Flooding) Reset(source int) error {
 	if source < 0 || source >= f.w.N() {
 		return fmt.Errorf("core: source %d out of range [0, %d)", source, f.w.N())
@@ -272,12 +247,7 @@ func (f *Flooding) reset(source int) {
 			f.uninformed = append(f.uninformed, int32(i))
 		}
 	}
-	f.series = f.series[:0]
-	if f.recordSeries {
-		f.series = append(f.series, 1)
-	}
 	f.fresh = append(f.fresh[:0], int32(source))
-	f.obsStarted = false
 	f.updateCZ()
 }
 
@@ -287,28 +257,21 @@ func (f *Flooding) Source() int { return f.source }
 // InformedCount returns the current number of informed agents.
 func (f *Flooding) InformedCount() int { return f.count }
 
-// IsInformed reports whether agent i is informed.
-func (f *Flooding) IsInformed(i int) bool { return f.informed[i] }
-
 // Informed returns the live informed-flags slice, indexed by agent id. It
 // is owned by the flooding process and rewritten by Step/Reset; callers
 // must treat it as read-only and must not retain it across steps. It
-// exists so per-step observers (WithStepObserver) can expose the informed
-// set without an O(n) copy per step.
+// exists so per-step observers can expose the informed set without an
+// O(n) copy per step.
 func (f *Flooding) Informed() []bool { return f.informed }
 
 // LastStepNewlyInformed returns the ids informed during the most recent
 // Step — sweep hits in bucket-major order, then chained-in agents in BFS
-// order (exactly the order WithStepObserver sees). The slice is reused by
-// the next Step; callers must not retain it. After Reset it holds only
-// the source.
+// order. The slice is reused by the next Step; callers must not retain
+// it. After Reset it holds only the source.
 func (f *Flooding) LastStepNewlyInformed() []int32 { return f.fresh }
 
 // Done reports whether every agent is informed.
 func (f *Flooding) Done() bool { return f.count == f.w.N() }
-
-// Series returns the informed-count time series (index = step), if enabled.
-func (f *Flooding) Series() []int { return f.series }
 
 // CZInformedTime returns the first step at which every Central Zone cell
 // was informed, or -1 if that has not happened (or no partition was
@@ -376,9 +339,6 @@ func (f *Flooding) Round() int {
 
 	if newly > 0 {
 		f.compactUninformed()
-	}
-	if f.recordSeries {
-		f.series = append(f.series, f.count)
 	}
 	f.updateCZ()
 	return newly
@@ -888,62 +848,6 @@ type Result struct {
 	N int
 }
 
-// Run steps the flooding process until every agent is informed or maxSteps
-// steps have elapsed.
-func (f *Flooding) Run(maxSteps int) (Result, error) {
-	return f.RunContext(nil, maxSteps)
-}
-
-// RunContext is Run with cooperative cancellation: the context is checked
-// once per flooding step — between steps, never inside the zero-allocation
-// sweep loops — and on cancellation the partial Result (Completed false,
-// informed count so far) is returned together with the context's error.
-// The flooding state is left consistent, so the run can even be continued
-// with another RunContext call. A nil context never cancels (Run).
-func (f *Flooding) RunContext(ctx context.Context, maxSteps int) (Result, error) {
-	if maxSteps < 0 {
-		return Result{}, fmt.Errorf("core: negative step budget %d", maxSteps)
-	}
-	if f.shared {
-		return Result{}, fmt.Errorf("core: a flood on a shared world is run by its Lanes")
-	}
-	var err error
-	// Run-start frame: before any stepping, fresh holds exactly the source,
-	// so the observer sees the initial informed set and the pre-run world
-	// time. Emitted once per Reset, not per RunContext call, so continuing
-	// a partial run does not duplicate it.
-	if f.observer != nil && !f.obsStarted {
-		f.obsStarted = true
-		if oerr := f.observer(f.fresh); oerr != nil {
-			return Result{
-				Completed: f.Done(),
-				Time:      f.w.Time(),
-				CZTime:    f.czTime,
-				SuburbLag: -1,
-				Informed:  f.count,
-				N:         f.w.N(),
-			}, oerr
-		}
-	}
-	deadline := f.w.Time() + maxSteps
-	for !f.Done() && f.w.Time() < deadline {
-		if ctx != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				err = cerr
-				break
-			}
-		}
-		f.Step()
-		if f.observer != nil {
-			if oerr := f.observer(f.fresh); oerr != nil {
-				err = oerr
-				break
-			}
-		}
-	}
-	return f.Result(), err
-}
-
 // Result summarizes the flood at the world's current time: the flooding
 // time if every agent is informed, else the steps taken so far.
 func (f *Flooding) Result() Result {
@@ -976,14 +880,3 @@ func SourcePair(w *sim.World) (central, suburb int) {
 // two agents "meet" when within (3/4)R, which guarantees an information
 // hand-off within the following time unit under the speed bound Ineq. 8.
 func MeetingRadius(r float64) float64 { return 0.75 * r }
-
-// TheoreticalMinSteps returns ceil(d / v), the minimum number of steps for
-// information to physically traverse distance d when carried by agents of
-// speed v with zero transmission range — a crude sanity floor used in
-// tests.
-func TheoreticalMinSteps(d, v float64) int {
-	if v <= 0 {
-		return math.MaxInt
-	}
-	return int(math.Ceil(d / v))
-}

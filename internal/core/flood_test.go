@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"manhattanflood/internal/cells"
@@ -16,6 +15,24 @@ func newWorld(t *testing.T, p sim.Params) *sim.World {
 		t.Fatal(err)
 	}
 	return w
+}
+
+// runFlood runs f under Run with no context or callback and returns its
+// result.
+func runFlood(t *testing.T, f *Flooding, maxSteps int) Result {
+	t.Helper()
+	runDone(t, f, maxSteps)
+	return f.Result()
+}
+
+// runDone runs p under Run with no context or callback and reports
+// whether it completed within the budget.
+func runDone(t *testing.T, p Process, maxSteps int) bool {
+	t.Helper()
+	if err := Run(nil, p, maxSteps, nil); err != nil {
+		t.Fatal(err)
+	}
+	return p.Done()
 }
 
 func TestNewFloodingErrors(t *testing.T) {
@@ -37,7 +54,7 @@ func TestFloodingInitialState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.InformedCount() != 1 || !f.IsInformed(3) || f.IsInformed(0) {
+	if f.InformedCount() != 1 || !f.Informed()[3] || f.Informed()[0] {
 		t.Error("initial informed state wrong")
 	}
 	if f.Source() != 3 {
@@ -52,32 +69,26 @@ func TestFloodingMonotoneAndCompletes(t *testing.T) {
 	// Dense, fast network: flooding must finish quickly, and the informed
 	// set must only grow.
 	w := newWorld(t, sim.Params{N: 300, L: 10, R: 2, V: 0.3, Seed: 2})
-	f, err := NewFlooding(w, 0, WithSeries(true))
+	f, err := NewFlooding(w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := 1
+	series := []int{f.InformedCount()}
 	for s := 0; s < 200 && !f.Done(); s++ {
 		newly := f.Step()
 		if newly < 0 {
 			t.Fatal("negative newly informed")
 		}
-		if f.InformedCount() < prev {
-			t.Fatal("informed count decreased")
+		if got, want := f.InformedCount(), series[len(series)-1]+newly; got != want {
+			t.Fatalf("informed count %d after a step that informed %d, want %d", got, newly, want)
 		}
-		prev = f.InformedCount()
+		series = append(series, f.InformedCount())
 	}
 	if !f.Done() {
 		t.Fatalf("flooding did not complete: %d/%d", f.InformedCount(), w.N())
 	}
-	series := f.Series()
-	if len(series) == 0 || series[0] != 1 {
+	if series[0] != 1 {
 		t.Errorf("series start = %v", series[:min(3, len(series))])
-	}
-	for i := 1; i < len(series); i++ {
-		if series[i] < series[i-1] {
-			t.Error("series not monotone")
-		}
 	}
 	if series[len(series)-1] != 300 {
 		t.Errorf("final series value = %d", series[len(series)-1])
@@ -87,10 +98,7 @@ func TestFloodingMonotoneAndCompletes(t *testing.T) {
 func TestFloodingRunResult(t *testing.T) {
 	w := newWorld(t, sim.Params{N: 200, L: 10, R: 2, V: 0.3, Seed: 3})
 	f, _ := NewFlooding(w, 0)
-	res, err := f.Run(500)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFlood(t, f, 500)
 	if !res.Completed {
 		t.Fatalf("run did not complete: %+v", res)
 	}
@@ -100,7 +108,7 @@ func TestFloodingRunResult(t *testing.T) {
 	if res.Time <= 0 || res.Time > 500 {
 		t.Errorf("Time = %d", res.Time)
 	}
-	if _, err := f.Run(-1); err == nil {
+	if err := Run(nil, f, -1, nil); err == nil {
 		t.Error("want negative-budget error")
 	}
 }
@@ -109,10 +117,7 @@ func TestFloodingBudgetExhaustion(t *testing.T) {
 	// Tiny radius, slow agents, few steps: must report not completed.
 	w := newWorld(t, sim.Params{N: 100, L: 100, R: 0.5, V: 0.01, Seed: 4})
 	f, _ := NewFlooding(w, 0)
-	res, err := f.Run(3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFlood(t, f, 3)
 	if res.Completed {
 		t.Error("cannot complete in 3 steps at these parameters")
 	}
@@ -159,7 +164,7 @@ func TestFloodingChainingFloodsComponentInstantly(t *testing.T) {
 	comp := g.Components()
 	// Every agent in the source's component must now be informed.
 	for i := 0; i < w.N(); i++ {
-		if comp.Connected(0, i) && !f.IsInformed(i) {
+		if comp.Connected(0, i) && !f.Informed()[i] {
 			t.Fatalf("agent %d in source component but uninformed", i)
 		}
 	}
@@ -177,10 +182,7 @@ func TestFloodingWithPartitionTracksCZ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := f.Run(2000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFlood(t, f, 2000)
 	if !res.Completed {
 		t.Fatalf("flooding incomplete: %+v", res)
 	}
@@ -214,18 +216,6 @@ func TestMeetingRadius(t *testing.T) {
 	}
 }
 
-func TestTheoreticalMinSteps(t *testing.T) {
-	if TheoreticalMinSteps(10, 2) != 5 {
-		t.Error("exact division wrong")
-	}
-	if TheoreticalMinSteps(10, 3) != 4 {
-		t.Error("ceil wrong")
-	}
-	if TheoreticalMinSteps(10, 0) != math.MaxInt {
-		t.Error("zero speed must be MaxInt")
-	}
-}
-
 func TestFloodingSingleAgent(t *testing.T) {
 	w := newWorld(t, sim.Params{N: 1, L: 10, R: 1, V: 0.1, Seed: 9})
 	f, err := NewFlooding(w, 0)
@@ -235,7 +225,7 @@ func TestFloodingSingleAgent(t *testing.T) {
 	if !f.Done() {
 		t.Error("single-agent flooding is done at t=0")
 	}
-	res, _ := f.Run(10)
+	res := runFlood(t, f, 10)
 	if !res.Completed || res.Time != 0 {
 		t.Errorf("result = %+v", res)
 	}

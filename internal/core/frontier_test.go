@@ -191,9 +191,9 @@ func TestFrontierMatchesBruteReference(t *testing.T) {
 					tc.n, tc.seed, tc.chain, s+1, f.InformedCount(), ref.count)
 			}
 			for i := 0; i < tc.n; i++ {
-				if f.IsInformed(i) != ref.informed[i] {
+				if f.informed[i] != ref.informed[i] {
 					t.Fatalf("n=%d seed=%d chain=%v step %d: agent %d informed=%v, reference %v",
-						tc.n, tc.seed, tc.chain, s+1, i, f.IsInformed(i), ref.informed[i])
+						tc.n, tc.seed, tc.chain, s+1, i, f.informed[i], ref.informed[i])
 				}
 			}
 		}
@@ -219,7 +219,6 @@ func TestParallelSweepBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			var opts []FloodOption
-			opts = append(opts, WithSeries(true))
 			if chain {
 				opts = append(opts, WithinStepChaining(true))
 			}
@@ -232,6 +231,7 @@ func TestParallelSweepBitIdentical(t *testing.T) {
 		fSeq, _ := mk(pSeq)
 		fPar, _ := mk(pPar)
 
+		sSeq, sPar := []int{fSeq.InformedCount()}, []int{fPar.InformedCount()}
 		for s := 0; s < 2000 && !fSeq.Done(); s++ {
 			nSeq := fSeq.Step()
 			nPar := fPar.Step()
@@ -239,15 +239,16 @@ func TestParallelSweepBitIdentical(t *testing.T) {
 				t.Fatalf("chain=%v step %d: sequential %d newly, parallel %d", chain, s+1, nSeq, nPar)
 			}
 			for i := 0; i < 800; i++ {
-				if fSeq.IsInformed(i) != fPar.IsInformed(i) {
+				if fSeq.informed[i] != fPar.informed[i] {
 					t.Fatalf("chain=%v step %d: agent %d diverges", chain, s+1, i)
 				}
 			}
+			sSeq = append(sSeq, fSeq.InformedCount())
+			sPar = append(sPar, fPar.InformedCount())
 		}
 		if !fSeq.Done() || !fPar.Done() {
 			t.Fatalf("chain=%v: floods incomplete (seq %v, par %v)", chain, fSeq.Done(), fPar.Done())
 		}
-		sSeq, sPar := fSeq.Series(), fPar.Series()
 		if len(sSeq) != len(sPar) {
 			t.Fatalf("chain=%v: series lengths differ: %d vs %d", chain, len(sSeq), len(sPar))
 		}
@@ -272,11 +273,7 @@ func TestParallelRunResultIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := f.Run(5000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return runFlood(t, f, 5000)
 	}
 	seq := run(0)
 	par := run(3)

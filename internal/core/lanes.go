@@ -18,20 +18,20 @@ import (
 // no round, and its bound index is released, so the world stops syncing
 // it until the next Reset.
 //
-// Each lane's Result is bit-identical to Flooding.Run of the same flood
-// on a world of its own: the lane sees the same positions at every step,
+// Lanes is a Process: Run steps it within a trial's budget. Each lane's
+// Result is bit-identical to running the same flood on a world of its own
+// under the same budget: the lane sees the same positions at every step,
 // and finishes at the step its own run would.
 //
-// The floods handed to NewLanes belong to it: their Step and Run refuse,
-// so no lane can step the shared world a second time in one step.
+// The floods handed to NewLanes belong to it: their Step refuses, so no
+// lane can step the shared world a second time in one step.
 type Lanes struct {
-	w        *sim.World
-	floods   []*Flooding
-	state    []laneState
-	res      []Result    // a done lane's result, taken at the step it finished
-	panics   []lanePanic // a failed lane's recovered panic
-	running  int
-	deadline int
+	w       *sim.World
+	floods  []*Flooding
+	state   []laneState
+	res     []Result    // a done lane's result, taken at the step it finished
+	panics  []lanePanic // a failed lane's recovered panic
+	running int
 }
 
 // laneState is where a lane stands in the current trial.
@@ -71,19 +71,15 @@ func NewLanes(w *sim.World, floods []*Flooding) (*Lanes, error) {
 	}, nil
 }
 
-// Start arms the lanes for one trial of at most maxSteps world steps:
-// lane i runs if run[i] is set, and otherwise sits the trial out with its
-// bound index released. Call it after World.Reset (which rebuilds and
-// re-arms every bound index) and after resetting the running lanes'
-// floods. A lane that is already done finishes at once.
-func (l *Lanes) Start(maxSteps int, run []bool) error {
-	if maxSteps < 0 {
-		return fmt.Errorf("core: negative step budget %d", maxSteps)
-	}
+// Start arms the lanes for one trial: lane i runs if run[i] is set, and
+// otherwise sits the trial out with its bound index released. Call it
+// after World.Reset (which rebuilds and re-arms every bound index) and
+// after resetting the running lanes' floods. A lane that is already done
+// finishes at once.
+func (l *Lanes) Start(run []bool) error {
 	if len(run) != len(l.floods) {
 		return fmt.Errorf("core: %d run flags for %d lanes", len(run), len(l.floods))
 	}
-	l.deadline = l.w.Time() + maxSteps
 	l.running = 0
 	for i, f := range l.floods {
 		l.panics[i] = lanePanic{}
@@ -101,25 +97,29 @@ func (l *Lanes) Start(maxSteps int, run []bool) error {
 	return nil
 }
 
-// Due reports whether another Step is due: some lane still runs and the
-// step budget is not spent.
-func (l *Lanes) Due() bool { return l.running > 0 && l.w.Time() < l.deadline }
+// Done reports whether no lane runs any more: each one is done, failed or
+// idle.
+func (l *Lanes) Done() bool { return l.running == 0 }
 
 // Step advances the world one time unit and gives every running lane its
-// round. A panic in a lane's round stops that lane alone (Panic reports
-// it); a panic in the world step propagates to the caller and leaves the
-// lanes unusable until the next Start.
-func (l *Lanes) Step() {
+// round, returning how many agents the rounds informed. A panic in a
+// lane's round stops that lane alone (Panic reports it); a panic in the
+// world step propagates to the caller and leaves the lanes unusable until
+// the next Start.
+func (l *Lanes) Step() int {
 	l.w.Step()
+	newly := 0
 	for i, st := range l.state {
 		if st == laneRunning {
-			l.round(i)
+			newly += l.round(i)
 		}
 	}
+	return newly
 }
 
-// round runs lane i's round, recovering a panic into the lane's report.
-func (l *Lanes) round(i int) {
+// round runs lane i's round, recovering a panic into the lane's report,
+// and returns how many agents it informed.
+func (l *Lanes) round(i int) (newly int) {
 	defer func() {
 		if r := recover(); r != nil {
 			stack := debug.Stack()
@@ -133,10 +133,11 @@ func (l *Lanes) round(i int) {
 		}
 	}()
 	f := l.floods[i]
-	f.Round()
+	newly = f.Round()
 	if f.Done() {
 		l.finish(i)
 	}
+	return newly
 }
 
 // finish records running lane i as done at the current step.

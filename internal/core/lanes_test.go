@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"manhattanflood/internal/cells"
@@ -40,9 +41,9 @@ func laneWorld(t *testing.T, p sim.Params, factory sim.ModelFactory, radii []flo
 	return w, floods
 }
 
-// runLaneTrial resets the pooled lanes to seed and runs one trial, checking
-// after every step that the informed set at each radius is a subset of
-// the one at the next larger radius.
+// runLaneTrial resets the pooled lanes to seed and runs one trial under
+// Run, checking after every step that the informed set at each radius is
+// a subset of the one at the next larger radius.
 func runLaneTrial(t *testing.T, w *sim.World, floods []*Flooding, lanes *Lanes, seed uint64, maxSteps int) []Result {
 	t.Helper()
 	w.Reset(seed)
@@ -54,20 +55,22 @@ func runLaneTrial(t *testing.T, w *sim.World, floods []*Flooding, lanes *Lanes, 
 		}
 		run[l] = true
 	}
-	if err := lanes.Start(maxSteps, run); err != nil {
+	if err := lanes.Start(run); err != nil {
 		t.Fatal(err)
 	}
-	for lanes.Due() {
-		lanes.Step()
+	if err := Run(nil, lanes, maxSteps, func() error {
 		for l := 0; l+1 < len(floods); l++ {
 			small, large := floods[l].Informed(), floods[l+1].Informed()
 			for i := range small {
 				if small[i] && !large[i] {
-					t.Fatalf("seed %d step %d: agent %d informed at lane %d but not at the larger radius of lane %d",
+					return fmt.Errorf("seed %d step %d: agent %d informed at lane %d but not at the larger radius of lane %d",
 						seed, w.Time(), i, l, l+1)
 				}
 			}
 		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	out := make([]Result, len(floods))
 	for l := range floods {
@@ -79,8 +82,8 @@ func runLaneTrial(t *testing.T, w *sim.World, floods []*Flooding, lanes *Lanes, 
 	return out
 }
 
-// Every lane's Result must equal Flooding.Run of the same flood on a world
-// of its own at that radius, trial after trial on one pooled world: plain
+// Every lane's Result must equal a Run of the same flood on a world of its
+// own at that radius, trial after trial on one pooled world: plain
 // and chained floods, a model that never rests and one that pauses, and a
 // budget that truncates the slow lanes.
 func TestLanesMatchSeparateWorlds(t *testing.T) {
@@ -125,11 +128,7 @@ func TestLanesMatchSeparateWorlds(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := sf.Run(tc.maxSteps)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got[l] != want {
+					if want := runFlood(t, sf, tc.maxSteps); got[l] != want {
 						t.Fatalf("seed %d R=%v: lane %+v, separate world %+v", seed, r, got[l], want)
 					}
 				}
@@ -139,32 +138,18 @@ func TestLanesMatchSeparateWorlds(t *testing.T) {
 }
 
 // A flood on a shared world must not step it: Step panics with an
-// invariant report and Run returns an error, for a flood on a bound index
+// invariant report, directly or under Run, for a flood on a bound index
 // and for one handed to NewLanes alike.
 func TestSharedFloodCannotStepTheWorld(t *testing.T) {
 	p := sim.Params{N: 300, L: 17, V: 0.3, Seed: 3}
 	w, floods := laneWorld(t, p, nil, []float64{2, 4})
-	if _, err := floods[1].Run(10); err == nil {
-		t.Error("Run of a flood on a bound index: want an error")
-	}
+	requireInvariantPanic(t, "Run of a flood on a bound index", func() { Run(nil, floods[1], 10, nil) })
 	if _, err := NewLanes(w, floods); err != nil {
 		t.Fatal(err)
 	}
 	for l, f := range floods {
-		func() {
-			defer func() {
-				var ie *panicsafe.InvariantError
-				if r := recover(); r == nil {
-					t.Errorf("lane %d: Step on a shared world did not panic", l)
-				} else if err, ok := r.(error); !ok || !errors.As(err, &ie) {
-					t.Errorf("lane %d: Step panicked with %v, want an invariant report", l, r)
-				}
-			}()
-			f.Step()
-		}()
-		if _, err := f.Run(10); err == nil {
-			t.Errorf("lane %d: Run on a shared world: want an error", l)
-		}
+		requireInvariantPanic(t, fmt.Sprintf("lane %d: Step on a shared world", l), func() { f.Step() })
+		requireInvariantPanic(t, fmt.Sprintf("lane %d: Run on a shared world", l), func() { Run(nil, f, 10, nil) })
 	}
 	other, err := sim.NewWorld(sim.Params{N: 300, L: 17, R: 2, V: 0.3, Seed: 3}, nil)
 	if err != nil {
@@ -197,11 +182,11 @@ func TestLanePanicStopsOnlyItsLane(t *testing.T) {
 	// Poison lane 1: an uninformed id past the population makes its
 	// round index out of range.
 	floods[1].uninformed = append(floods[1].uninformed, int32(p.N+5))
-	if err := lanes.Start(5000, []bool{true, true, true}); err != nil {
+	if err := lanes.Start([]bool{true, true, true}); err != nil {
 		t.Fatal(err)
 	}
-	for lanes.Due() {
-		lanes.Step()
+	if err := Run(nil, lanes, 5000, nil); err != nil {
+		t.Fatal(err)
 	}
 	v, stack := lanes.Panic(1)
 	if v == nil || len(stack) == 0 {
@@ -217,8 +202,8 @@ func TestLanePanicStopsOnlyItsLane(t *testing.T) {
 	}
 }
 
-// Start validates its inputs, and a lane already done at the start (a
-// one-agent world) finishes at time 0 without a step.
+// Start and Run validate their inputs, and a lane already done at the
+// start (a one-agent world) finishes at time 0 without a step.
 func TestLanesStart(t *testing.T) {
 	w, err := sim.NewWorld(sim.Params{N: 1, L: 4, R: 1, V: 0.3, Seed: 2}, nil)
 	if err != nil {
@@ -240,19 +225,38 @@ func TestLanesStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lanes.Start(-1, []bool{true, true}); err == nil {
-		t.Error("Start with a negative budget: want an error")
-	}
-	if err := lanes.Start(10, []bool{true}); err == nil {
+	if err := lanes.Start([]bool{true}); err == nil {
 		t.Error("Start with a run flag per lane missing: want an error")
 	}
-	if err := lanes.Start(10, []bool{true, false}); err != nil {
+	if err := lanes.Start([]bool{true, false}); err != nil {
 		t.Fatal(err)
 	}
-	if lanes.Due() {
-		t.Fatal("a done lane and an idle one: no step is due")
+	if err := Run(nil, lanes, -1, nil); err == nil {
+		t.Error("Run of the lanes with a negative budget: want an error")
+	}
+	if !lanes.Done() {
+		t.Fatal("a done lane and an idle one: the lanes must be done")
+	}
+	if err := Run(nil, lanes, 10, nil); err != nil || w.Time() != 0 {
+		t.Fatalf("Run of done lanes: err %v at time %d, want nil at time 0", err, w.Time())
 	}
 	if got := lanes.Result(0); !got.Completed || got.Time != 0 {
 		t.Errorf("one-agent lane: %+v, want completed at time 0", got)
 	}
+}
+
+// requireInvariantPanic runs fn and requires it to panic with a
+// panicsafe invariant report.
+func requireInvariantPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		var ie *panicsafe.InvariantError
+		if r := recover(); r == nil {
+			t.Errorf("%s did not panic", what)
+		} else if err, ok := r.(error); !ok || !errors.As(err, &ie) {
+			t.Errorf("%s panicked with %v, want an invariant report", what, r)
+		}
+	}()
+	fn()
 }

@@ -108,9 +108,13 @@ func MeasureMeetings(w *sim.World, part *cells.Partition, maxSteps int) (Meeting
 	}
 
 	check(0)
-	for s := 1; s <= maxSteps && remaining > 0; s++ {
-		w.Step()
-		check(s)
+	t0 := w.Time()
+	watch := worldUntil{w: w, done: func() bool { return remaining == 0 }}
+	if err := Run(nil, watch, maxSteps, func() error {
+		check(w.Time() - t0)
+		return nil
+	}); err != nil {
+		return rep, err
 	}
 	rep.Met = len(rep.MeetingTimes)
 	var sum float64
@@ -125,6 +129,16 @@ func MeasureMeetings(w *sim.World, part *cells.Partition, maxSteps int) (Meeting
 	}
 	return rep, nil
 }
+
+// worldUntil is a bare world as a Process: Step advances it, and it is
+// done when done reports so.
+type worldUntil struct {
+	w    *sim.World
+	done func() bool
+}
+
+func (p worldUntil) Step() int  { p.w.Step(); return 0 }
+func (p worldUntil) Done() bool { return p.done() }
 
 // Lemma16Budget returns the paper's meeting-time budget 590 S / v for the
 // given partition and speed.

@@ -8,26 +8,26 @@ import (
 	"manhattanflood/internal/sim"
 )
 
-// floodTrajectory runs one flooding process to completion and records the
-// per-step newly-informed counts plus the final result.
+// floodTrajectory runs one flooding process to completion under Run and
+// records its series — the informed count at the start and after every
+// step — plus the final result.
 func floodTrajectory(t *testing.T, f *Flooding, maxSteps int) ([]int, Result) {
 	t.Helper()
-	var newly []int
-	for !f.Done() && len(newly) < maxSteps {
-		newly = append(newly, f.Step())
-	}
-	res, err := f.Run(0)
-	if err != nil {
+	series := []int{f.InformedCount()}
+	if err := Run(nil, f, maxSteps, func() error {
+		series = append(series, f.InformedCount())
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	return newly, res
+	return series, f.Result()
 }
 
 // A pooled World+Flooding pair (dirtied by a previous trial, then Reset)
 // must reproduce the exact trajectory of a freshly constructed pair — the
 // contract experiments.floodTrials relies on. Covered across sequential
-// and parallel stepping, chaining, partition tracking and the series
-// recorder.
+// and parallel stepping, chaining and partition tracking, step by step
+// through the informed-count series.
 func TestPooledFloodMatchesFresh(t *testing.T) {
 	for _, workers := range []int{0, 4} {
 		for _, chain := range []bool{false, true} {
@@ -36,7 +36,7 @@ func TestPooledFloodMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := []FloodOption{WithSeries(true), WithPartition(part)}
+			opts := []FloodOption{WithPartition(part)}
 			if chain {
 				opts = append(opts, WithinStepChaining(true))
 			}
@@ -51,7 +51,7 @@ func TestPooledFloodMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			freshNewly, freshRes := floodTrajectory(t, ff, 5000)
+			freshSeries, freshRes := floodTrajectory(t, ff, 5000)
 
 			// Pooled pair: born at a different seed, run for a while,
 			// then Reset to the target seed.
@@ -78,44 +78,35 @@ func TestPooledFloodMatchesFresh(t *testing.T) {
 			if err := pf.Reset(psrc); err != nil {
 				t.Fatal(err)
 			}
-			pooledNewly, pooledRes := floodTrajectory(t, pf, 5000)
+			pooledSeries, pooledRes := floodTrajectory(t, pf, 5000)
 
-			if len(freshNewly) != len(pooledNewly) {
+			if len(freshSeries) != len(pooledSeries) {
 				t.Fatalf("workers=%d chain=%v: step counts differ: %d vs %d",
-					workers, chain, len(freshNewly), len(pooledNewly))
+					workers, chain, len(freshSeries)-1, len(pooledSeries)-1)
 			}
-			for s := range freshNewly {
-				if freshNewly[s] != pooledNewly[s] {
-					t.Fatalf("workers=%d chain=%v: newly informed at step %d: %d vs %d",
-						workers, chain, s+1, freshNewly[s], pooledNewly[s])
+			for s := range freshSeries {
+				if freshSeries[s] != pooledSeries[s] {
+					t.Fatalf("workers=%d chain=%v: informed count at step %d: %d vs %d",
+						workers, chain, s, freshSeries[s], pooledSeries[s])
 				}
 			}
 			if freshRes != pooledRes {
 				t.Fatalf("workers=%d chain=%v: results differ:\nfresh  %+v\npooled %+v",
 					workers, chain, freshRes, pooledRes)
 			}
-			fs, ps := ff.Series(), pf.Series()
-			if len(fs) != len(ps) {
-				t.Fatalf("workers=%d chain=%v: series lengths differ", workers, chain)
-			}
-			for i := range fs {
-				if fs[i] != ps[i] {
-					t.Fatalf("workers=%d chain=%v: series diverge at %d", workers, chain, i)
-				}
-			}
 		}
 	}
 }
 
 // Reset must also rewind the flooding bookkeeping itself: counts, source,
-// zone tracking and the series.
+// zone tracking and the fresh set.
 func TestFloodingResetState(t *testing.T) {
 	p := sim.Params{N: 120, L: 12, R: 2, V: 0.3, Seed: 9}
 	w, err := sim.NewWorld(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewFlooding(w, 0, WithSeries(true))
+	f, err := NewFlooding(w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,14 +123,14 @@ func TestFloodingResetState(t *testing.T) {
 	if f.Source() != 5 {
 		t.Fatalf("Source = %d, want 5", f.Source())
 	}
-	if f.InformedCount() != 1 || !f.IsInformed(5) || f.IsInformed(0) {
+	if f.InformedCount() != 1 || !f.Informed()[5] || f.Informed()[0] {
 		t.Fatal("informed state not rewound")
 	}
 	if f.CZInformedTime() != -1 {
 		t.Fatalf("CZInformedTime = %d, want -1", f.CZInformedTime())
 	}
-	if s := f.Series(); len(s) != 1 || s[0] != 1 {
-		t.Fatalf("series = %v, want [1]", s)
+	if s := f.LastStepNewlyInformed(); len(s) != 1 || s[0] != 5 {
+		t.Fatalf("fresh set = %v, want [5]", s)
 	}
 	if err := f.Reset(-1); err == nil {
 		t.Fatal("Reset(-1) must fail")

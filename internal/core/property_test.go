@@ -49,7 +49,7 @@ func TestFloodingInvariantsProperty(t *testing.T) {
 			pos := w.Positions()
 			for i := 0; i < n; i++ {
 				wasInformed := prevInformed[i]
-				isInformed := fl.IsInformed(i)
+				isInformed := fl.informed[i]
 				if wasInformed && !isInformed {
 					return false // informed agents never forget
 				}
@@ -135,10 +135,12 @@ func TestTreeTimestampsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		tf.Run(200)
+		if err := Run(nil, tf, 200, nil); err != nil {
+			return false
+		}
 		for i := 0; i < n; i++ {
-			at := tf.InformedAt(i)
-			par := tf.Parent(i)
+			at := tf.when[i]
+			par := tf.parent[i]
 			switch {
 			case i == 0:
 				if at != 0 || par != -1 {
@@ -149,7 +151,7 @@ func TestTreeTimestampsProperty(t *testing.T) {
 					return false // uninformed agents have no parent
 				}
 			default:
-				if par < 0 || tf.InformedAt(par) < 0 || tf.InformedAt(par) >= at {
+				if par < 0 || tf.when[par] < 0 || tf.when[par] >= at {
 					return false
 				}
 			}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -67,14 +66,6 @@ func (f *TreeFlooding) InformedCount() int { return f.count }
 // Source returns the source agent id.
 func (f *TreeFlooding) Source() int { return f.source }
 
-// Parent returns the agent that informed i (-1 for the source and for
-// agents not yet informed).
-func (f *TreeFlooding) Parent(i int) int { return int(f.parent[i]) }
-
-// InformedAt returns the step at which i became informed (-1 if never, 0
-// for the source).
-func (f *TreeFlooding) InformedAt(i int) int { return int(f.when[i]) }
-
 // Step advances the world and performs one transmission round, recording
 // parents. When several informed agents are in range, the closest one
 // becomes the parent (ties by lowest id), which makes the tree
@@ -135,31 +126,6 @@ func (f *TreeFlooding) Step() int {
 	f.hits = newly
 	f.count += len(newly)
 	return len(newly)
-}
-
-// Run steps until done or maxSteps, returning (floodingTime, completed).
-func (f *TreeFlooding) Run(maxSteps int) (int, bool) {
-	t, done, _ := f.RunContext(nil, maxSteps)
-	return t, done
-}
-
-// RunContext is Run with cooperative cancellation, checked once per step
-// at the step boundary (the same contract as Flooding.RunContext): on
-// cancellation the partial state is left consistent and the context's
-// error is returned alongside the progress so far. A nil context never
-// cancels.
-func (f *TreeFlooding) RunContext(ctx context.Context, maxSteps int) (int, bool, error) {
-	var err error
-	for s := 0; s < maxSteps && !f.Done(); s++ {
-		if ctx != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				err = cerr
-				break
-			}
-		}
-		f.Step()
-	}
-	return f.w.Time(), f.Done(), err
 }
 
 // TreeStats summarizes the completed infection tree.

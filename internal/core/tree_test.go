@@ -23,12 +23,11 @@ func TestTreeFloodingStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Source() != 5 || f.Parent(5) != -1 || f.InformedAt(5) != 0 {
+	if f.Source() != 5 || f.parent[5] != -1 || f.when[5] != 0 {
 		t.Error("source bookkeeping wrong")
 	}
-	steps, ok := f.Run(2000)
-	if !ok {
-		t.Fatalf("tree flooding incomplete after %d steps", steps)
+	if !runDone(t, f, 2000) {
+		t.Fatalf("tree flooding incomplete after %d steps", w.Time())
 	}
 	// Every non-source agent has an informed parent with an earlier
 	// timestamp.
@@ -36,20 +35,20 @@ func TestTreeFloodingStructure(t *testing.T) {
 		if i == 5 {
 			continue
 		}
-		p := f.Parent(i)
-		if p < 0 || p >= w.N() {
+		p := f.parent[i]
+		if p < 0 || int(p) >= w.N() {
 			t.Fatalf("agent %d has no parent", i)
 		}
-		if f.InformedAt(i) <= f.InformedAt(p) {
+		if f.when[i] <= f.when[p] {
 			t.Fatalf("agent %d informed at %d, parent %d at %d",
-				i, f.InformedAt(i), p, f.InformedAt(p))
+				i, f.when[i], p, f.when[p])
 		}
 	}
 	// Walking parents from any node reaches the source without cycles.
 	for i := 0; i < w.N(); i++ {
-		cur, hops := i, 0
+		cur, hops := int32(i), 0
 		for cur != 5 {
-			cur = f.Parent(cur)
+			cur = f.parent[cur]
 			hops++
 			if hops > w.N() {
 				t.Fatalf("cycle in infection tree starting at %d", i)
@@ -82,7 +81,7 @@ func TestTreeFloodingMatchesPlainFlooding(t *testing.T) {
 func TestTreeStats(t *testing.T) {
 	w := newWorld(t, sim.Params{N: 400, L: 15, R: 1.5, V: 0.2, Seed: 4})
 	f, _ := NewTreeFlooding(w, 0)
-	if _, ok := f.Run(3000); !ok {
+	if !runDone(t, f, 3000) {
 		t.Fatal("incomplete")
 	}
 	st := f.Stats()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math/rand/v2"
 
@@ -122,29 +121,6 @@ func (f *ParsimoniousFlooding) Step() int {
 	return len(newly)
 }
 
-// Run steps until completion or maxSteps, returning (floodingTime,
-// completed).
-func (f *ParsimoniousFlooding) Run(maxSteps int) (int, bool) {
-	t, done, _ := f.RunContext(nil, maxSteps)
-	return t, done
-}
-
-// RunContext is Run with cooperative cancellation, checked once per step
-// at the step boundary; a nil context never cancels.
-func (f *ParsimoniousFlooding) RunContext(ctx context.Context, maxSteps int) (int, bool, error) {
-	var err error
-	for s := 0; s < maxSteps && !f.Done(); s++ {
-		if ctx != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				err = cerr
-				break
-			}
-		}
-		f.Step()
-	}
-	return f.w.Time(), f.Done(), err
-}
-
 // KGossip is the push-gossip variant: each informed agent forwards to at
 // most k uniformly chosen neighbors per step instead of broadcasting to
 // all. It models degree-limited radios; flooding is the k = infinity case.
@@ -223,27 +199,4 @@ func (g *KGossip) Step() int {
 	g.newly = newly
 	g.count += len(newly)
 	return len(newly)
-}
-
-// Run steps until completion or maxSteps, returning (floodingTime,
-// completed).
-func (g *KGossip) Run(maxSteps int) (int, bool) {
-	t, done, _ := g.RunContext(nil, maxSteps)
-	return t, done
-}
-
-// RunContext is Run with cooperative cancellation, checked once per step
-// at the step boundary; a nil context never cancels.
-func (g *KGossip) RunContext(ctx context.Context, maxSteps int) (int, bool, error) {
-	var err error
-	for s := 0; s < maxSteps && !g.Done(); s++ {
-		if ctx != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				err = cerr
-				break
-			}
-		}
-		g.Step()
-	}
-	return g.w.Time(), g.Done(), err
 }

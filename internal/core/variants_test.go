@@ -51,8 +51,9 @@ func TestParsimoniousCompletesSlower(t *testing.T) {
 	wSlow := newWorld(t, p)
 	fast, _ := NewParsimoniousFlooding(wFast, 0, 1, 3)
 	slow, _ := NewParsimoniousFlooding(wSlow, 0, 0.1, 3)
-	tFast, okFast := fast.Run(3000)
-	tSlow, okSlow := slow.Run(3000)
+	okFast := runDone(t, fast, 3000)
+	okSlow := runDone(t, slow, 3000)
+	tFast, tSlow := wFast.Time(), wSlow.Time()
 	if !okFast || !okSlow {
 		t.Fatalf("runs incomplete: fast=%v slow=%v", okFast, okSlow)
 	}
@@ -86,10 +87,9 @@ func TestKGossipCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	steps, ok := g.Run(5000)
-	if !ok {
+	if !runDone(t, g, 5000) {
 		t.Fatalf("k-gossip incomplete after %d steps (%d/%d)",
-			steps, g.InformedCount(), w.N())
+			w.Time(), g.InformedCount(), w.N())
 	}
 	if g.InformedCount() != 200 {
 		t.Errorf("InformedCount = %d", g.InformedCount())
@@ -102,8 +102,9 @@ func TestKGossipSlowerThanFlooding(t *testing.T) {
 	w2 := newWorld(t, p)
 	flood, _ := NewFlooding(w1, 0)
 	gossip, _ := NewKGossip(w2, 0, 1, 5)
-	rf, _ := flood.Run(5000)
-	tg, ok := gossip.Run(5000)
+	rf := runFlood(t, flood, 5000)
+	ok := runDone(t, gossip, 5000)
+	tg := w2.Time()
 	if !rf.Completed || !ok {
 		t.Fatal("runs incomplete")
 	}

@@ -77,10 +77,11 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "sweep.ckpt")
-			j, err := checkpoint.Open(path)
+			j, err := checkpoint.OpenAppend(path)
 			if err != nil {
 				t.Fatalf("open: %v", err)
 			}
+			defer j.Close()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			var live atomic.Int64
@@ -97,15 +98,14 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 			if _, runErr := RunSweep(cfg, spec); runErr != nil && !errors.Is(runErr, context.Canceled) {
 				t.Fatalf("interrupted run failed with a non-cancellation error: %v", runErr)
 			}
-			if err := j.Flush(); err != nil {
-				t.Fatalf("flush: %v", err)
-			}
-
-			// Resume exactly as the CLI does: reopen the journal from disk.
-			j2, err := checkpoint.Open(path)
+			// Deliberately no Close: every finished trial's line is already
+			// in the file, as after a SIGKILL. Resume exactly as the CLI
+			// does: reopen the journal from disk.
+			j2, err := checkpoint.OpenAppend(path)
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
+			defer j2.Close()
 			recorded := j2.Len()
 			var resumedLive atomic.Int64
 			cfg2 := Config{Journal: j2, Workers: tc.resumeWorkers,

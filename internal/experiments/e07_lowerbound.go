@@ -139,11 +139,10 @@ func E07LowerBound(cfg Config) (E07Result, error) {
 		if err != nil {
 			return res, err
 		}
-		fres, err := f.Run(maxSteps)
-		if err != nil {
+		if err := core.Run(nil, f, maxSteps, nil); err != nil {
 			return res, err
 		}
-		if fres.Completed {
+		if fres := f.Result(); fres.Completed {
 			tSum += float64(fres.Time)
 			tCount++
 			if float64(fres.Time) < iso-1e-9 {

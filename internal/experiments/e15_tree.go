@@ -61,7 +61,10 @@ func E15InfectionTree(cfg Config) (E15Result, error) {
 			if err != nil {
 				return res, err
 			}
-			if _, ok := f.Run(maxSteps); !ok {
+			if err := core.Run(nil, f, maxSteps, nil); err != nil {
+				return res, err
+			}
+			if !f.Done() {
 				continue
 			}
 			st := f.Stats()

@@ -170,7 +170,10 @@ func floodTrials(cfg Config, g floodGroup) ([]floodPoint, []error) {
 						continue
 					}
 					if o.err == nil && unitOf != nil {
-						cfg.Journal.Record(unitOf(l, trial), checkpointResult(o.res))
+						// Appended as the cell finishes, so a killed run
+						// keeps it. A failed write leaves the in-memory
+						// record standing; Close reports it.
+						_ = cfg.Journal.Append(unitOf(l, trial), checkpointResult(o.res))
 					}
 					if cfg.afterTrial != nil {
 						cfg.afterTrial()
@@ -469,16 +472,17 @@ func (lp *lanePool) buildLanes() error {
 // step budget is spent. A panic in a lane's round stays in that lane
 // (core.Lanes.Panic); one that reaches here is the shared step's.
 func (lp *lanePool) runLanes() error {
-	if err := lp.lanes.Start(lp.g.maxSteps, lp.run); err != nil {
+	if err := lp.lanes.Start(lp.run); err != nil {
 		return err
 	}
-	for lp.lanes.Due() {
-		lp.lanes.Step()
-		if lp.afterStep != nil {
+	var after func() error
+	if lp.afterStep != nil {
+		after = func() error {
 			lp.afterStep(lp)
+			return nil
 		}
 	}
-	return nil
+	return core.Run(nil, lp.lanes, lp.g.maxSteps, after)
 }
 
 // failRunning fails every lane running this trial with err — a

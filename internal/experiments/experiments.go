@@ -33,9 +33,10 @@ type Config struct {
 	// finish, abandons pending ones, and leaves recorded results intact.
 	// nil means the run can never be canceled.
 	Ctx context.Context
-	// Journal, when set, records every completed flooding trial and
-	// replays already-recorded trials instead of re-running them
-	// (checkpoint/resume). Trials are independently seeded, so a resumed
+	// Journal, when set, records every completed flooding trial — on a
+	// journal opened by checkpoint.OpenAppend, its line is appended as
+	// the trial finishes — and replays already-recorded trials instead of
+	// re-running them (checkpoint/resume). Trials are independently seeded, so a resumed
 	// run aggregates to results byte-identical to an uninterrupted one.
 	Journal *checkpoint.Journal
 	// Workers caps the Monte-Carlo trial fan-out (0 = GOMAXPROCS). The

@@ -38,7 +38,9 @@ func TestCellRunnerMatchesRunSweep(t *testing.T) {
 			if err != nil {
 				t.Fatalf("cell (%d,%d): %v", point, trial, err)
 			}
-			j.Record(spec.Unit(point, trial), res)
+			if err := j.Append(spec.Unit(point, trial), res); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 

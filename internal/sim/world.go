@@ -210,10 +210,7 @@ type World struct {
 	stepPopFn func(shard, lo, hi int)
 	// stepHook, when set (SetStepHook), runs at the very end of Step, after
 	// the index sync and the step-counter increment: the X/Y slices and the
-	// neighbor index are consistent for the step just completed. It is the
-	// observation seam used by the public recording API (trace capture);
-	// protocol layers that already observe each step (internal/core) do not
-	// need it.
+	// neighbor index are consistent for the step just completed.
 	stepHook func()
 }
 
@@ -445,7 +442,10 @@ func (w *World) Step() {
 // all reflect the completed step. The hook runs on the goroutine that
 // called Step and must not mutate the world; it may read the live X/Y
 // slices. At most one hook is supported — callers that need fan-out
-// compose it themselves.
+// compose it themselves. It times the world step inside a flood step, so
+// its caller is the per-layer benchmark split (perfbench); observers of
+// a whole simulation attach to the facade's Simulation instead, which
+// emits after each step without a hook.
 func (w *World) SetStepHook(h func()) { w.stepHook = h }
 
 // fuseChunk is the advance→classify granularity of the population step:

@@ -168,11 +168,9 @@ type Simulation struct {
 	w    *sim.World
 	part *cells.Partition
 
-	// Observation state (observer.go): the attached Observer, the flag
-	// suppressing the world-hook emission while Flood emits richer views,
-	// and the sticky error of a world-only observation failure.
+	// Observation state (observer.go): the attached Observer and the
+	// sticky error of a failed Step emission.
 	obs    Observer
-	inRun  bool
 	obsErr error
 }
 
@@ -208,9 +206,6 @@ func (s *Simulation) Config() Config { return s.cfg }
 
 // Time returns the number of elapsed steps.
 func (s *Simulation) Time() int { return s.w.Time() }
-
-// Step advances the world one time unit.
-func (s *Simulation) Step() { s.w.Step() }
 
 // Positions returns a copy of all agent positions. It allocates a fresh
 // slice on every call — a cold-path snapshot accessor for one-off reads
@@ -439,30 +434,25 @@ func (s *Simulation) Flood(opts FloodOptions) (FloodResult, error) {
 	if opts.Chaining {
 		coreOpts = append(coreOpts, core.WithinStepChaining(true))
 	}
-	if opts.RecordSeries {
-		coreOpts = append(coreOpts, core.WithSeries(true))
-	}
 	f, err := core.NewFlooding(s.w, source, coreOpts...)
 	if err != nil {
 		return FloodResult{}, fmt.Errorf("manhattan: %w", err)
 	}
-	if obs := s.floodObserver(f.Informed); obs != nil {
-		// The flood loop emits the rich views; silence the world hook for
-		// the duration so each step produces exactly one view.
-		core.WithStepObserver(obs)(f)
-		s.inRun = true
-		defer func() { s.inRun = false }()
+	var series *[]int
+	out := FloodResult{Source: source}
+	if opts.RecordSeries {
+		out.Series = []int{f.InformedCount()}
+		series = &out.Series
 	}
-	res, err := f.RunContext(opts.Ctx, maxSteps)
-	out := FloodResult{
-		Completed: res.Completed,
-		Time:      res.Time,
-		CZTime:    res.CZTime,
-		SuburbLag: res.SuburbLag,
-		Informed:  res.Informed,
-		Source:    source,
-		Series:    f.Series(),
+	// The run-start frame: the source as the only fresh agent, at the
+	// world time before the first flood step.
+	err = s.emit(f)
+	if err == nil {
+		err = s.run(opts.Ctx, f, maxSteps, f, series)
 	}
+	res := f.Result()
+	out.Completed, out.Time, out.CZTime = res.Completed, res.Time, res.CZTime
+	out.SuburbLag, out.Informed = res.SuburbLag, res.Informed
 	if err != nil {
 		// A canceled run still reports how far it got; the caller decides
 		// whether the partial result is worth keeping.

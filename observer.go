@@ -1,5 +1,11 @@
 package manhattan
 
+import (
+	"context"
+
+	"manhattanflood/internal/core"
+)
+
 // StepView is the read-only per-step view handed to an attached Observer.
 // The slices alias the simulation's live structure-of-arrays state — no
 // copies are made — so they are valid only for the duration of the
@@ -7,10 +13,9 @@ package manhattan
 // it (the trace recorder encodes it straight into its output buffer).
 //
 // X and Y are always present and indexed by agent id. Informed and
-// NewlyInformed are populated only for steps driven by Simulation.Flood
-// (the paper's protocol is the one with an informed-set notion wired into
-// the observer seam); for plain Step, FloodTree and RunProtocol runs they
-// are nil and the view carries positions only.
+// NewlyInformed are populated only for steps driven by Simulation.Flood;
+// for plain Step, FloodTree and RunProtocol they are nil and the view
+// carries positions only.
 type StepView struct {
 	// Step is the world time after the observed step completed. The first
 	// view of a Flood run is the run-start frame: the world time before
@@ -28,10 +33,14 @@ type StepView struct {
 }
 
 // Observer receives a StepView after every completed simulation step while
-// attached. Returning a non-nil error stops observation: a Flood run
-// aborts at the step boundary and returns the error; for world-only paths
-// (Step, FloodTree, RunProtocol) the error is sticky — emission stops and
-// the error surfaces from the running entry point and from ObserverErr.
+// attached. Every entry point that steps the simulation emits through it:
+// Step once per call, and Flood, FloodTree and RunProtocol once per step
+// of their run, at the step boundary. Returning a non-nil error stops
+// observation. A run — Flood, FloodTree or RunProtocol — stops at that
+// step boundary and returns the error with its partial result. Plain Step
+// has no result to return it with, so the error is sticky there: Step
+// emits nothing more, and ObserverErr reports the error, until the next
+// Attach.
 //
 // Observers run synchronously on the stepping goroutine and must not
 // mutate the simulation or retain the view's slices.
@@ -43,18 +52,13 @@ type Observer interface {
 // one (at most one observer is attached; compose fan-out externally) and
 // clearing any sticky observer error. Attach(nil) is Detach.
 //
-// While attached, the observer sees every world step: plain Step and the
+// While attached, the observer sees every step: plain Step and the
 // protocol entry points emit position-only views; Flood emits full views
 // with the informed set and the step's newly informed ids. This is the
 // public seam the trace recorder (NewRecorder) plugs into.
 func (s *Simulation) Attach(o Observer) {
 	s.obs = o
 	s.obsErr = nil
-	if o == nil {
-		s.w.SetStepHook(nil)
-		return
-	}
-	s.w.SetStepHook(s.observeWorldStep)
 }
 
 // Detach removes the current observer (if any) and returns it. The sticky
@@ -63,43 +67,46 @@ func (s *Simulation) Attach(o Observer) {
 func (s *Simulation) Detach() Observer {
 	o := s.obs
 	s.obs = nil
-	s.w.SetStepHook(nil)
 	return o
 }
 
-// ObserverErr returns the sticky error of a world-only observation path
-// (an ObserveStep failure during Step, FloodTree or RunProtocol), or nil.
-// Flood failures are returned directly by Flood and are not sticky.
+// ObserverErr returns the sticky error of an ObserveStep failure during
+// plain Step, or nil. Runs return their observer's error directly, and it
+// is not sticky.
 func (s *Simulation) ObserverErr() error { return s.obsErr }
 
-// observeWorldStep is the sim.World step hook: the position-only emission
-// path. During Flood it stays silent (inRun) — the flood loop emits richer
-// views through the same observer — and after an observer error it stays
-// silent until the next Attach.
-func (s *Simulation) observeWorldStep() {
-	if s.inRun || s.obs == nil || s.obsErr != nil {
-		return
-	}
-	err := s.obs.ObserveStep(StepView{Step: s.w.Time(), X: s.w.X(), Y: s.w.Y()})
-	if err != nil {
-		s.obsErr = err
+// Step advances the world one time unit and emits a position-only view to
+// the attached observer, unless an earlier Step's view failed.
+func (s *Simulation) Step() {
+	s.w.Step()
+	if s.obsErr == nil {
+		s.obsErr = s.emit(nil)
 	}
 }
 
-// floodObserver adapts the attached Observer to the core flooding seam,
-// enriching the view with the informed set. Returns nil when no observer
-// is attached.
-func (s *Simulation) floodObserver(informed func() []bool) func(newly []int32) error {
+// run is the loop behind Flood, FloodTree and RunProtocol: it steps p
+// under core.Run and, after every step, appends f's informed count to
+// series when series is non-nil and emits the attached observer's view.
+// The view carries f's informed set when f is non-nil, positions only
+// otherwise. An observer error stops the run at that step boundary.
+func (s *Simulation) run(ctx context.Context, p core.Process, maxSteps int, f *core.Flooding, series *[]int) error {
+	return core.Run(ctx, p, maxSteps, func() error {
+		if series != nil {
+			*series = append(*series, f.InformedCount())
+		}
+		return s.emit(f)
+	})
+}
+
+// emit hands the attached observer the view of the current step: the
+// positions, plus f's informed set and fresh ids when f is non-nil.
+func (s *Simulation) emit(f *core.Flooding) error {
 	if s.obs == nil {
 		return nil
 	}
-	return func(newly []int32) error {
-		return s.obs.ObserveStep(StepView{
-			Step:          s.w.Time(),
-			X:             s.w.X(),
-			Y:             s.w.Y(),
-			Informed:      informed(),
-			NewlyInformed: newly,
-		})
+	v := StepView{Step: s.w.Time(), X: s.w.X(), Y: s.w.Y()}
+	if f != nil {
+		v.Informed, v.NewlyInformed = f.Informed(), f.LastStepNewlyInformed()
 	}
+	return s.obs.ObserveStep(v)
 }

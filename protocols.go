@@ -31,7 +31,8 @@ type TreeResult struct {
 // its geometry. Like Flood, it advances the simulation. Source, SourceAgent
 // and MaxSteps default exactly as in Flood (resolveRun); a non-nil Ctx
 // cancels between steps, returning the partial geometry alongside the
-// context's error. An attached Observer sees position-only views.
+// context's error. An attached Observer sees position-only views, and its
+// error stops the run the same way.
 func (s *Simulation) FloodTree(opts FloodOptions) (TreeResult, error) {
 	source, maxSteps, err := s.resolveRun(runSpec{
 		source: opts.Source, sourceAgent: opts.SourceAgent, maxSteps: opts.MaxSteps,
@@ -43,20 +44,17 @@ func (s *Simulation) FloodTree(opts FloodOptions) (TreeResult, error) {
 	if err != nil {
 		return TreeResult{}, fmt.Errorf("manhattan: %w", err)
 	}
-	time, ok, err := f.RunContext(opts.Ctx, maxSteps)
+	err = s.run(opts.Ctx, f, maxSteps, nil, nil)
 	st := f.Stats()
 	out := TreeResult{
-		Completed:       ok,
-		Time:            time,
+		Completed:       f.Done(),
+		Time:            s.w.Time(),
 		MaxDepth:        st.MaxDepth,
 		MeanDepth:       st.MeanDepth,
 		CourierEdges:    st.CourierEdges,
 		CourierFraction: st.CourierFraction,
 		MaxCourierDelay: st.MaxEdgeDelay,
 		Source:          source,
-	}
-	if err == nil {
-		err = s.obsErr
 	}
 	if err != nil {
 		return out, fmt.Errorf("manhattan: %w", err)
@@ -123,7 +121,8 @@ type ProtocolResult struct {
 // RunProtocol runs a dissemination-protocol variant over the simulation.
 // A non-nil Ctx cancels between steps with the partial result returned
 // alongside the context's error. An attached Observer sees position-only
-// views (the informed-set enrichment is specific to Flood).
+// views (the informed-set enrichment is specific to Flood), and its error
+// stops the run the same way.
 func (s *Simulation) RunProtocol(opts ProtocolOptions) (ProtocolResult, error) {
 	source, maxSteps, err := s.resolveRun(runSpec{
 		source: opts.Source, sourceAgent: opts.SourceAgent, maxSteps: opts.MaxSteps,
@@ -131,50 +130,35 @@ func (s *Simulation) RunProtocol(opts ProtocolOptions) (ProtocolResult, error) {
 	if err != nil {
 		return ProtocolResult{}, err
 	}
-	var out ProtocolResult
+	var p interface {
+		core.Process
+		InformedCount() int
+	}
 	switch opts.Protocol {
 	case Flooding:
-		f, ferr := core.NewFlooding(s.w, source)
-		if ferr != nil {
-			return ProtocolResult{}, fmt.Errorf("manhattan: %w", ferr)
-		}
-		res, rerr := f.RunContext(opts.Ctx, maxSteps)
-		out = ProtocolResult{Completed: res.Completed, Time: res.Time, Informed: res.Informed}
-		err = rerr
+		p, err = core.NewFlooding(s.w, source)
 	case Parsimonious:
-		p := opts.P
-		if p == 0 {
-			p = 0.5
+		prob := opts.P
+		if prob == 0 {
+			prob = 0.5
 		}
-		f, ferr := core.NewParsimoniousFlooding(s.w, source, p, s.cfg.Seed^0xbeef)
-		if ferr != nil {
-			return ProtocolResult{}, fmt.Errorf("manhattan: %w", ferr)
-		}
-		time, ok, rerr := f.RunContext(opts.Ctx, maxSteps)
-		out = ProtocolResult{
-			Completed:     ok,
-			Time:          time,
-			Informed:      f.InformedCount(),
-			Transmissions: f.Transmissions(),
-		}
-		err = rerr
+		p, err = core.NewParsimoniousFlooding(s.w, source, prob, s.cfg.Seed^0xbeef)
 	case Gossip:
 		k := opts.K
 		if k == 0 {
 			k = 1
 		}
-		g, gerr := core.NewKGossip(s.w, source, k, s.cfg.Seed^0xfeed)
-		if gerr != nil {
-			return ProtocolResult{}, fmt.Errorf("manhattan: %w", gerr)
-		}
-		time, ok, rerr := g.RunContext(opts.Ctx, maxSteps)
-		out = ProtocolResult{Completed: ok, Time: time, Informed: g.InformedCount()}
-		err = rerr
+		p, err = core.NewKGossip(s.w, source, k, s.cfg.Seed^0xfeed)
 	default:
 		return ProtocolResult{}, fmt.Errorf("manhattan: unknown protocol %v", opts.Protocol)
 	}
-	if err == nil {
-		err = s.obsErr
+	if err != nil {
+		return ProtocolResult{}, fmt.Errorf("manhattan: %w", err)
+	}
+	err = s.run(opts.Ctx, p, maxSteps, nil, nil)
+	out := ProtocolResult{Completed: p.Done(), Time: s.w.Time(), Informed: p.InformedCount()}
+	if pf, ok := p.(*core.ParsimoniousFlooding); ok {
+		out.Transmissions = pf.Transmissions()
 	}
 	if err != nil {
 		return out, fmt.Errorf("manhattan: %w", err)

@@ -311,6 +311,90 @@ func TestObserverErrorAbortsFlood(t *testing.T) {
 	}
 }
 
+// TestObserverErrorStopsEveryRun: an observer error stops FloodTree and
+// every RunProtocol variant at the step boundary, exactly as it stops
+// Flood: the run returns the error after the failing view, the world
+// stops at that step, and nothing is left sticky. Plain Step, which has
+// no result to return the error with, keeps it sticky: it emits nothing
+// more and ObserverErr reports it until the next Attach.
+func TestObserverErrorStopsEveryRun(t *testing.T) {
+	const failAt = 3
+	boom := errors.New("observer boom")
+	cfg := Config{N: 200, L: 20, R: 1.5, V: 0.2, Seed: 5}
+	failing := func(calls *int) Observer {
+		return observerFunc(func(StepView) error {
+			if *calls++; *calls == failAt {
+				return boom
+			}
+			return nil
+		})
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(s *Simulation) error
+	}{
+		{"FloodTree", func(s *Simulation) error {
+			_, err := s.FloodTree(FloodOptions{MaxSteps: 100})
+			return err
+		}},
+		{"RunProtocol/flooding", func(s *Simulation) error {
+			_, err := s.RunProtocol(ProtocolOptions{Protocol: Flooding, MaxSteps: 100})
+			return err
+		}},
+		{"RunProtocol/parsimonious", func(s *Simulation) error {
+			_, err := s.RunProtocol(ProtocolOptions{Protocol: Parsimonious, MaxSteps: 100})
+			return err
+		}},
+		{"RunProtocol/gossip", func(s *Simulation) error {
+			_, err := s.RunProtocol(ProtocolOptions{Protocol: Gossip, MaxSteps: 100})
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim, err := New(cfg)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			calls := 0
+			sim.Attach(failing(&calls))
+			if err := tc.run(sim); !errors.Is(err, boom) {
+				t.Fatalf("error = %v, want %v", err, boom)
+			}
+			if calls != failAt || sim.Time() != failAt {
+				t.Fatalf("stopped after %d views at time %d, want %d views at time %d", calls, sim.Time(), failAt, failAt)
+			}
+			if err := sim.ObserverErr(); err != nil {
+				t.Fatalf("a run left a sticky observer error: %v", err)
+			}
+		})
+	}
+
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	calls := 0
+	sim.Attach(failing(&calls))
+	for i := 0; i < 2*failAt; i++ {
+		sim.Step()
+	}
+	if calls != failAt || !errors.Is(sim.ObserverErr(), boom) {
+		t.Fatalf("Step: %d views, ObserverErr %v; want %d views and %v", calls, sim.ObserverErr(), failAt, boom)
+	}
+	sim.Detach()
+	if !errors.Is(sim.ObserverErr(), boom) {
+		t.Fatalf("ObserverErr after Detach = %v, want %v", sim.ObserverErr(), boom)
+	}
+	sim.Attach(failing(&calls))
+	if sim.ObserverErr() != nil {
+		t.Fatalf("ObserverErr after Attach = %v, want nil", sim.ObserverErr())
+	}
+	sim.Step()
+	if calls != failAt+1 {
+		t.Fatalf("Step after Attach: %d views, want %d", calls, failAt+1)
+	}
+}
+
 var errSinkFailed = errors.New("sink failed")
 
 // failOnceWriter passes writes through to buf, except that its failAt-th
