@@ -86,8 +86,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		// A gossip still spreading through every counted round: at R = 2,
 		// V = 0.1 it completes after about 150 steps, well past the 40
 		// warm-ups and 21 runs, so the marked/newly bookkeeping of a
-		// spreading round is what gets counted. The cleanup, which runs
-		// after the measurement, holds the geometry to that.
+		// spreading round is what gets counted.
 		{"kgossip_step_4k", 40, func(t *testing.T) func() {
 			l := math.Sqrt(4000.0)
 			world := allocWorld(t, sim.Params{N: 4000, L: l, R: 2, V: 0.1, Seed: 1})
@@ -95,12 +94,30 @@ func TestSteadyStateAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(func() {
-				if g.Done() {
-					t.Error("gossip completed before the counted rounds ended; pick a slower geometry")
-				}
-			})
-			return func() { g.Step() }
+			return spreadingOp(t, g)
+		}},
+		// Tree and parsimonious flooding, still spreading through every
+		// counted round: at L = 1.5*sqrt(n), R = 2, V = 0.1 both take over
+		// 200 steps, while the tiled sweep's per-tile buffers have stopped
+		// growing by step 45. The tree runs on the tiled world, so the
+		// parent pass reads the tiled sweep's settled rows.
+		{"tree_step_4k_t4", 60, func(t *testing.T) func() {
+			l := 1.5 * math.Sqrt(4000.0)
+			world := allocWorld(t, sim.Params{N: 4000, L: l, R: 2, V: 0.1, Seed: 1, Tiles: 4})
+			f, err := core.NewTreeFlooding(world, world.NearestAgent(geom.Pt(l/2, l/2)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return spreadingOp(t, f)
+		}},
+		{"parsimonious_step_4k", 60, func(t *testing.T) func() {
+			l := 1.5 * math.Sqrt(4000.0)
+			world := allocWorld(t, sim.Params{N: 4000, L: l, R: 2, V: 0.1, Seed: 1})
+			f, err := core.NewParsimoniousFlooding(world, world.NearestAgent(geom.Pt(l/2, l/2)), 0.5, 99)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return spreadingOp(t, f)
 		}},
 		// One whole trial of sweep_mc_2k's radius lanes: the world at
 		// r = 2 plus indexes bound at 4, 8 and 16 (V/R on both sides of the
@@ -199,6 +216,19 @@ func newAllocFloodWith(t *testing.T, p sim.Params, factory sim.ModelFactory, cha
 		}
 		f.Step()
 	}
+}
+
+// spreadingOp steps p once per op. The cleanup, which runs after the
+// measurement, fails the test if p completed: the counted rounds must be
+// spreading rounds, so the geometry has to keep p unfinished through
+// them.
+func spreadingOp(t *testing.T, p core.Process) func() {
+	t.Cleanup(func() {
+		if p.Done() {
+			t.Error("the process completed before the counted rounds ended; pick a slower geometry")
+		}
+	})
+	return func() { p.Step() }
 }
 
 // newLaneTrialOp builds a steady-state op that runs one trial of four

@@ -392,6 +392,75 @@ func BenchmarkFloodStep100kTiled(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/agent")
 }
 
+// BenchmarkProtocolStep20k prices one whole step of each dissemination
+// process in ns per agent-step, at n = 20000 on a flat world (L = sqrt(n),
+// R = 2, V = 0.3) from the central agent: the world step alone, then
+// Flooding, TreeFlooding, ParsimoniousFlooding at p = 0.5 and KGossip at
+// k = 2, each a world step plus its round. A process that completes is
+// rebuilt, outside the timer, on the world reset to the next seed, so
+// every timed step runs a live round.
+func BenchmarkProtocolStep20k(b *testing.B) {
+	const n = 20000
+	for _, bc := range []struct {
+		name string
+		// start builds the process over w from source; nil times the
+		// world step alone.
+		start func(w *sim.World, source int) (core.Process, error)
+	}{
+		{"world", nil},
+		{"flooding", func(w *sim.World, source int) (core.Process, error) {
+			return core.NewFlooding(w, source)
+		}},
+		{"tree", func(w *sim.World, source int) (core.Process, error) {
+			return core.NewTreeFlooding(w, source)
+		}},
+		{"parsimonious_p0.5", func(w *sim.World, source int) (core.Process, error) {
+			return core.NewParsimoniousFlooding(w, source, 0.5, 7)
+		}},
+		{"kgossip_k2", func(w *sim.World, source int) (core.Process, error) {
+			return core.NewKGossip(w, source, 2, 7)
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			l := math.Sqrt(n)
+			seed := uint64(1)
+			w, err := sim.NewWorld(sim.Params{N: n, L: l, R: 2, V: 0.3, Seed: seed}, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var p core.Process
+			restart := func() {
+				if bc.start == nil {
+					return
+				}
+				if p != nil {
+					seed++
+					w.Reset(seed)
+				}
+				if p, err = bc.start(w, w.NearestAgent(geom.Pt(l/2, l/2))); err != nil {
+					b.Fatal(err)
+				}
+			}
+			restart()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if p == nil {
+					w.Step()
+					continue
+				}
+				if p.Done() {
+					b.StopTimer()
+					restart()
+					b.StartTimer()
+				}
+				p.Step()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/agent-step")
+		})
+	}
+}
+
 // BenchmarkFullFlood2k measures a complete flooding run at 2000 agents.
 func BenchmarkFullFlood2k(b *testing.B) {
 	b.ReportAllocs()

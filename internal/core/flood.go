@@ -82,7 +82,11 @@
 // every agent is informed or the step budget is spent. Run is that loop,
 // written once: it checks the context and calls an after-step callback
 // at every step boundary, which is where callers record, observe or
-// abort.
+// abort. Tree and parsimonious flooding step as Flooding rounds: the
+// tree adds a parent pass over each round's newly informed agents, and
+// parsimonious flooding hands the round its drawn transmitters. KGossip
+// still rescans every sender's neighbours, because its sequential draws
+// pick each sender's targets from the whole neighbour list.
 package core
 
 import (
@@ -107,6 +111,7 @@ type Flooding struct {
 	ix          *spatialindex.Index
 	shared      bool
 	informed    []bool
+	tx          []bool  // this round's transmitters: informed itself, or a subset (see eval)
 	uninformed  []int32 // ids of uninformed agents, ascending
 	count       int
 	source      int
@@ -203,6 +208,7 @@ func NewFlooding(w *sim.World, source int, opts ...FloodOption) (*Flooding, erro
 		uninformed: make([]int32, 0, w.N()-1),
 		fresh:      make([]int32, 0, w.N()),
 	}
+	f.tx = f.informed
 	f.planFn = f.planTileRange
 	f.evalFn = f.evalTileRange
 	for _, o := range opts {
@@ -444,11 +450,13 @@ func (f *Flooding) plan(ix *spatialindex.Index, c0, c1 int, plans []bucketPlan,
 // (bucket-major) order. ids/cxs/cys are the CSR arrays with every bucket
 // of the plans' settle set settled. It only reads shared state, so tiles
 // may run it concurrently over disjoint plans.
+// Transmitters are the agents flagged in tx; plan and the whole-tile skips
+// count informed agents, a superset, so they never skip a transmitter.
 func (f *Flooding) eval(ix *spatialindex.Index, ids []int32, cxs, cys []float64,
 	plans []bucketPlan, dst []int32) []int32 {
 	r := ix.Radius()
 	r2 := r * r
-	informed := f.informed
+	informed, tx := f.informed, f.tx
 	var twnd [3][rowWindowWords]uint64
 	for pi := range plans {
 		p := &plans[pi]
@@ -484,7 +492,7 @@ func (f *Flooding) eval(ix *spatialindex.Index, ids []int32, cxs, cys []float64,
 			scan:
 				for ri := 0; ri < nrows; ri++ {
 					for k := rowLo[ri]; k < rowHi[ri]; k++ {
-						if informed[ids[k]] {
+						if tx[ids[k]] {
 							heard |= kernel.MaskWord(cwx, cwy, cxs[k], cys[k], r2)
 							if heard&want == want {
 								break scan
@@ -530,7 +538,7 @@ func (f *Flooding) eval(ix *spatialindex.Index, ids []int32, cxs, cys []float64,
 						}
 						var w uint64
 						for k := k0; k < k1; k++ {
-							if informed[ids[k]] {
+							if tx[ids[k]] {
 								w |= 1 << uint(k-k0)
 							}
 						}

@@ -7,8 +7,9 @@ import (
 
 // Process is a dissemination process stepped in synchronous time units:
 // Flooding, TreeFlooding, ParsimoniousFlooding, KGossip and Lanes. Step
-// advances the world one unit and runs one round, returning how many
-// agents it informed; Done reports that every agent is informed.
+// advances the world one unit and runs one round — a Flooding round for
+// all but KGossip, which rescans — returning how many agents it informed;
+// Done reports that every agent is informed.
 type Process interface {
 	Step() int
 	Done() bool

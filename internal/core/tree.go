@@ -1,10 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
-	"manhattanflood/internal/kernel"
 	"manhattanflood/internal/sim"
 )
 
@@ -15,117 +13,100 @@ import (
 // Zone (many hops, one step each) and courier legs across the Suburb (one
 // parent-child edge whose timestamps are many steps apart while an agent
 // physically carries the message).
+//
+// Its rounds are Flooding rounds: plain flooding informs exactly the
+// agents tree flooding does, so the tree only adds a parent pass over
+// each round's newly informed agents. The flood is a field, not an
+// embedding, so no Round or Reset can skip that pass.
 type TreeFlooding struct {
-	w        *sim.World
-	informed []bool
-	count    int
-	source   int
-	parent   []int32
-	when     []int32
-	hits     []treeHit // scratch: this step's (child, parent) pairs
-	infBits  []uint64  // scratch: informed-by-CSR-position bitmap (kernel filter)
-}
-
-// treeHit is one newly informed agent and its chosen parent.
-type treeHit struct {
-	child, parent int32
+	fl     *Flooding
+	parent []int32 // informing agent; -1 for the source and the uninformed
+	when   []int32 // step informed; -1 while uninformed
+	depth  []int32 // hops from the source
+	cand   []int32 // scratch: CSR positions of one block's candidate parents
 }
 
 // NewTreeFlooding creates an instrumented flooding process with the given
 // source.
 func NewTreeFlooding(w *sim.World, source int) (*TreeFlooding, error) {
-	if w == nil {
-		return nil, fmt.Errorf("core: nil world")
-	}
-	if source < 0 || source >= w.N() {
-		return nil, fmt.Errorf("core: source %d out of range [0, %d)", source, w.N())
+	fl, err := NewFlooding(w, source)
+	if err != nil {
+		return nil, err
 	}
 	f := &TreeFlooding{
-		w:        w,
-		informed: make([]bool, w.N()),
-		count:    1,
-		source:   source,
-		parent:   make([]int32, w.N()),
-		when:     make([]int32, w.N()),
+		fl:     fl,
+		parent: make([]int32, w.N()),
+		when:   make([]int32, w.N()),
+		depth:  make([]int32, w.N()),
 	}
 	for i := range f.parent {
 		f.parent[i] = -1
 		f.when[i] = -1
 	}
-	f.informed[source] = true
 	f.when[source] = 0
 	return f, nil
 }
 
 // Done reports whether every agent is informed.
-func (f *TreeFlooding) Done() bool { return f.count == f.w.N() }
+func (f *TreeFlooding) Done() bool { return f.fl.Done() }
 
 // InformedCount returns the number of informed agents.
-func (f *TreeFlooding) InformedCount() int { return f.count }
+func (f *TreeFlooding) InformedCount() int { return f.fl.InformedCount() }
 
 // Source returns the source agent id.
-func (f *TreeFlooding) Source() int { return f.source }
+func (f *TreeFlooding) Source() int { return f.fl.Source() }
 
-// Step advances the world and performs one transmission round, recording
-// parents. When several informed agents are in range, the closest one
-// becomes the parent (ties by lowest id), which makes the tree
-// deterministic. Candidates stream each row span through the batched
-// radius kernel with an informed-by-CSR-position bitmap as the filter, so
-// only actual (informed, in-range) hits reach the argmin; hits arrive in
-// ascending CSR order, the same order the scalar scan visited them in.
+// Step advances the world and performs one transmission round (a Flooding
+// step), then records a parent for every agent the round informed: the
+// closest agent informed before this round, ties by lowest id, which
+// makes the tree deterministic. Distances use kernel.Hit's arithmetic
+// (no FMA), so the parent is always one of the transmitters the round's
+// own test heard.
 func (f *TreeFlooding) Step() int {
-	f.w.Step()
-	ix := f.w.Index()
+	newly := f.fl.Step()
+	ix := f.fl.index()
 	r2 := ix.Radius() * ix.Radius()
-	now := int32(f.w.Time())
+	now := int32(f.fl.w.Time())
 	xs, ys := ix.XS(), ix.YS()
-	ids, cxs, cys := ix.CSR()
-	nw := kernel.Words(len(ids))
-	if cap(f.infBits) < nw {
-		f.infBits = make([]uint64, nw)
-	}
-	infBits := f.infBits[:nw]
-	clear(infBits)
-	for k, id := range ids {
-		if f.informed[id] {
-			infBits[k>>6] |= 1 << (uint(k) & 63)
-		}
-	}
-	newly := f.hits[:0]
-	for i := range f.informed {
-		if f.informed[i] {
-			continue
-		}
-		px, py := xs[i], ys[i]
-		best, bestD := int32(-1), math.Inf(1)
-		x0, x1, y0, y1 := ix.BlockBoundsXY(px, py)
-		for by := y0; by <= y1; by++ {
-			lo, hi := ix.RowSpanBounds(by, x0, x1)
-			if lo >= hi {
-				continue
-			}
-			kernel.VisitHits(cxs[lo:hi], cys[lo:hi], px, py, r2, infBits, int(lo), func(k int) bool {
-				j := ids[k]
-				dx := cxs[k] - px
-				dy := cys[k] - py
-				if d := dx*dx + dy*dy; d < bestD || (d == bestD && j < best) {
-					best, bestD = j, d
+	// No settle here: every candidate parent sits in a transmitter row of
+	// the child's 3x3 block, which the round planned and settled when it
+	// evaluated the child's bucket. A row it left pending holds no agent
+	// informed before this round, and the when test rejects such an agent
+	// before its (possibly stale) coordinates are read.
+	ids, cxs, cys := ix.SettleCSR(nil)
+	when := f.when
+	// The round lists its hits bucket by bucket, so the children of one
+	// bucket share one gather of their block's candidate parents.
+	cand, bucket := f.cand[:0], -1
+	for _, c := range f.fl.fresh {
+		if b := ix.Cell(int(c)); b != bucket {
+			bucket, cand = b, cand[:0]
+			x0, x1, y0, y1 := ix.BlockBoundsCell(b)
+			for by := y0; by <= y1; by++ {
+				lo, hi := ix.RowSpanBounds(by, x0, x1)
+				for k := lo; k < hi; k++ {
+					if t := when[ids[k]]; t >= 0 && t != now {
+						cand = append(cand, k)
+					}
 				}
-				return true
-			})
+			}
 		}
-		if best >= 0 {
-			newly = append(newly, treeHit{child: int32(i), parent: best})
+		px, py := xs[c], ys[c]
+		best, bestD := int32(-1), math.Inf(1)
+		for _, k := range cand {
+			dx := cxs[k] - px
+			dy := cys[k] - py
+			d := float64(dx*dx) + float64(dy*dy)
+			if j := ids[k]; d <= r2 && (d < bestD || (d == bestD && j < best)) {
+				best, bestD = j, d
+			}
 		}
+		f.parent[c] = best
+		f.depth[c] = f.depth[best] + 1
+		when[c] = now
 	}
-	for _, h := range newly {
-		f.informed[h.child] = true
-		f.parent[h.child] = h.parent
-		f.when[h.child] = now
-	}
-	f.hits = newly
-	f.count += len(newly)
-	return len(newly)
+	f.cand = cand
+	return newly
 }
 
 // TreeStats summarizes the completed infection tree.
@@ -149,53 +130,25 @@ type TreeStats struct {
 
 // Stats computes the tree statistics for the current state.
 func (f *TreeFlooding) Stats() TreeStats {
-	st := TreeStats{Informed: f.count}
-	depth := make([]int32, len(f.parent))
-	for i := range depth {
-		depth[i] = -1
-	}
-	depth[f.source] = 0
-	var depthOf func(i int32) int32
-	depthOf = func(i int32) int32 {
-		if depth[i] >= 0 {
-			return depth[i]
-		}
-		if f.parent[i] < 0 {
-			return -1 // uninformed
-		}
-		pd := depthOf(f.parent[i])
-		if pd < 0 {
-			return -1
-		}
-		depth[i] = pd + 1
-		return depth[i]
-	}
-	var sum, cnt float64
+	st := TreeStats{Informed: f.fl.count}
+	var sum float64
 	edges := 0
-	for i := range f.parent {
-		d := depthOf(int32(i))
-		if d < 0 {
+	for i, p := range f.parent {
+		if f.when[i] < 0 {
 			continue
 		}
-		sum += float64(d)
-		cnt++
-		if int(d) > st.MaxDepth {
-			st.MaxDepth = int(d)
-		}
-		if p := f.parent[i]; p >= 0 {
+		sum += float64(f.depth[i])
+		st.MaxDepth = max(st.MaxDepth, int(f.depth[i]))
+		if p >= 0 {
 			edges++
 			delay := int(f.when[i] - f.when[p])
-			if delay > st.MaxEdgeDelay {
-				st.MaxEdgeDelay = delay
-			}
+			st.MaxEdgeDelay = max(st.MaxEdgeDelay, delay)
 			if delay > 1 {
 				st.CourierEdges++
 			}
 		}
 	}
-	if cnt > 0 {
-		st.MeanDepth = sum / cnt
-	}
+	st.MeanDepth = sum / float64(st.Informed)
 	if edges > 0 {
 		st.CourierFraction = float64(st.CourierEdges) / float64(edges)
 	}

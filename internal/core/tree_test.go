@@ -1,9 +1,13 @@
 package core
 
 import (
+	"math"
+	"math/rand/v2"
 	"testing"
 
 	"manhattanflood/internal/cells"
+	"manhattanflood/internal/kernel"
+	"manhattanflood/internal/mobility"
 	"manhattanflood/internal/sim"
 )
 
@@ -54,27 +58,6 @@ func TestTreeFloodingStructure(t *testing.T) {
 				t.Fatalf("cycle in infection tree starting at %d", i)
 			}
 		}
-	}
-}
-
-func TestTreeFloodingMatchesPlainFlooding(t *testing.T) {
-	// The instrumented flooding must inform exactly the same number of
-	// agents per step as the plain one on identically seeded worlds.
-	p := sim.Params{N: 250, L: 10, R: 1.5, V: 0.25, Seed: 3}
-	w1 := newWorld(t, p)
-	w2 := newWorld(t, p)
-	plain, _ := NewFlooding(w1, 0)
-	tree, _ := NewTreeFlooding(w2, 0)
-	for s := 0; s < 300 && !plain.Done(); s++ {
-		plain.Step()
-		tree.Step()
-		if plain.InformedCount() != tree.InformedCount() {
-			t.Fatalf("step %d: plain %d vs tree %d",
-				s, plain.InformedCount(), tree.InformedCount())
-		}
-	}
-	if !tree.Done() {
-		t.Error("tree flooding did not finish with plain flooding")
 	}
 }
 
@@ -179,3 +162,208 @@ func TestLemma16Budget(t *testing.T) {
 }
 
 func isInf(v float64) bool { return v > 1e300 }
+
+// refTree is the rescan TreeFlooding ran before its rounds became
+// Flooding rounds, kept as the oracle for its parents and times. Every
+// round it visits every uninformed agent and streams the agent's 3x3
+// block through the batched kernel, with an informed-by-CSR-position
+// bitmap as the filter; the closest informed hit becomes the parent,
+// ties by lowest id.
+type refTree struct {
+	w        *sim.World
+	informed []bool
+	count    int
+	parent   []int32
+	when     []int32
+	hits     []treeHit // scratch: this step's (child, parent) pairs
+	infBits  []uint64  // scratch: informed-by-CSR-position bitmap (kernel filter)
+	ties     int       // hits at exactly the best distance so far
+}
+
+// treeHit is one newly informed agent and its chosen parent.
+type treeHit struct {
+	child, parent int32
+}
+
+func newRefTree(w *sim.World, source int) *refTree {
+	f := &refTree{
+		w:        w,
+		informed: make([]bool, w.N()),
+		count:    1,
+		parent:   make([]int32, w.N()),
+		when:     make([]int32, w.N()),
+	}
+	for i := range f.parent {
+		f.parent[i] = -1
+		f.when[i] = -1
+	}
+	f.informed[source] = true
+	f.when[source] = 0
+	return f
+}
+
+func (f *refTree) step() int {
+	f.w.Step()
+	ix := f.w.Index()
+	r2 := ix.Radius() * ix.Radius()
+	now := int32(f.w.Time())
+	xs, ys := ix.XS(), ix.YS()
+	ids, cxs, cys := ix.CSR()
+	nw := kernel.Words(len(ids))
+	if cap(f.infBits) < nw {
+		f.infBits = make([]uint64, nw)
+	}
+	infBits := f.infBits[:nw]
+	clear(infBits)
+	for k, id := range ids {
+		if f.informed[id] {
+			infBits[k>>6] |= 1 << (uint(k) & 63)
+		}
+	}
+	newly := f.hits[:0]
+	for i := range f.informed {
+		if f.informed[i] {
+			continue
+		}
+		px, py := xs[i], ys[i]
+		best, bestD := int32(-1), math.Inf(1)
+		x0, x1, y0, y1 := ix.BlockBoundsXY(px, py)
+		for by := y0; by <= y1; by++ {
+			lo, hi := ix.RowSpanBounds(by, x0, x1)
+			if lo >= hi {
+				continue
+			}
+			kernel.VisitHits(cxs[lo:hi], cys[lo:hi], px, py, r2, infBits, int(lo), func(k int) bool {
+				j := ids[k]
+				dx := cxs[k] - px
+				dy := cys[k] - py
+				d := dx*dx + dy*dy
+				if d == bestD {
+					f.ties++
+				}
+				if d < bestD || (d == bestD && j < best) {
+					best, bestD = j, d
+				}
+				return true
+			})
+		}
+		if best >= 0 {
+			newly = append(newly, treeHit{child: int32(i), parent: best})
+		}
+	}
+	for _, h := range newly {
+		f.informed[h.child] = true
+		f.parent[h.child] = h.parent
+		f.when[h.child] = now
+	}
+	f.hits = newly
+	f.count += len(newly)
+	return len(newly)
+}
+
+// TreeFlooding's parents and times are bit-identical to the rescan
+// oracle's after every step, on every protocol shape.
+func TestTreeFloodingMatchesRescanOracle(t *testing.T) {
+	for _, s := range protocolShapes(500) {
+		t.Run(s.name, func(t *testing.T) {
+			w1, w2 := s.world(t), s.world(t)
+			src := s.source(w1)
+			tree, err := NewTreeFlooding(w1, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := newRefTree(w2, src)
+			for step := 1; step <= relationSteps && !tree.Done(); step++ {
+				got, want := tree.Step(), ref.step()
+				if got != want || tree.InformedCount() != ref.count {
+					t.Fatalf("step %d: %d newly informed (%d in all), oracle %d (%d)",
+						step, got, tree.InformedCount(), want, ref.count)
+				}
+				for i := range ref.parent {
+					if tree.parent[i] != ref.parent[i] || tree.when[i] != ref.when[i] {
+						t.Fatalf("step %d: agent %d parent %d at %d, oracle parent %d at %d",
+							step, i, tree.parent[i], tree.when[i], ref.parent[i], ref.when[i])
+					}
+				}
+			}
+			if !tree.Done() {
+				t.Fatalf("tree flooding incomplete after %d steps", relationSteps)
+			}
+		})
+	}
+}
+
+// latticeModel snaps every position its population publishes to the
+// half-unit lattice, so agents sit at exactly equal distances from one
+// another and the parent tie-break decides real cases.
+type latticeModel struct{ mobility.Model }
+
+func (m latticeModel) NewPopulation(n int) mobility.Population {
+	return &latticePop{Population: m.Model.NewPopulation(n)}
+}
+
+type latticePop struct {
+	mobility.Population
+	v mobility.View
+}
+
+func (p *latticePop) Bind(v mobility.View) {
+	p.v = v
+	p.Population.Bind(v)
+}
+
+func (p *latticePop) InitAgent(i int, rng rand.Source) {
+	p.Population.InitAgent(i, rng)
+	p.snap(i, i+1)
+}
+
+func (p *latticePop) StepRange(lo, hi int) {
+	p.Population.StepRange(lo, hi)
+	p.snap(lo, hi)
+}
+
+func (p *latticePop) snap(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		p.v.X[i] = math.Round(2*p.v.X[i]) / 2
+		p.v.Y[i] = math.Round(2*p.v.Y[i]) / 2
+	}
+}
+
+// On a lattice, where candidate parents tie, TreeFlooding's parents still
+// match the oracle's: among the closest, the lowest id.
+func TestTreeFloodingTiesMatchOracle(t *testing.T) {
+	lattice := func(cfg mobility.Config) (mobility.Model, error) {
+		m, err := sim.MRWPFactory()(cfg)
+		return latticeModel{m}, err
+	}
+	for _, tiles := range []int{0, 4} {
+		p := sim.Params{N: 500, L: 30, R: 2, V: 0.3, Seed: 8, Tiles: tiles}
+		w1, err := sim.NewWorld(p, lattice)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w2, err := sim.NewWorld(p, lattice)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, _ := SourcePair(w1)
+		tree, err := NewTreeFlooding(w1, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newRefTree(w2, src)
+		for step := 1; step <= relationSteps && !tree.Done(); step++ {
+			tree.Step()
+			ref.step()
+			for i := range ref.parent {
+				if tree.parent[i] != ref.parent[i] || tree.when[i] != ref.when[i] {
+					t.Fatalf("tiles=%d step %d: agent %d parent %d at %d, oracle parent %d at %d",
+						tiles, step, i, tree.parent[i], tree.when[i], ref.parent[i], ref.when[i])
+				}
+			}
+		}
+		if ref.ties == 0 {
+			t.Fatalf("tiles=%d: no parent tie arose, so the tie-break went untested", tiles)
+		}
+	}
+}

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"testing"
 
+	"manhattanflood/internal/kernel"
 	"manhattanflood/internal/sim"
 )
 
@@ -18,30 +21,6 @@ func TestParsimoniousErrors(t *testing.T) {
 		if _, err := NewParsimoniousFlooding(w, 0, p, 1); err == nil {
 			t.Errorf("p=%v: want probability error", p)
 		}
-	}
-}
-
-func TestParsimoniousPEqualOneMatchesFlooding(t *testing.T) {
-	// With p = 1 the variant must inform the same number of agents per step
-	// as plain flooding on an identically seeded world.
-	p := sim.Params{N: 200, L: 10, R: 1.5, V: 0.2, Seed: 42}
-	w1 := newWorld(t, p)
-	w2 := newWorld(t, p)
-	plain, _ := NewFlooding(w1, 0)
-	pars, err := NewParsimoniousFlooding(w2, 0, 1, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < 100 && !plain.Done(); s++ {
-		plain.Step()
-		pars.Step()
-		if plain.InformedCount() != pars.InformedCount() {
-			t.Fatalf("step %d: plain %d vs p=1 %d",
-				s, plain.InformedCount(), pars.InformedCount())
-		}
-	}
-	if !pars.Done() {
-		t.Error("p=1 variant did not finish alongside plain flooding")
 	}
 }
 
@@ -110,5 +89,118 @@ func TestKGossipSlowerThanFlooding(t *testing.T) {
 	}
 	if tg < rf.Time {
 		t.Errorf("k=1 gossip (%d) beat full flooding (%d)", tg, rf.Time)
+	}
+}
+
+// refParsimonious is the rescan ParsimoniousFlooding ran before its
+// rounds became Flooding rounds, kept as the oracle for its informed sets
+// and transmission counts. Every round it draws the transmitters, one
+// draw per informed agent in id order, then visits every uninformed agent
+// and asks the batched kernel whether its 3x3 block holds an active
+// agent in range.
+type refParsimonious struct {
+	w             *sim.World
+	p             float64
+	rng           *rand.Rand
+	informed      []bool
+	count         int
+	active        []bool   // scratch: who transmits this round
+	actBits       []uint64 // scratch: active-by-CSR-position bitmap (kernel filter)
+	newly         []int32  // scratch: this round's hits
+	transmissions int64
+}
+
+func newRefParsimonious(w *sim.World, source int, p float64, seed uint64) *refParsimonious {
+	f := &refParsimonious{
+		w:        w,
+		p:        p,
+		rng:      rand.New(rand.NewPCG(seed, 0xf100d)),
+		informed: make([]bool, w.N()),
+		active:   make([]bool, w.N()),
+		count:    1,
+	}
+	f.informed[source] = true
+	return f
+}
+
+func (f *refParsimonious) step() int {
+	f.w.Step()
+	ix := f.w.Index()
+	r := ix.Radius()
+	r2 := r * r
+	clear(f.active)
+	for i, inf := range f.informed {
+		if inf && f.rng.Float64() < f.p {
+			f.active[i] = true
+			f.transmissions++
+		}
+	}
+	xs, ys := ix.XS(), ix.YS()
+	ids, cxs, cys := ix.CSR()
+	nw := kernel.Words(len(ids))
+	if cap(f.actBits) < nw {
+		f.actBits = make([]uint64, nw)
+	}
+	actBits := f.actBits[:nw]
+	clear(actBits)
+	for k, id := range ids {
+		if f.active[id] {
+			actBits[k>>6] |= 1 << (uint(k) & 63)
+		}
+	}
+	f.actBits = actBits
+	newly := f.newly[:0]
+	for i := range f.informed {
+		if f.informed[i] {
+			continue
+		}
+		px, py := xs[i], ys[i]
+		x0, x1, y0, y1 := ix.BlockBoundsXY(px, py)
+		for by := y0; by <= y1; by++ {
+			lo, hi := ix.RowSpanBounds(by, x0, x1)
+			if lo >= hi {
+				continue
+			}
+			if kernel.AnyHit(cxs[lo:hi], cys[lo:hi], px, py, r2, actBits, int(lo)) {
+				newly = append(newly, int32(i))
+				break
+			}
+		}
+	}
+	for _, i := range newly {
+		f.informed[i] = true
+	}
+	f.newly = newly
+	f.count += len(newly)
+	return len(newly)
+}
+
+// ParsimoniousFlooding's informed sets and transmission counts are
+// bit-identical to the rescan oracle's after every step, on every
+// protocol shape, at p = 0.1, 0.5 and 1.
+func TestParsimoniousMatchesRescanOracle(t *testing.T) {
+	for _, s := range protocolShapes(500) {
+		for _, p := range []float64{0.1, 0.5, 1} {
+			t.Run(fmt.Sprintf("%s_p%v", s.name, p), func(t *testing.T) {
+				w1, w2 := s.world(t), s.world(t)
+				src := s.source(w1)
+				pars, err := NewParsimoniousFlooding(w1, src, p, 7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := newRefParsimonious(w2, src, p, 7)
+				for step := 1; step <= relationSteps && !pars.Done(); step++ {
+					got, want := pars.Step(), ref.step()
+					if got != want || pars.InformedCount() != ref.count {
+						t.Fatalf("step %d: %d newly informed (%d in all), oracle %d (%d)",
+							step, got, pars.InformedCount(), want, ref.count)
+					}
+					requireSameInformed(t, step, pars.fl.informed, ref.informed)
+					if pars.Transmissions() != ref.transmissions {
+						t.Fatalf("step %d: %d transmissions, oracle %d", step, pars.Transmissions(), ref.transmissions)
+					}
+				}
+			})
+		}
 	}
 }

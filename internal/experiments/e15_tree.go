@@ -7,6 +7,7 @@ import (
 	"manhattanflood/internal/render"
 	"manhattanflood/internal/sim"
 	"manhattanflood/internal/stats"
+	"manhattanflood/internal/theory"
 )
 
 // E15Point is one row of the infection-tree scan.
@@ -44,7 +45,7 @@ func E15InfectionTree(cfg Config) (E15Result, error) {
 	res := E15Result{N: n, L: l, V: v}
 	var xs, ys []float64
 	for _, r := range radii {
-		p := E15Point{R: r, LOverR: l / r, Trials: trials}
+		p := E15Point{R: r, LOverR: theory.Params{N: n, L: l, R: r, V: v}.FirstPhaseTerm(), Trials: trials}
 		var depths, fracs, delays []float64
 		for trial := 0; trial < trials; trial++ {
 			if err := cfg.canceled(); err != nil {
